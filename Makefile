@@ -16,9 +16,9 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # 82.3; the gap absorbs run-to-run variance from timing-dependent tests.)
 COVER_BASELINE := 82.0
 
-.PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-record bench-check bench-short bench loadgen-smoke loadgen-bench loadgen-check clean
+.PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-record bench-check bench-short benchmark-build bench loadgen-smoke loadgen-bench loadgen-check clean
 
-ci: fmt-check vet staticcheck govulncheck build test cover obs bench-short
+ci: fmt-check vet staticcheck govulncheck build test cover obs bench-short benchmark-build
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -151,7 +151,12 @@ loadgen-check:
 
 # One pass over the fleet-concurrency benchmark, as a smoke test.
 bench-short:
-	$(GO) test -run '^$$' -bench BenchmarkShardedVsSyncedFleet -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkShardedFleetStripes -benchtime 1x .
+
+# benchmark/ is its own module, invisible to the root `./...`: vet and
+# unit-test it here so an API deletion cannot break it unnoticed.
+benchmark-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The full testing.B suite at quick scale.
 bench:

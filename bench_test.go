@@ -185,7 +185,7 @@ func BenchmarkFleetResumeOp(b *testing.B) {
 // benchFleetMixed drives a mixed login/logout workload over 10k databases
 // from a fixed number of goroutines, each owning a disjoint id range (as a
 // sharded gateway tier would).
-func benchFleetMixed(b *testing.B, f fleetDriver, goroutines int) {
+func benchFleetMixed(b *testing.B, f *ShardedFleet, goroutines int) {
 	const dbs = 10_000
 	base := time.Unix(1_700_000_000, 0)
 	for id := 0; id < dbs; id++ {
@@ -221,30 +221,28 @@ func benchFleetMixed(b *testing.B, f fleetDriver, goroutines int) {
 	wg.Wait()
 }
 
-// BenchmarkShardedVsSyncedFleet compares the single-mutex SyncedFleet with
-// the lock-striped ShardedFleet under concurrent event load. The striped
-// fleet's advantage needs real parallelism: on a multi-core host it scales
-// with the goroutine count while the global mutex serializes; on a single
-// hardware thread both degenerate to sequential execution (numbers in
-// EXPERIMENTS.md).
-func BenchmarkShardedVsSyncedFleet(b *testing.B) {
+// BenchmarkShardedFleetStripes compares a single-stripe ShardedFleet — one
+// global mutex — with the default lock-striped one under concurrent event
+// load. The striped fleet's advantage needs real parallelism: on a
+// multi-core host it scales with the goroutine count while the global mutex
+// serializes; on a single hardware thread both degenerate to sequential
+// execution (numbers in EXPERIMENTS.md).
+func BenchmarkShardedFleetStripes(b *testing.B) {
 	opts := DefaultOptions()
 	opts.History = 7 * 24 * time.Hour
 	for _, goroutines := range []int{1, 4, 16, 64} {
-		b.Run(fmt.Sprintf("synced/goroutines=%d", goroutines), func(b *testing.B) {
-			sf, err := NewSyncedFleet(opts)
-			if err != nil {
-				b.Fatal(err)
+		for _, stripes := range []int{1, 0} { // 0 = default stripe count
+			name := "sharded"
+			if stripes == 1 {
+				name = "single"
 			}
-			benchFleetMixed(b, sf, goroutines)
-		})
-		b.Run(fmt.Sprintf("sharded/goroutines=%d", goroutines), func(b *testing.B) {
-			sh, err := NewShardedFleet(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sh.Close()
-			benchFleetMixed(b, sh, goroutines)
-		})
+			b.Run(fmt.Sprintf("%s/goroutines=%d", name, goroutines), func(b *testing.B) {
+				sh, err := NewShardedFleetShards(opts, stripes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchFleetMixed(b, sh, goroutines)
+			})
+		}
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"prorp/internal/shardedfleet"
 )
 
-// The typed sentinel errors of the public API. Every fleet flavor (Fleet,
-// SyncedFleet, ShardedFleet) returns errors that wrap these, so hosts
-// classify failures with errors.Is regardless of which runtime they chose:
+// The typed sentinel errors of the public API. Both fleet flavors (Fleet,
+// ShardedFleet) return errors that wrap these, so hosts classify failures
+// with errors.Is regardless of which runtime they chose:
 //
 //	ErrUnknownDatabase    the id does not exist (HTTP 404)
 //	ErrDuplicateDatabase  create/restore of an existing id (HTTP 409)
-//	ErrFleetClosed        operation after Close (HTTP 503)
-//	ErrBacklog            async submission queue full — shed load
 //	ErrCorruptArchive     snapshot/archive cannot be decoded (truncated,
 //	                      bit-flipped, wrong format) — restore from an
 //	                      older snapshot; never a panic
@@ -21,7 +19,5 @@ import (
 var (
 	ErrUnknownDatabase   = shardedfleet.ErrUnknownDatabase
 	ErrDuplicateDatabase = shardedfleet.ErrDuplicateDatabase
-	ErrFleetClosed       = shardedfleet.ErrClosed
-	ErrBacklog           = shardedfleet.ErrBacklog
 	ErrCorruptArchive    = shardedfleet.ErrCorruptArchive
 )

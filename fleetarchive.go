@@ -1,64 +1,33 @@
 package prorp
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
 	"time"
+
+	"prorp/internal/shardedfleet"
 )
 
 // Fleet archives serialize every database of a fleet in one stream, so a
 // control-plane restart (or a wholesale node migration) restores the
 // complete region state: lifecycle states, histories, predictions, and the
-// paused-database metadata. Format:
-//
-//	magic  uint32 'PRF1'
-//	count  uint32
-//	count x { id int64, size uint32, database snapshot (policy wire format) }
-
-const fleetMagic = 0x50524631 // "PRF1"
+// paused-database metadata. The PRF1 format is defined once, by
+// shardedfleet.WriteArchive / ReadArchive, so Fleet and ShardedFleet
+// archives are byte-identical for the same state.
 
 // WriteTo archives the whole fleet, databases in id order. It implements
 // io.WriterTo.
 func (f *Fleet) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], fleetMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(f.dbs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	written := int64(len(hdr))
-
 	ids := make([]int, 0, len(f.dbs))
 	for id := range f.dbs {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-
-	var snap bytes.Buffer
-	for _, id := range ids {
-		snap.Reset()
-		if _, err := f.dbs[id].WriteTo(&snap); err != nil {
-			return written, err
-		}
-		var rec [12]byte
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(int64(id)))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(snap.Len()))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return written, err
-		}
-		written += int64(len(rec))
-		n, err := bw.Write(snap.Bytes())
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
+	return shardedfleet.WriteArchive(w, ids, func(id int, w io.Writer) error {
+		_, err := f.dbs[id].WriteTo(w)
+		return err
+	})
 }
 
 // PendingWake pairs a restored database with the wake-up its host must
@@ -78,31 +47,16 @@ func RestoreFleet(opts Options, r io.Reader) (*Fleet, []PendingWake, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("prorp: %w: reading header: %w", ErrCorruptArchive, err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != fleetMagic {
-		return nil, nil, fmt.Errorf("prorp: %w: bad magic %#x", ErrCorruptArchive, got)
-	}
-	count := binary.LittleEndian.Uint32(hdr[4:8])
-
 	var wakes []PendingWake
-	for i := uint32(0); i < count; i++ {
-		var rec [12]byte
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, nil, fmt.Errorf("prorp: %w: reading entry %d of %d: %w", ErrCorruptArchive, i, count, err)
-		}
-		id := int(int64(binary.LittleEndian.Uint64(rec[0:8])))
-		size := binary.LittleEndian.Uint32(rec[8:12])
-		_, wakeAt, err := fleet.Restore(id, io.LimitReader(br, int64(size)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("prorp: %w: restoring database %d: %w", ErrCorruptArchive, id, err)
-		}
-		if !wakeAt.IsZero() {
+	err = shardedfleet.ReadArchive(r, func(id int, snap io.Reader) error {
+		_, wakeAt, err := fleet.Restore(id, snap)
+		if err == nil && !wakeAt.IsZero() {
 			wakes = append(wakes, PendingWake{ID: id, WakeAt: wakeAt})
 		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("prorp: %w", err)
 	}
 	return fleet, wakes, nil
 }

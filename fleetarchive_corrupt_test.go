@@ -15,10 +15,7 @@ func buildArchive(t *testing.T) []byte {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.LogicalPause = time.Hour
-	fleet, err := NewSyncedFleet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fleet := newFleetRef(t, opts)
 	start := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
 	day := 24 * time.Hour
 	for id := 1; id <= 4; id++ {
@@ -41,23 +38,20 @@ func buildArchive(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// restoreBoth runs one corrupted archive through both concurrency-safe
-// restore paths and reports their errors. Any panic is converted into a
-// test failure: corrupt input must yield a typed error, never a panic.
-func restoreBoth(t *testing.T, label string, data []byte) (sharded, synced error) {
+// restoreBoth runs one corrupted archive through both restore paths
+// (RestoreShardedFleet and RestoreFleet) and reports their errors. Any
+// panic is converted into a test failure: corrupt input must yield a typed
+// error, never a panic.
+func restoreBoth(t *testing.T, label string, data []byte) (sharded, plain error) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("%s: restore panicked: %v", label, r)
 		}
 	}()
-	sf, _, err := RestoreShardedFleet(DefaultOptions(), 4, bytes.NewReader(data))
-	if sf != nil {
-		sf.Close()
-	}
-	sharded = err
-	_, _, synced = RestoreSyncedFleet(DefaultOptions(), bytes.NewReader(data))
-	return sharded, synced
+	_, _, sharded = RestoreShardedFleet(DefaultOptions(), 4, bytes.NewReader(data))
+	_, _, plain = RestoreFleet(DefaultOptions(), bytes.NewReader(data))
+	return sharded, plain
 }
 
 func TestRestoreTruncatedArchives(t *testing.T) {
@@ -76,15 +70,15 @@ func TestRestoreTruncatedArchives(t *testing.T) {
 	lengths[len(archive)-1] = true
 	for n := range lengths {
 		trunc := archive[:n]
-		sharded, synced := restoreBoth(t, fmt.Sprintf("truncate[:%d]", n), trunc)
-		if sharded == nil || synced == nil {
-			t.Fatalf("truncate[:%d]: restore succeeded (sharded=%v synced=%v)", n, sharded, synced)
+		sharded, plain := restoreBoth(t, fmt.Sprintf("truncate[:%d]", n), trunc)
+		if sharded == nil || plain == nil {
+			t.Fatalf("truncate[:%d]: restore succeeded (sharded=%v plain=%v)", n, sharded, plain)
 		}
 		if !errors.Is(sharded, ErrCorruptArchive) {
 			t.Fatalf("truncate[:%d]: sharded error %v does not wrap ErrCorruptArchive", n, sharded)
 		}
-		if !errors.Is(synced, ErrCorruptArchive) {
-			t.Fatalf("truncate[:%d]: synced error %v does not wrap ErrCorruptArchive", n, synced)
+		if !errors.Is(plain, ErrCorruptArchive) {
+			t.Fatalf("truncate[:%d]: plain error %v does not wrap ErrCorruptArchive", n, plain)
 		}
 	}
 }
@@ -110,9 +104,9 @@ func TestRestoreBitFlippedArchives(t *testing.T) {
 			dirty := bytes.Clone(archive)
 			dirty[off] ^= 1 << bit
 			label := fmt.Sprintf("flip byte %d bit %d", off, bit)
-			sharded, synced := restoreBoth(t, label, dirty)
-			if (sharded == nil) != (synced == nil) {
-				t.Fatalf("%s: paths disagree (sharded=%v synced=%v)", label, sharded, synced)
+			sharded, plain := restoreBoth(t, label, dirty)
+			if (sharded == nil) != (plain == nil) {
+				t.Fatalf("%s: paths disagree (sharded=%v plain=%v)", label, sharded, plain)
 			}
 			if sharded != nil {
 				rejected++
@@ -123,8 +117,8 @@ func TestRestoreBitFlippedArchives(t *testing.T) {
 				if !errors.Is(sharded, ErrCorruptArchive) && !errors.Is(sharded, ErrDuplicateDatabase) {
 					t.Fatalf("%s: sharded error %v wraps neither ErrCorruptArchive nor ErrDuplicateDatabase", label, sharded)
 				}
-				if !errors.Is(synced, ErrCorruptArchive) && !errors.Is(synced, ErrDuplicateDatabase) {
-					t.Fatalf("%s: synced error %v wraps neither ErrCorruptArchive nor ErrDuplicateDatabase", label, synced)
+				if !errors.Is(plain, ErrCorruptArchive) && !errors.Is(plain, ErrDuplicateDatabase) {
+					t.Fatalf("%s: plain error %v wraps neither ErrCorruptArchive nor ErrDuplicateDatabase", label, plain)
 				}
 			}
 		}
@@ -144,12 +138,12 @@ func TestRestoreGarbageAndEmpty(t *testing.T) {
 		"magic-only": {0x31, 0x46, 0x52, 0x50}, // "PRF1" with no count
 	}
 	for name, data := range cases {
-		sharded, synced := restoreBoth(t, name, data)
-		if sharded == nil || synced == nil {
+		sharded, plain := restoreBoth(t, name, data)
+		if sharded == nil || plain == nil {
 			t.Fatalf("%s: restore of garbage succeeded", name)
 		}
-		if !errors.Is(sharded, ErrCorruptArchive) || !errors.Is(synced, ErrCorruptArchive) {
-			t.Fatalf("%s: errors not typed (sharded=%v synced=%v)", name, sharded, synced)
+		if !errors.Is(sharded, ErrCorruptArchive) || !errors.Is(plain, ErrCorruptArchive) {
+			t.Fatalf("%s: errors not typed (sharded=%v plain=%v)", name, sharded, plain)
 		}
 	}
 }

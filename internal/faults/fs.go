@@ -20,10 +20,12 @@ type WallClock struct{}
 func (WallClock) Now() time.Time        { return time.Now() }
 func (WallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// File is the subset of *os.File the snapshot store needs.
+// File is the subset of *os.File the snapshot store and the WAL journal
+// need (Seek: the replication stream reads a segment's tail, not the file).
 type File interface {
 	io.Reader
 	io.Writer
+	io.Seeker
 	io.Closer
 	Sync() error
 	Name() string

@@ -15,9 +15,9 @@ import (
 //
 //   - GET /metrics     Prometheus text exposition of the whole registry: the
 //     per-route HTTP latency/status histograms, the fleet runtime's decision
-//     and Algorithm 5 scan histograms, per-shard queue depths, WAL and
-//     snapshot-store timings, and func-metric bridges for every FleetKPI
-//     counter — a strict superset of GET /v1/kpi, whose JSON shape is frozen.
+//     and Algorithm 5 scan histograms, WAL and snapshot-store timings, and
+//     func-metric bridges for every FleetKPI counter — a strict superset of
+//     GET /v1/kpi, whose JSON shape is frozen.
 //   - GET /v1/traces   the slowest recent request traces (span trees), JSON.
 //
 // Metric naming: prorp_<subsystem>_<name>[_<unit>|_total]; durations are

@@ -201,7 +201,7 @@ func TestKPIShapeFrozen(t *testing.T) {
 		"logically_paused", "logins", "logouts", "now", "pending_wakes",
 		"physical_pauses", "physically_paused", "prewarm_failures",
 		"prewarm_retries", "prewarms", "prewarms_used", "prewarms_wasted",
-		"qos_percent", "queued_events", "resumed", "shards",
+		"qos_percent", "resumed", "shards",
 		"snapshot_failures", "snapshot_fallbacks", "snapshot_retries",
 		"uptime_seconds", "wake_failures", "wake_retries", "wakes",
 		"wal_append_failures", "wal_appends", "wal_fsyncs", "wal_replay_skipped",

@@ -102,8 +102,7 @@ func TestQuorumRequiresNodeIdentity(t *testing.T) {
 // TestReplStateLeaseRoundTrip pins the PRR1 lease field: a renewed lease
 // persists its expiry instant, a reboot inside the grant restores it
 // (instead of instantly campaigning against a primary that was alive
-// moments ago), a pre-lease three-field file still boots — lease-less —
-// and a malformed file still refuses the boot.
+// moments ago), and a malformed or short file refuses the boot.
 func TestReplStateLeaseRoundTrip(t *testing.T) {
 	clock := &fakeClock{t: t0}
 	dir := t.TempDir()
@@ -161,41 +160,21 @@ func TestReplStateLeaseRoundTrip(t *testing.T) {
 	}
 	s2.Close()
 
-	// Files written before leases existed carry three fields: accepted,
-	// loaded lease-less.
-	if err := os.WriteFile(replStatePath(cfg.WALDir), []byte("PRR1 7 0 0:0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := New(cfg)
-	if err != nil {
-		t.Fatalf("three-field repl-state refused: %v", err)
-	}
-	if s3.Node().Epoch() != 7 || !s3.lease.Expired(clock.Now()) {
-		t.Fatalf("three-field boot: epoch=%d leaseExpired=%v", s3.Node().Epoch(), s3.lease.Expired(clock.Now()))
-	}
-	s3.Close()
-
-	// Files from before cursor lineages carry four: accepted, the lineage
-	// unknown (0) — the voter then abstains from cursor comparisons rather
-	// than guessing which reign its cursor came from.
-	if err := os.WriteFile(replStatePath(cfg.WALDir), []byte("PRR1 7 0 2:64 0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := New(cfg)
-	if err != nil {
-		t.Fatalf("four-field repl-state refused: %v", err)
-	}
-	if cur4, lin4 := s4.votePosition(); lin4 != 0 || cur4.Seg != 2 {
-		t.Fatalf("four-field boot: cursor=%v lineage=%d, want 2:64 with lineage 0", cur4, lin4)
-	}
-	s4.Close()
-
-	// Guessing at fencing state is how split brain happens: malformed
-	// still refuses the boot.
-	if err := os.WriteFile(replStatePath(cfg.WALDir), []byte("PRR1 what\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("malformed repl-state booted")
+	// Guessing at fencing state is how split brain happens: a malformed
+	// file refuses the boot, and so does one short of the five fields the
+	// writer emits — zeroing a missing lease or lineage would be a guess.
+	for name, content := range map[string]string{
+		"garbage":      "PRR1 what\n",
+		"three fields": "PRR1 7 0 0:0\n",
+		"four fields":  "PRR1 7 0 2:64 0\n",
+		"bad cursor":   "PRR1 7 0 nonsense 0 7\n",
+	} {
+		if err := os.WriteFile(replStatePath(cfg.WALDir), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err := New(cfg); err == nil {
+			srv.Close()
+			t.Fatalf("%s repl-state %q booted", name, content)
+		}
 	}
 }

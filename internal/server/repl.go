@@ -111,8 +111,7 @@ func (s *Server) ReplicationLag() (records int64, seconds float64) {
 // respect an unexpired lease instead of instantly campaigning; the
 // lineage field is the reign epoch of the journal the cursor indexes, so
 // a rebooted node never compares its cursor against another reign's in a
-// vote. Files written before either field existed carry three or four
-// fields and load lease-less / lineage-unknown.
+// vote.
 const replStateFile = "repl-state"
 
 func replStatePath(walDir string) string {
@@ -145,18 +144,9 @@ func loadReplState(fsys faults.FS, path string) (epoch uint64, fenced bool, c wa
 	}
 	var fencedInt int
 	var curStr string
-	// Five fields since lineages landed; files from before leases (three
-	// fields) or lineages (four) parse short with an error from Sscanf —
-	// accept them with the missing fields zeroed.
 	n, serr := fmt.Sscanf(string(data), "PRR1 %d %d %s %d %d", &epoch, &fencedInt, &curStr, &leaseMs, &lineage)
-	if n < 3 {
+	if n != 5 {
 		return 0, false, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state %q: %v", data, serr)
-	}
-	if n < 4 {
-		leaseMs = 0
-	}
-	if n < 5 {
-		lineage = 0
 	}
 	if c, err = wal.ParseCursor(curStr); err != nil {
 		return 0, false, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state cursor: %w", err)
@@ -331,19 +321,14 @@ func (s *Server) replResync(primaryEpoch uint64) (wal.Cursor, uint64, error) {
 }
 
 // swapFleet replaces the serving runtime after a snapshot resync: swap
-// the pointer, re-point the fleet gauges at the new runtime, rebuild the
-// wake timers from the snapshot's pending set, and close the old fleet.
-// A read racing the swap may see the old fleet report closed; resync is
-// already an exceptional event and the 503 is momentary.
+// the pointer, attach the decision histograms to the new runtime, and
+// rebuild the wake timers from the snapshot's pending set.
 func (s *Server) swapFleet(fleet *prorp.ShardedFleet, pending []prorp.PendingWake) {
-	old := s.fleetP.Swap(fleet)
-	fleet.InstrumentObs(s.reg) // GaugeFunc re-registration re-points the closures
+	s.fleetP.Store(fleet)
+	fleet.InstrumentObs(s.reg)
 	s.wakes.reset()
 	for _, w := range pending {
 		s.wakes.schedule(w.ID, w.WakeAt)
-	}
-	if old != nil {
-		old.Close()
 	}
 }
 

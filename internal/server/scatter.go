@@ -182,7 +182,6 @@ func addFleetKPI(dst *prorp.FleetKPI, src prorp.FleetKPI) {
 	dst.Resumed += src.Resumed
 	dst.LogicallyPaused += src.LogicallyPaused
 	dst.PhysicallyPaused += src.PhysicallyPaused
-	dst.QueuedEvents += src.QueuedEvents
 	dst.Creates += src.Creates
 	dst.Deletes += src.Deletes
 	dst.Logins += src.Logins

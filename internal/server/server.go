@@ -483,7 +483,6 @@ func New(cfg Config) (*Server, error) {
 			Obs:           reg,
 		})
 		if err != nil {
-			fleet.Close()
 			return nil, fmt.Errorf("server: opening wal: %w", err)
 		}
 	}
@@ -528,7 +527,6 @@ func New(cfg Config) (*Server, error) {
 	s.primaryAddr = cfg.PrimaryAddr
 	epoch, fenced, cursor, leaseMs, lineage, err := loadReplState(cfg.FS, replStatePath(cfg.WALDir))
 	if err != nil {
-		fleet.Close()
 		if journal != nil {
 			journal.Close()
 		}
@@ -538,10 +536,10 @@ func New(cfg Config) (*Server, error) {
 	s.replCursor = cursor
 	s.replLineage = lineage
 	if lineage == 0 && cfg.Role == repl.RolePrimary && !fenced {
-		// A primary from before lineages were persisted (or a fresh one):
-		// its journal is its own reign. A fenced ex-primary gets no such
-		// default — its epoch has moved past its reign and guessing wrong
-		// would let its old cursor compare against the new reign's.
+		// A primary with no recorded lineage (a fresh one): its journal is
+		// its own reign. A fenced ex-primary gets no such default — its
+		// epoch has moved past its reign and guessing wrong would let its
+		// old cursor compare against the new reign's.
 		s.replLineage = s.node.Epoch()
 	}
 	if cfg.LeaseTTL > 0 {
@@ -568,7 +566,6 @@ func New(cfg Config) (*Server, error) {
 		// the boot.
 		stats, err := journal.Replay(walSince, s.applyReplay)
 		if err != nil {
-			fleet.Close()
 			journal.Close()
 			return nil, fmt.Errorf("server: replaying wal: %w", err)
 		}
@@ -614,7 +611,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Group != "" {
 		s.router, err = newRouter(cfg)
 		if err != nil {
-			fleet.Close()
 			if journal != nil {
 				journal.Close()
 			}
@@ -680,9 +676,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close shuts the server down gracefully: it stops the control loops,
-// drains the fleet's shard queues, persists a final snapshot (when
-// persistence is configured), seals the event journal, and stops the
-// shard workers.
+// persists a final snapshot (when persistence is configured), and seals
+// the event journal.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		if s.elector != nil {
@@ -696,7 +691,6 @@ func (s *Server) Close() error {
 		s.followMu.Unlock()
 		close(s.stop)
 		s.bg.Wait()
-		s.Fleet().Close() // drains shard queues, stops workers
 		if s.cfg.SnapshotPath != "" {
 			if _, err := s.writeSnapshot(); err != nil {
 				s.closeErr = fmt.Errorf("server: final snapshot: %w", err)
@@ -730,7 +724,6 @@ func (s *Server) Kill() {
 		s.followMu.Unlock()
 		close(s.stop)
 		s.bg.Wait()
-		s.Fleet().Close()
 		if s.wal != nil {
 			s.wal.Kill()
 		}
@@ -1157,10 +1150,6 @@ func (s *Server) retryAfterFor(err error) time.Duration {
 		if s.replBreakers != nil {
 			return s.replBreakers.Cooldown()
 		}
-	case errors.Is(err, shardedfleet.ErrBacklog):
-		if d := s.Fleet().QueueSojourn(); d > 0 {
-			return d
-		}
 	case errors.Is(err, errNotPrimary), errors.Is(err, errSlotFenced):
 		if s.lease != nil {
 			if d := s.lease.Remaining(s.now()); d > 0 {
@@ -1198,8 +1187,8 @@ func (s *Server) routerBreakers() *breaker.Group {
 
 // writeErrAfter renders err, attaching retryAfter (whole seconds, rounded
 // up, at least 1) as the Retry-After header on every 429/503 whose cause
-// is transient: shed load, open circuit, full queue, write fence, quorum
-// miss, or a node that is not the primary.
+// is transient: shed load, open circuit, write fence, quorum miss, or a
+// node that is not the primary.
 func writeErrAfter(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	// Routing verdicts carry their own status (307/421) plus the current
 	// map, so the client can fix its routing table instead of retrying a
@@ -1247,10 +1236,6 @@ func writeErrAfter(w http.ResponseWriter, err error, retryAfter time.Duration) {
 		status = http.StatusNotFound
 	case errors.Is(err, shardedfleet.ErrDuplicateDatabase):
 		status = http.StatusConflict
-	case errors.Is(err, shardedfleet.ErrBacklog):
-		// Shard queue full: shed load, tell the client to back off.
-		retryHeader()
-		status = http.StatusTooManyRequests
 	case errors.Is(err, errQuorumUnreached):
 		// The record is journaled locally and will replicate; the client's
 		// quorum contract was not met in time, so the write is unacked.
@@ -1259,7 +1244,7 @@ func writeErrAfter(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	case errors.Is(err, errNotPrimary):
 		retryHeader()
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, shardedfleet.ErrClosed), errors.Is(err, errJournalUnavailable):
+	case errors.Is(err, errJournalUnavailable):
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, errorJSON{Error: err.Error()})
@@ -1588,9 +1573,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["inflight"] = pressure.Inflight
 		body["oldest_sojourn_seconds"] = pressure.OldestSojourn.Seconds()
 		body["shedding"] = pressure.Shedding()
-	}
-	if q := s.Fleet().QueueSojourn(); q > 0 {
-		body["queue_sojourn_seconds"] = q.Seconds()
 	}
 	openBreakers := map[string]string{}
 	for _, g := range []*breaker.Group{s.replBreakers, s.routerBreakers()} {

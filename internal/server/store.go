@@ -35,16 +35,12 @@ import (
 //     backoff through the faults.FS/Clock seams, so chaos tests drive the
 //     whole path deterministically.
 //
-// PRS1 containers (no WAL boundary) and bare PRF1 archives (the
-// pre-container on-disk format) still load, so snapshots written by
-// earlier builds restore without migration; both imply boundary 0 —
-// replay everything on disk, which at worst double-applies (idempotent at
-// the history layer) and never loses.
+// PRS2 is the only container that loads: any other file — including a bare
+// PRF1 archive, which carries no checksum — is corrupt and takes the .bak
+// fallback.
 const (
-	storeMagic       = 0x50525331 // "PRS1" (legacy, read-only)
 	storeMagic2      = 0x50525332 // "PRS2"
-	storeHeaderSize  = 16         // PRS1: magic u32 + payload length u64 + crc32c u32
-	storeHeader2Size = 24         // PRS2: PRS1 header + WAL boundary u64
+	storeHeader2Size = 24         // magic u32 + payload length u64 + crc32c u32 + WAL boundary u64
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -153,9 +149,8 @@ func (st *snapshotStore) writeOnce(frame []byte) error {
 // then the last-known-good .bak. restore is called with the verified
 // payload of each candidate until one decodes; fellBack reports that the
 // surviving candidate was not the primary, and walSeq is the surviving
-// snapshot's WAL replay boundary (0 for legacy containers). When no
-// snapshot exists at all the returned error satisfies
-// errors.Is(err, fs.ErrNotExist).
+// snapshot's WAL replay boundary. When no snapshot exists at all the
+// returned error satisfies errors.Is(err, fs.ErrNotExist).
 func (st *snapshotStore) Load(restore func(io.Reader) error) (fellBack bool, walSeq uint64, err error) {
 	if st.loadHist != nil {
 		defer st.loadHist.ObserveSince(time.Now())
@@ -164,12 +159,16 @@ func (st *snapshotStore) Load(restore func(io.Reader) error) (fellBack bool, wal
 	missing := 0
 	for i, p := range []string{st.path, st.bakPath()} {
 		payload, seq, rerr := st.readVerify(p)
+		if errors.Is(rerr, fs.ErrNotExist) {
+			// %v, not %w: a missing candidate beside a corrupt one must not
+			// make the joined error read as "no snapshot yet" — the caller
+			// would boot an empty fleet over lost databases.
+			missing++
+			failures = append(failures, fmt.Errorf("%s: %v", p, rerr))
+			continue
+		}
 		if rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				missing++
-			} else {
-				st.logf("snapshot %s unusable: %v", p, rerr)
-			}
+			st.logf("snapshot %s unusable: %v", p, rerr)
 			failures = append(failures, fmt.Errorf("%s: %w", p, rerr))
 			continue
 		}
@@ -217,50 +216,27 @@ func (st *snapshotStore) readVerify(path string) ([]byte, uint64, error) {
 	return verifyContainer(data)
 }
 
-// verifyContainer validates a PRS2 (or legacy PRS1) frame and returns its
-// payload and WAL boundary. Bare PRF1 archives pass through unchecked for
-// backward compatibility.
+// verifyContainer validates a PRS2 frame and returns its payload and WAL
+// boundary.
 func verifyContainer(data []byte) ([]byte, uint64, error) {
-	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("%w: %d bytes", errSnapshotCorrupt, len(data))
+	if len(data) < storeHeader2Size {
+		return nil, 0, fmt.Errorf("%w: truncated header (%d bytes)", errSnapshotCorrupt, len(data))
 	}
-	switch binary.LittleEndian.Uint32(data[0:4]) {
-	case storeMagic2:
-		if len(data) < storeHeader2Size {
-			return nil, 0, fmt.Errorf("%w: truncated header (%d bytes)", errSnapshotCorrupt, len(data))
-		}
-		length := binary.LittleEndian.Uint64(data[4:12])
-		sum := binary.LittleEndian.Uint32(data[12:16])
-		walSeq := binary.LittleEndian.Uint64(data[16:24])
-		body := data[storeHeader2Size:]
-		if uint64(len(body)) != length {
-			return nil, 0, fmt.Errorf("%w: payload is %d bytes, header says %d",
-				errSnapshotCorrupt, len(body), length)
-		}
-		if got := crc32.Checksum(data[16:], crcTable); got != sum {
-			return nil, 0, fmt.Errorf("%w: checksum %#x, want %#x", errSnapshotCorrupt, got, sum)
-		}
-		return body, walSeq, nil
-	case storeMagic:
-		if len(data) < storeHeaderSize {
-			return nil, 0, fmt.Errorf("%w: truncated header (%d bytes)", errSnapshotCorrupt, len(data))
-		}
-		length := binary.LittleEndian.Uint64(data[4:12])
-		sum := binary.LittleEndian.Uint32(data[12:16])
-		body := data[storeHeaderSize:]
-		if uint64(len(body)) != length {
-			return nil, 0, fmt.Errorf("%w: payload is %d bytes, header says %d",
-				errSnapshotCorrupt, len(body), length)
-		}
-		if got := crc32.Checksum(body, crcTable); got != sum {
-			return nil, 0, fmt.Errorf("%w: checksum %#x, want %#x", errSnapshotCorrupt, got, sum)
-		}
-		return body, 0, nil
-	case 0x50524631: // bare "PRF1" fleet archive from pre-container builds
-		return data, 0, nil
-	default:
-		return nil, 0, fmt.Errorf("%w: bad magic %#x", errSnapshotCorrupt, binary.LittleEndian.Uint32(data[0:4]))
+	if got := binary.LittleEndian.Uint32(data[0:4]); got != storeMagic2 {
+		return nil, 0, fmt.Errorf("%w: bad magic %#x", errSnapshotCorrupt, got)
 	}
+	length := binary.LittleEndian.Uint64(data[4:12])
+	sum := binary.LittleEndian.Uint32(data[12:16])
+	walSeq := binary.LittleEndian.Uint64(data[16:24])
+	body := data[storeHeader2Size:]
+	if uint64(len(body)) != length {
+		return nil, 0, fmt.Errorf("%w: payload is %d bytes, header says %d",
+			errSnapshotCorrupt, len(body), length)
+	}
+	if got := crc32.Checksum(data[16:], crcTable); got != sum {
+		return nil, 0, fmt.Errorf("%w: checksum %#x, want %#x", errSnapshotCorrupt, got, sum)
+	}
+	return body, walSeq, nil
 }
 
 // funcClock adapts the server's Now/Sleep funcs to the faults.Clock seam.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -143,33 +142,68 @@ func TestStoreFallbackOnMissingPrimary(t *testing.T) {
 	}
 }
 
-func TestStoreBothCandidatesCorrupt(t *testing.T) {
-	st := testStore(t, faults.OS, nil)
-	if err := os.WriteFile(st.path, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(st.bakPath(), []byte("also garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := st.Load(func(io.Reader) error { return nil })
-	if err == nil || errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("Load over two corrupt candidates = %v, want hard error", err)
-	}
-	if !errors.Is(err, errSnapshotCorrupt) {
-		t.Fatalf("error %v does not wrap errSnapshotCorrupt", err)
+func TestStoreNoCandidateVerifies(t *testing.T) {
+	// A corrupt primary with a corrupt — or missing — .bak is a hard error,
+	// never "no snapshot yet": booting empty would silently lose the fleet.
+	for name, bak := range map[string][]byte{
+		"corrupt .bak": []byte("also garbage"),
+		"missing .bak": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := testStore(t, faults.OS, nil)
+			if err := os.WriteFile(st.path, []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if bak != nil {
+				if err := os.WriteFile(st.bakPath(), bak, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err := st.Load(func(io.Reader) error { return nil })
+			if err == nil || errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Load = %v, want hard error", err)
+			}
+			if !errors.Is(err, errSnapshotCorrupt) {
+				t.Fatalf("error %v does not wrap errSnapshotCorrupt", err)
+			}
+		})
 	}
 }
 
-func TestStoreLegacyBareArchive(t *testing.T) {
-	// Pre-container builds wrote the bare PRF1 archive; it must still load.
-	st := testStore(t, faults.OS, nil)
-	legacy := append([]byte{0x31, 0x46, 0x52, 0x50}, []byte("rest-of-archive")...) // "PRF1" LE
-	if err := os.WriteFile(st.path, legacy, 0o644); err != nil {
-		t.Fatal(err)
+func TestStoreRejectsLegacyFormats(t *testing.T) {
+	// PRS2 is the only container that loads. A bare PRF1 archive (no
+	// checksum at all) or a PRS1 container is corrupt, and takes the .bak
+	// fallback like any other damaged primary.
+	prs1Body := []byte("prs1 payload")
+	prs1 := make([]byte, 16+len(prs1Body))
+	binary.LittleEndian.PutUint32(prs1[0:4], 0x50525331) // "PRS1"
+	binary.LittleEndian.PutUint64(prs1[4:12], uint64(len(prs1Body)))
+	binary.LittleEndian.PutUint32(prs1[12:16], crc32.Checksum(prs1Body, crcTable))
+	copy(prs1[16:], prs1Body)
+	cases := map[string][]byte{
+		"bare PRF1":      append([]byte{0x31, 0x46, 0x52, 0x50}, "rest-of-archive, long enough to hold a header"...),
+		"PRS1 container": prs1,
 	}
-	got, fellBack := loadPayload(t, st)
-	if !bytes.Equal(got, legacy) || fellBack {
-		t.Fatalf("legacy load = %q, fellBack=%v", got, fellBack)
+	for name, legacy := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, _, err := verifyContainer(legacy); !errors.Is(err, errSnapshotCorrupt) {
+				t.Fatalf("verifyContainer = %v, want errSnapshotCorrupt", err)
+			}
+			st := testStore(t, faults.OS, nil)
+			if _, _, err := st.Save(blob("last known good"), 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(st.path, st.bakPath()); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(st.path, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, fellBack, seq := loadPayloadSeq(t, st)
+			if string(got) != "last known good" || !fellBack || seq != 5 {
+				t.Fatalf("load = %q, fellBack=%v, walSeq=%d; want the .bak", got, fellBack, seq)
+			}
+		})
 	}
 }
 
@@ -284,23 +318,5 @@ func TestStoreBoundaryBitRotTriggersFallback(t *testing.T) {
 	_, _, err = st.Load(func(io.Reader) error { return nil })
 	if !errors.Is(err, errSnapshotCorrupt) {
 		t.Fatalf("Load with flipped boundary = %v, want errSnapshotCorrupt", err)
-	}
-}
-
-func TestStoreLegacyPRS1Container(t *testing.T) {
-	// PRS1 containers (no boundary field) still load, with walSeq 0.
-	st := testStore(t, faults.OS, nil)
-	body := []byte("prs1 payload")
-	frame := make([]byte, storeHeaderSize+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], storeMagic)
-	binary.LittleEndian.PutUint64(frame[4:12], uint64(len(body)))
-	binary.LittleEndian.PutUint32(frame[12:16], crc32.Checksum(body, crcTable))
-	copy(frame[storeHeaderSize:], body)
-	if err := os.WriteFile(st.path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, fellBack, seq := loadPayloadSeq(t, st)
-	if !bytes.Equal(got, body) || fellBack || seq != 0 {
-		t.Fatalf("PRS1 load = %q, fellBack=%v, walSeq=%d", got, fellBack, seq)
 	}
 }

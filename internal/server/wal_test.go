@@ -222,7 +222,7 @@ func TestServerCreateBodyCap(t *testing.T) {
 }
 
 // TestWriteErrStatusMapping pins the error-to-status table, including the
-// backlog and journal-unavailable cases that only fire under load.
+// journal-unavailable case that only fires under faults.
 func TestWriteErrStatusMapping(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -231,9 +231,6 @@ func TestWriteErrStatusMapping(t *testing.T) {
 		{shardedfleet.ErrUnknownDatabase, http.StatusNotFound},
 		{prorp.ErrUnknownDatabase, http.StatusNotFound},
 		{shardedfleet.ErrDuplicateDatabase, http.StatusConflict},
-		{shardedfleet.ErrBacklog, http.StatusTooManyRequests},
-		{fmt.Errorf("queue: %w", shardedfleet.ErrBacklog), http.StatusTooManyRequests},
-		{shardedfleet.ErrClosed, http.StatusServiceUnavailable},
 		{fmt.Errorf("%w: disk on fire", errJournalUnavailable), http.StatusServiceUnavailable},
 		{&routeError{status: http.StatusTemporaryRedirect, owner: "g2",
 			location: "http://g2/v1/db/7", reason: "owned elsewhere"}, http.StatusTemporaryRedirect},
@@ -275,7 +272,7 @@ func TestWriteErrStatusMapping(t *testing.T) {
 	// Every transient rejection carries a Retry-After; permanent verdicts
 	// must not (a 404 told to retry in a second would be a lie).
 	retryable := []error{admission.ErrShedLoad, breaker.ErrOpen, errSlotFenced,
-		shardedfleet.ErrBacklog, errQuorumUnreached, errNotPrimary}
+		errQuorumUnreached, errNotPrimary}
 	for _, err := range retryable {
 		rec := httptest.NewRecorder()
 		writeErr(rec, err)

@@ -3,8 +3,6 @@ package shardedfleet
 import (
 	"bytes"
 	"testing"
-
-	"prorp/internal/policy"
 )
 
 func TestArchiveRoundTripAcrossShardCounts(t *testing.T) {
@@ -64,41 +62,6 @@ func TestArchiveRoundTripAcrossShardCounts(t *testing.T) {
 	// Duplicate restore is rejected.
 	if _, err := rt2.RestoreArchive(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("duplicate RestoreArchive succeeded")
-	}
-}
-
-func TestWriteToDrainsQueuedEvents(t *testing.T) {
-	rt := mustNew(t, testCfg(4))
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	// Queue async events and snapshot immediately: the quiesce must apply
-	// them first, so the image includes every submitted event.
-	at := t0
-	for c := 0; c < 20; c++ {
-		at += 60
-		if err := rt.Submit(Event{Kind: KindLogout, DB: 1, At: at}); err != nil {
-			t.Fatal(err)
-		}
-		at += 60
-		if err := rt.Submit(Event{Kind: KindLogin, DB: 1, At: at}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := rt.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rt2 := mustNew(t, testCfg(4))
-	if _, err := rt2.RestoreArchive(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	var tuples int
-	if err := rt2.View(1, func(m *policy.Machine) { tuples = m.History().Len() }); err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 + 40; tuples != want {
-		t.Fatalf("restored history tuples = %d, want %d", tuples, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shardedfleet
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -25,8 +24,6 @@ type instrumentation struct {
 //
 //	prorp_decision_duration_seconds{kind}   histogram, per event kind
 //	prorp_resume_scan_duration_seconds      histogram, Algorithm 5 iteration
-//	prorp_shard_queue_depth{shard}          gauge, queued events per shard
-//	prorp_fleet_backlog_events              gauge, fleet-wide queue total
 //
 // Instrument may be called at most once per registry; calling it with a
 // nil registry leaves the runtime uninstrumented (the zero-overhead
@@ -44,22 +41,6 @@ func (rt *Runtime) Instrument(reg *obs.Registry) {
 			"Policy decision latency under the shard lock, by event kind.",
 			obs.MicroBuckets, obs.L("kind", k.String()))
 	}
-	for i, s := range rt.shards {
-		s := s
-		reg.GaugeFunc("prorp_shard_queue_depth",
-			"Queued (not yet applied) events on one shard.",
-			func() float64 { return float64(len(s.events)) },
-			obs.L("shard", strconv.Itoa(i)))
-	}
-	reg.GaugeFunc("prorp_fleet_backlog_events",
-		"Queued (not yet applied) events across all shards.",
-		func() float64 { return float64(rt.Backlog()) })
-	reg.GaugeFunc("prorp_fleet_queue_sojourn_seconds",
-		"Worst measured enqueue-to-apply delay across all shard queues.",
-		func() float64 { return rt.QueueSojourn().Seconds() })
-	reg.CounterFunc("prorp_fleet_queue_sheds_total",
-		"Sheddable submissions refused because the owning shard's queue was congested.",
-		func() uint64 { return rt.QueueSheds() })
 	rt.inst.Store(inst)
 }
 

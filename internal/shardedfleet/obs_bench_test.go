@@ -16,7 +16,6 @@ func benchFleet(b *testing.B, instrument bool) *Runtime {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(rt.Close)
 	if instrument {
 		rt.Instrument(obs.NewRegistry())
 	}

@@ -3,27 +3,17 @@
 // owning its databases (and its slice of the control-plane metadata store)
 // behind its own mutex. Unrelated databases therefore never contend — the
 // library-scale stand-in for the paper's production per-database sharding
-// that the single global mutex of prorp.SyncedFleet cannot provide.
+// that a single global mutex cannot provide.
 //
-// Two mutation paths share the per-shard lock:
-//
-//   - The synchronous path (Login, Logout, Wake, Create, Delete) locks the
-//     owning shard, applies the event, and returns the policy effects.
-//   - The asynchronous path (Submit/TrySubmit) enqueues into the shard's
-//     bounded event channel; a per-shard worker goroutine drains it in FIFO
-//     order, so events submitted for the same database apply in submission
-//     order. A full queue makes Submit block (backpressure) and TrySubmit
-//     fail fast with ErrBacklog.
-//
-// Events for one database must flow through one path at a time: the relative
-// order of a synchronous call racing a queued asynchronous event is
-// unspecified (both are applied atomically under the shard lock either way).
+// There is one mutation path, as in the paper, where Algorithm 1 runs
+// inline on the login or logout that triggers it: Login, Logout, Wake,
+// Create and Delete lock the owning shard, apply the event, and return the
+// policy effects. Nothing is queued and the runtime owns no goroutine.
 //
 // The Algorithm 5 proactive-resume scan (RunResumeOp) walks the shards
 // concurrently, merges the due databases, applies the fleet-wide
 // per-iteration cap, and pre-warms shard by shard. Snapshots (WriteTo) take
-// a consistent fleet image by draining every queue and then quiescing all
-// shards at once.
+// a consistent fleet image by holding every shard lock at once.
 package shardedfleet
 
 import (
@@ -31,37 +21,22 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prorp/internal/controlplane"
 	"prorp/internal/policy"
 )
 
-const (
-	// DefaultShards is the stripe count used when Config.Shards is 0. It is
-	// deliberately larger than typical host core counts: stripes are cheap,
-	// and more stripes mean fewer hash collisions between hot databases.
-	DefaultShards = 32
-	// DefaultQueueDepth bounds each shard's asynchronous event queue when
-	// Config.QueueDepth is 0.
-	DefaultQueueDepth = 1024
-	// DefaultShedTargetDelay is the queue-sojourn target used when
-	// Config.ShedTargetDelay is 0: once a shard's events wait longer than
-	// this between enqueue and apply, sheddable submissions are refused.
-	DefaultShedTargetDelay = 200 * time.Millisecond
-)
+// DefaultShards is the stripe count used when Config.Shards is 0. It is
+// deliberately larger than typical host core counts: stripes are cheap,
+// and more stripes mean fewer hash collisions between hot databases.
+const DefaultShards = 32
 
 // The sentinel errors classify failures for errors.Is, so hosts (the HTTP
 // front end) can map them to status codes and recovery actions. They are
 // re-exported at the root as prorp.ErrUnknownDatabase etc., so their
 // messages carry no package prefix.
 var (
-	// ErrClosed is returned by operations on a runtime after Close.
-	ErrClosed = errors.New("fleet runtime closed")
-	// ErrBacklog is returned by TrySubmit when the owning shard's queue is
-	// full.
-	ErrBacklog = errors.New("shard event queue full")
 	// ErrUnknownDatabase and ErrDuplicateDatabase classify lookups.
 	ErrUnknownDatabase   = errors.New("unknown database")
 	ErrDuplicateDatabase = errors.New("database already exists")
@@ -76,34 +51,17 @@ var (
 type Config struct {
 	// Shards is the stripe count (default DefaultShards).
 	Shards int
-	// QueueDepth bounds each shard's asynchronous event queue (default
-	// DefaultQueueDepth).
-	QueueDepth int
 	// Policy configures the per-database lifecycle controllers.
 	Policy policy.Config
 	// Control configures the Algorithm 5 proactive-resume operation. Only
 	// validated and used in proactive mode.
 	Control controlplane.Config
-	// ShedTargetDelay is the CoDel-style queue-sojourn target for
-	// TrySubmitSheddable (default DefaultShedTargetDelay): once events on a
-	// shard wait longer than this between enqueue and apply, low-priority
-	// submissions to that shard are refused with ErrBacklog so a login is
-	// never queued behind a pile of history appends.
-	ShedTargetDelay time.Duration
-	// Now supplies time for queue-sojourn measurement (default time.Now).
-	Now func() time.Time
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("shardedfleet: negative shard count %d", c.Shards)
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("shardedfleet: negative queue depth %d", c.QueueDepth)
-	}
-	if c.ShedTargetDelay < 0 {
-		return fmt.Errorf("shardedfleet: negative shed target delay %v", c.ShedTargetDelay)
 	}
 	if err := c.Policy.Validate(); err != nil {
 		return err
@@ -114,7 +72,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Kind classifies an event.
+// Kind classifies a fleet mutation.
 type Kind int
 
 const (
@@ -122,7 +80,7 @@ const (
 	KindLogin Kind = iota
 	// KindLogout is the end of customer activity.
 	KindLogout
-	// KindCreate adds a database (At is its creation time).
+	// KindCreate adds a database.
 	KindCreate
 	// KindDelete drops a database.
 	KindDelete
@@ -145,32 +103,6 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// Event is one fleet mutation, in epoch seconds like every internal
-// component.
-type Event struct {
-	Kind Kind
-	DB   int
-	At   int64
-	// Reply, when non-nil, receives the Result of an asynchronously
-	// submitted event. It must have capacity >= 1: the shard worker never
-	// blocks on a reply, and drops the result if the channel is full.
-	Reply chan<- Result
-
-	// barrier is the internal drain marker; the worker closes it once every
-	// earlier event in the queue has been applied.
-	barrier chan struct{}
-
-	// enqueuedAt is stamped by Submit/TrySubmit/TrySubmitSheddable so the
-	// worker can measure the event's queue sojourn on dequeue.
-	enqueuedAt time.Time
-}
-
-// Result is the outcome of an applied event.
-type Result struct {
-	Effects policy.Effects
-	Err     error
 }
 
 // Counters are the runtime's cumulative KPI counters, maintained per shard
@@ -203,19 +135,12 @@ func (c *Counters) add(o Counters) {
 }
 
 // shard owns a partition of the fleet: its databases, its slice of the
-// control-plane metadata store, its KPI counters, and its event queue.
+// control-plane metadata store, and its KPI counters.
 type shard struct {
-	mu     sync.Mutex
-	dbs    map[int]*policy.Machine
-	meta   *controlplane.MetadataStore
-	kpi    Counters
-	events chan Event
-
-	// lastWaitNanos is the queue sojourn (enqueue → dequeue) of the most
-	// recently dequeued event — the CoDel congestion signal for this
-	// shard's queue. The worker resets it to zero whenever it drains the
-	// queue, so an idle shard reads as uncongested.
-	lastWaitNanos atomic.Int64
+	mu   sync.Mutex
+	dbs  map[int]*policy.Machine
+	meta *controlplane.MetadataStore
+	kpi  Counters
 }
 
 // Runtime is the sharded fleet engine. Safe for concurrent use.
@@ -226,32 +151,13 @@ type Runtime struct {
 	// inst is the attached observability metric set (see Instrument); nil
 	// until a host attaches a registry.
 	inst instPtr
-
-	// lifecycle guards closed: Submit/Drain hold it for reading across the
-	// channel send, Close holds it for writing while closing the channels.
-	lifecycle sync.RWMutex
-	closed    bool
-	workers   sync.WaitGroup
-
-	// queueSheds counts sheddable submissions refused for queue
-	// congestion (depth or sojourn) rather than a hard-full queue.
-	queueSheds atomic.Uint64
 }
 
-// New builds a runtime and starts one worker goroutine per shard. Callers
-// must Close it to stop the workers.
+// New builds a runtime. It starts no goroutine and holds no resource, so
+// there is nothing to close.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
-	if cfg.ShedTargetDelay == 0 {
-		cfg.ShedTargetDelay = DefaultShedTargetDelay
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -259,31 +165,11 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	for i := range rt.shards {
 		rt.shards[i] = &shard{
-			dbs:    make(map[int]*policy.Machine),
-			meta:   controlplane.NewMetadataStore(),
-			events: make(chan Event, cfg.QueueDepth),
+			dbs:  make(map[int]*policy.Machine),
+			meta: controlplane.NewMetadataStore(),
 		}
-		rt.workers.Add(1)
-		go rt.worker(rt.shards[i])
 	}
 	return rt, nil
-}
-
-// Close drains and stops every shard worker. Queued events are still
-// applied; further Submit calls fail with ErrClosed. Synchronous reads and
-// WriteTo remain usable after Close.
-func (rt *Runtime) Close() {
-	rt.lifecycle.Lock()
-	if rt.closed {
-		rt.lifecycle.Unlock()
-		return
-	}
-	rt.closed = true
-	for _, s := range rt.shards {
-		close(s.events)
-	}
-	rt.lifecycle.Unlock()
-	rt.workers.Wait()
 }
 
 // NumShards reports the stripe count.
@@ -306,83 +192,43 @@ func (rt *Runtime) shardIndex(id int) int {
 
 func (rt *Runtime) shardFor(id int) *shard { return rt.shards[rt.shardIndex(id)] }
 
-// worker drains one shard's queue, applying each event under the shard
-// lock. One worker per shard keeps the per-database submission order.
-func (rt *Runtime) worker(s *shard) {
-	defer rt.workers.Done()
-	for ev := range s.events {
-		if len(s.events) == 0 {
-			// The queue is drained behind this event: whatever
-			// congestion it saw is over, so the shard reads as
-			// uncongested again.
-			s.lastWaitNanos.Store(0)
-		} else if !ev.enqueuedAt.IsZero() {
-			s.lastWaitNanos.Store(int64(rt.cfg.Now().Sub(ev.enqueuedAt)))
-		}
-		if ev.barrier != nil {
-			close(ev.barrier)
-			continue
-		}
-		t0, timed := rt.decisionStart()
-		s.mu.Lock()
-		res := s.apply(ev, &rt.cfg)
-		s.mu.Unlock()
-		if timed {
-			rt.observeDecision(ev.Kind, t0)
-		}
-		if ev.Reply != nil {
-			select {
-			case ev.Reply <- res:
-			default: // undersized reply channel; never stall the shard
-			}
-		}
+// apply performs one mutation of database id at time at (epoch seconds,
+// like every internal component). Caller holds s.mu.
+func (s *shard) apply(kind Kind, id int, at int64, cfg *Config) (eff policy.Effects, err error) {
+	m, exists := s.dbs[id]
+	switch {
+	case kind == KindCreate && exists:
+		return eff, fmt.Errorf("%w: %d", ErrDuplicateDatabase, id)
+	case kind != KindCreate && !exists:
+		return eff, fmt.Errorf("%w: %d", ErrUnknownDatabase, id)
 	}
-}
-
-// apply performs one event. Caller holds s.mu.
-func (s *shard) apply(ev Event, cfg *Config) Result {
-	switch ev.Kind {
+	switch kind {
 	case KindCreate:
-		if _, exists := s.dbs[ev.DB]; exists {
-			return Result{Err: fmt.Errorf("%w: %d", ErrDuplicateDatabase, ev.DB)}
+		if m, err = policy.New(cfg.Policy, at); err != nil {
+			return eff, err
 		}
-		m, err := policy.New(cfg.Policy, ev.At)
-		if err != nil {
-			return Result{Err: err}
-		}
-		s.dbs[ev.DB] = m
+		s.dbs[id] = m
 		s.kpi.Creates++
-		return Result{}
+		return eff, nil
 	case KindDelete:
-		if _, exists := s.dbs[ev.DB]; !exists {
-			return Result{Err: fmt.Errorf("%w: %d", ErrUnknownDatabase, ev.DB)}
-		}
-		delete(s.dbs, ev.DB)
-		s.meta.ClearPaused(ev.DB)
+		delete(s.dbs, id)
+		s.meta.ClearPaused(id)
 		s.kpi.Deletes++
-		return Result{}
-	}
-
-	m, ok := s.dbs[ev.DB]
-	if !ok {
-		return Result{Err: fmt.Errorf("%w: %d", ErrUnknownDatabase, ev.DB)}
-	}
-	var eff policy.Effects
-	switch ev.Kind {
+		return eff, nil
 	case KindLogin:
 		s.kpi.Logins++
-		eff = m.OnActivityStart(ev.At)
+		eff = m.OnActivityStart(at)
 	case KindLogout:
 		s.kpi.Logouts++
-		eff = m.OnActivityEnd(ev.At)
+		eff = m.OnActivityEnd(at)
 	case KindWake:
 		s.kpi.Wakes++
-		eff = m.OnTimer(ev.At)
+		eff = m.OnTimer(at)
 	default:
-		return Result{Err: fmt.Errorf("shardedfleet: bad event kind %d", ev.Kind)}
+		return eff, fmt.Errorf("shardedfleet: bad event kind %d", kind)
 	}
-	s.record(ev.DB, eff)
-	return Result{Effects: eff}
+	s.record(id, eff)
+	return eff, nil
 }
 
 // record maintains the control-plane metadata (Algorithm 1 line 31 writes,
@@ -413,149 +259,44 @@ func (s *shard) record(id int, eff policy.Effects) {
 	}
 }
 
-// do applies one event synchronously under the owning shard's lock.
-func (rt *Runtime) do(ev Event) (policy.Effects, error) {
+// do applies one mutation under the owning shard's lock.
+func (rt *Runtime) do(kind Kind, id int, at int64) (policy.Effects, error) {
 	t0, timed := rt.decisionStart()
-	s := rt.shardFor(ev.DB)
+	s := rt.shardFor(id)
 	s.mu.Lock()
-	res := s.apply(ev, &rt.cfg)
+	eff, err := s.apply(kind, id, at, &rt.cfg)
 	s.mu.Unlock()
 	if timed {
-		rt.observeDecision(ev.Kind, t0)
+		rt.observeDecision(kind, t0)
 	}
-	return res.Effects, res.Err
+	return eff, err
 }
 
 // Create adds a new database created at createdAt.
 func (rt *Runtime) Create(id int, createdAt int64) error {
-	_, err := rt.do(Event{Kind: KindCreate, DB: id, At: createdAt})
+	_, err := rt.do(KindCreate, id, createdAt)
 	return err
 }
 
 // Delete drops a database and its control-plane metadata.
 func (rt *Runtime) Delete(id int) error {
-	_, err := rt.do(Event{Kind: KindDelete, DB: id})
+	_, err := rt.do(KindDelete, id, 0)
 	return err
 }
 
 // Login records the start of customer activity.
 func (rt *Runtime) Login(id int, at int64) (policy.Effects, error) {
-	return rt.do(Event{Kind: KindLogin, DB: id, At: at})
+	return rt.do(KindLogin, id, at)
 }
 
 // Logout records the end of customer activity.
 func (rt *Runtime) Logout(id int, at int64) (policy.Effects, error) {
-	return rt.do(Event{Kind: KindLogout, DB: id, At: at})
+	return rt.do(KindLogout, id, at)
 }
 
 // Wake delivers a scheduled wake-up.
 func (rt *Runtime) Wake(id int, at int64) (policy.Effects, error) {
-	return rt.do(Event{Kind: KindWake, DB: id, At: at})
-}
-
-// Submit enqueues an event on the owning shard's queue, blocking while the
-// queue is full. The shard worker applies queued events in FIFO order.
-func (rt *Runtime) Submit(ev Event) error {
-	rt.lifecycle.RLock()
-	defer rt.lifecycle.RUnlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	ev.enqueuedAt = rt.cfg.Now()
-	rt.shardFor(ev.DB).events <- ev
-	return nil
-}
-
-// TrySubmit enqueues an event without blocking; a full queue yields
-// ErrBacklog so the caller can shed load.
-func (rt *Runtime) TrySubmit(ev Event) error {
-	rt.lifecycle.RLock()
-	defer rt.lifecycle.RUnlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	ev.enqueuedAt = rt.cfg.Now()
-	select {
-	case rt.shardFor(ev.DB).events <- ev:
-		return nil
-	default:
-		return ErrBacklog
-	}
-}
-
-// TrySubmitSheddable enqueues a LOW-priority event — a history append, a
-// background sweep — refusing with ErrBacklog not just when the owning
-// shard's queue is hard-full (like TrySubmit) but as soon as it is
-// CONGESTED: more than half full, or with a measured queue sojourn past
-// Config.ShedTargetDelay. High-priority events keep using Submit or
-// TrySubmit and therefore always see the full queue depth, so a login
-// submitted behind 10k sheddable appends still gets a slot — the appends
-// stopped being admitted long before the queue filled.
-func (rt *Runtime) TrySubmitSheddable(ev Event) error {
-	rt.lifecycle.RLock()
-	defer rt.lifecycle.RUnlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	s := rt.shardFor(ev.DB)
-	if len(s.events) > cap(s.events)/2 ||
-		time.Duration(s.lastWaitNanos.Load()) > rt.cfg.ShedTargetDelay {
-		rt.queueSheds.Add(1)
-		return fmt.Errorf("%w (shard congested)", ErrBacklog)
-	}
-	ev.enqueuedAt = rt.cfg.Now()
-	select {
-	case s.events <- ev:
-		return nil
-	default:
-		return ErrBacklog
-	}
-}
-
-// QueueSojourn reports the worst measured queue sojourn (enqueue →
-// dequeue delay) across all shards — the fleet's queue-congestion
-// signal, folded into the server's pressure state.
-func (rt *Runtime) QueueSojourn() time.Duration {
-	var max time.Duration
-	for _, s := range rt.shards {
-		if d := time.Duration(s.lastWaitNanos.Load()); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// QueueSheds reports how many sheddable submissions were refused for
-// queue congestion.
-func (rt *Runtime) QueueSheds() uint64 { return rt.queueSheds.Load() }
-
-// Drain blocks until every event enqueued before the call has been applied,
-// by pushing a barrier through each shard queue.
-func (rt *Runtime) Drain() error {
-	rt.lifecycle.RLock()
-	if rt.closed {
-		rt.lifecycle.RUnlock()
-		return ErrClosed
-	}
-	barriers := make([]chan struct{}, len(rt.shards))
-	for i, s := range rt.shards {
-		barriers[i] = make(chan struct{})
-		s.events <- Event{barrier: barriers[i]}
-	}
-	rt.lifecycle.RUnlock()
-	for _, b := range barriers {
-		<-b
-	}
-	return nil
-}
-
-// Backlog reports the number of queued (not yet applied) events.
-func (rt *Runtime) Backlog() int {
-	n := 0
-	for _, s := range rt.shards {
-		n += len(s.events)
-	}
-	return n
+	return rt.do(KindWake, id, at)
 }
 
 // View runs f on the database's controller under the owning shard's lock.

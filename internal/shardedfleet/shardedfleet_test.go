@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"prorp/internal/controlplane"
 	"prorp/internal/policy"
@@ -53,7 +52,6 @@ func mustNew(t *testing.T, cfg Config) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
 	return rt
 }
 
@@ -220,202 +218,14 @@ func TestResumeOpFleetWideCap(t *testing.T) {
 	}
 }
 
-func TestAsyncSubmitPreservesPerDatabaseOrder(t *testing.T) {
-	rt := mustNew(t, cfg28(4))
-	const cycles = 100
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	// Alternating logout/login pairs, one minute apart, all submitted
-	// asynchronously. The single worker per shard drains FIFO, so the
-	// machine sees strict start/end alternation — each event inserts one
-	// history tuple. Any reordering would produce a repeated start or end,
-	// which the machine ignores (no insert), shrinking the count.
-	at := t0
-	for c := 0; c < cycles; c++ {
-		at += 60
-		if err := rt.Submit(Event{Kind: KindLogout, DB: 1, At: at}); err != nil {
-			t.Fatal(err)
-		}
-		at += 60
-		if err := rt.Submit(Event{Kind: KindLogin, DB: 1, At: at}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	var tuples int
-	if err := rt.View(1, func(m *policy.Machine) { tuples = m.History().Len() }); err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 + 2*cycles; tuples != want {
-		t.Fatalf("history tuples = %d, want %d (events applied out of order?)", tuples, want)
-	}
-	kpi := rt.KPI()
-	if kpi.Logins != cycles || kpi.Logouts != cycles ||
-		kpi.LogicalPauses != cycles || kpi.WarmResumes != cycles {
-		t.Fatalf("KPI = %+v", kpi)
-	}
-}
-
-func TestAsyncReplyAndBackpressure(t *testing.T) {
-	cfg := cfg28(2)
-	cfg.QueueDepth = 2
-	rt := mustNew(t, cfg)
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-
-	reply := make(chan Result, 1)
-	if err := rt.Submit(Event{Kind: KindLogout, DB: 1, At: t0 + 60, Reply: reply}); err != nil {
-		t.Fatal(err)
-	}
-	res := <-reply
-	if res.Err != nil || res.Effects.Transition != policy.TransLogicalPause {
-		t.Fatalf("reply = %+v", res)
-	}
-
-	// Holding the shard lock via View stalls the worker, so TrySubmit must
-	// hit the bounded queue within depth+1 attempts (one event may already
-	// be in the worker's hands).
-	var sawBacklog bool
-	if err := rt.View(1, func(*policy.Machine) {
-		for i := 0; i < cfg.QueueDepth+2; i++ {
-			if err := rt.TrySubmit(Event{Kind: KindLogin, DB: 1, At: t0 + 120}); errors.Is(err, ErrBacklog) {
-				sawBacklog = true
-				return
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !sawBacklog {
-		t.Fatal("TrySubmit never returned ErrBacklog with a stalled worker")
-	}
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTrySubmitSheddableDepth verifies the priority split on a congested
-// queue: once a shard's queue is more than half full, sheddable
-// submissions are refused with ErrBacklog while plain TrySubmit — the
-// high-priority path — still gets the remaining depth.
-func TestTrySubmitSheddableDepth(t *testing.T) {
-	cfg := cfg28(1) // one shard: every event shares the queue
-	cfg.QueueDepth = 8
-	rt := mustNew(t, cfg)
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.View(1, func(*policy.Machine) {
-		// The worker is stalled on the shard lock; fill past half depth.
-		// One event may be in the worker's hands, so queue depth+1 total.
-		for i := 0; i < cfg.QueueDepth/2+2; i++ {
-			if err := rt.TrySubmit(Event{Kind: KindLogout, DB: 1, At: t0 + 60}); err != nil {
-				t.Errorf("TrySubmit %d: %v", i, err)
-			}
-		}
-		if err := rt.TrySubmitSheddable(Event{Kind: KindLogout, DB: 1, At: t0 + 60}); !errors.Is(err, ErrBacklog) {
-			t.Errorf("sheddable submit on congested queue = %v, want ErrBacklog", err)
-		}
-		// High-priority path is unaffected by the half-depth shed line.
-		if err := rt.TrySubmit(Event{Kind: KindLogin, DB: 1, At: t0 + 120}); err != nil {
-			t.Errorf("TrySubmit above shed line = %v, want admitted", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.QueueSheds(); got != 1 {
-		t.Fatalf("QueueSheds = %d, want 1", got)
-	}
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTrySubmitSheddableSojourn verifies the CoDel-style signal: a shard
-// whose last dequeued event waited past ShedTargetDelay refuses
-// sheddable submissions even with a near-empty queue, and QueueSojourn
-// surfaces the measured delay.
-func TestTrySubmitSheddableSojourn(t *testing.T) {
-	cfg := cfg28(1)
-	cfg.ShedTargetDelay = 100 * time.Millisecond
-	rt := mustNew(t, cfg)
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the worker having measured a 300ms enqueue-to-apply delay.
-	rt.shards[0].lastWaitNanos.Store(int64(300 * time.Millisecond))
-	if got := rt.QueueSojourn(); got != 300*time.Millisecond {
-		t.Fatalf("QueueSojourn = %v, want 300ms", got)
-	}
-	if err := rt.TrySubmitSheddable(Event{Kind: KindLogout, DB: 1, At: t0 + 60}); !errors.Is(err, ErrBacklog) {
-		t.Fatalf("sheddable submit past sojourn target = %v, want ErrBacklog", err)
-	}
-	// The high-priority path still flows.
-	if err := rt.TrySubmit(Event{Kind: KindLogin, DB: 1, At: t0 + 120}); err != nil {
-		t.Fatalf("TrySubmit = %v", err)
-	}
-	// Draining the queue resets the congestion signal: the worker zeroes
-	// the sojourn when the queue empties behind an event.
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.QueueSojourn(); got != 0 {
-		t.Fatalf("QueueSojourn after drain = %v, want 0", got)
-	}
-	if err := rt.TrySubmitSheddable(Event{Kind: KindLogout, DB: 1, At: t0 + 180}); err != nil {
-		t.Fatalf("sheddable submit after drain = %v, want admitted", err)
-	}
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCloseStopsAsyncKeepsReads(t *testing.T) {
-	rt, err := New(cfg28(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Create(1, t0); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(Event{Kind: KindLogout, DB: 1, At: t0 + 60}); err != nil {
-		t.Fatal(err)
-	}
-	rt.Close()
-	rt.Close() // idempotent
-
-	// The queued logout was drained before the workers exited.
-	if st, err := rt.State(1); err != nil || st != policy.LogicallyPaused {
-		t.Fatalf("State after close = %v, %v", st, err)
-	}
-	if err := rt.Submit(Event{Kind: KindLogin, DB: 1, At: t0 + 120}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after close = %v", err)
-	}
-	if err := rt.Drain(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Drain after close = %v", err)
-	}
-	var buf bytes.Buffer
-	if _, err := rt.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo after close: %v", err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty archive")
-	}
-}
-
 func TestConcurrentHammer(t *testing.T) {
-	// Run with -race: synchronous drivers on disjoint databases, async
-	// submitters, the resume op, snapshots, and KPI reads all at once.
+	// Run with -race: drivers on disjoint databases, the resume op,
+	// snapshots, and KPI reads all at once.
 	rt := mustNew(t, testCfg(8))
 	const (
-		drivers   = 8
-		dbsPer    = 8
-		daysEach  = 4
-		asyncBase = 10_000
+		drivers  = 8
+		dbsPer   = 8
+		daysEach = 4
 	)
 	var wg sync.WaitGroup
 	for g := 0; g < drivers; g++ {
@@ -439,31 +249,6 @@ func TestConcurrentHammer(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				}
-			}
-		}(g)
-	}
-	// Async submitters on a disjoint id range.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			id := asyncBase + g
-			if err := rt.Create(id, t0); err != nil {
-				t.Error(err)
-				return
-			}
-			at := t0
-			for c := 0; c < 50; c++ {
-				at += 60
-				if err := rt.Submit(Event{Kind: KindLogout, DB: id, At: at}); err != nil {
-					t.Error(err)
-					return
-				}
-				at += 60
-				if err := rt.Submit(Event{Kind: KindLogin, DB: id, At: at}); err != nil {
-					t.Error(err)
-					return
 				}
 			}
 		}(g)
@@ -495,7 +280,7 @@ func TestConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	cp.Wait()
-	if got, want := rt.Size(), drivers*dbsPer+2; got != want {
+	if got, want := rt.Size(), drivers*dbsPer; got != want {
 		t.Fatalf("Size = %d, want %d", got, want)
 	}
 }

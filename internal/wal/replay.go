@@ -103,7 +103,7 @@ func (j *Journal) Replay(since uint64, apply func(Record)) (ReplayStats, error) 
 		if seq < since || seq >= activeSeq {
 			continue
 		}
-		data, err := j.readSegment(segPath(j.cfg.Dir, seq))
+		data, err := j.readSegment(segPath(j.cfg.Dir, seq), 0, -1)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				continue // compacted between scan and read
@@ -133,9 +133,10 @@ func (j *Journal) Replay(since uint64, apply func(Record)) (ReplayStats, error) 
 	return stats, nil
 }
 
-// readSegment reads one segment file through the FS seam, retrying
-// transient errors per the journal's backoff.
-func (j *Journal) readSegment(path string) ([]byte, error) {
+// readSegment reads a segment file through the FS seam — from byte off, at
+// most n bytes (n < 0 = to the end) — retrying transient errors per the
+// journal's backoff.
+func (j *Journal) readSegment(path string, off, n int64) ([]byte, error) {
 	var data []byte
 	var notExist error
 	_, err := faults.Retry(j.cfg.Clock, j.cfg.Backoff, func() error {
@@ -148,7 +149,13 @@ func (j *Journal) readSegment(path string) ([]byte, error) {
 			return err
 		}
 		notExist = nil
-		data, err = io.ReadAll(f)
+		var r io.Reader = f
+		if n >= 0 {
+			r = io.LimitReader(f, n)
+		}
+		if _, err = f.Seek(off, io.SeekStart); err == nil {
+			data, err = io.ReadAll(r)
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -166,17 +166,19 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 			if c.Off == durable {
 				return nil, c, c, nil // caught up
 			}
-			buf, err := j.readSegment(segPath(j.cfg.Dir, c.Seg))
+			// Read only what this batch can ship, so a poll costs the same
+			// however long the segment has grown.
+			want := min(durable-c.Off, int64(maxBytes))
+			body, err := j.readSegment(segPath(j.cfg.Dir, c.Seg), c.Off, want)
 			if err != nil {
 				return nil, c, c, err
 			}
-			if int64(len(buf)) < durable {
+			if int64(len(body)) < want {
 				// The file is shorter than the acknowledged prefix — read
 				// raced a crash. Refuse rather than ship short.
 				return nil, c, c, fmt.Errorf("wal: active segment %d is %d bytes, durable prefix is %d",
-					c.Seg, len(buf), durable)
+					c.Seg, c.Off+int64(len(body)), durable)
 			}
-			body := buf[c.Off:durable]
 			n := takeFrames(body, maxBytes)
 			if n == 0 {
 				// Damage inside the acknowledged prefix: not crash debris
@@ -194,7 +196,7 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 				nextSeq = s
 			}
 		}
-		buf, err := j.readSegment(segPath(j.cfg.Dir, c.Seg))
+		buf, err := j.readSegment(segPath(j.cfg.Dir, c.Seg), 0, -1)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				c = Cursor{Seg: nextSeq, Off: segHeaderSize} // compacted mid-scan

@@ -99,6 +99,67 @@ func TestReadAfterStreamsEverything(t *testing.T) {
 	}
 }
 
+// readCountFS counts the bytes read through every file it opens.
+type readCountFS struct {
+	faults.FS
+	read *int64
+}
+
+type readCountFile struct {
+	faults.File
+	read *int64
+}
+
+func (fs readCountFS) Open(name string) (faults.File, error) {
+	f, err := fs.FS.Open(name)
+	return readCountFile{f, fs.read}, err
+}
+
+func (f readCountFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	*f.read += int64(n)
+	return n, err
+}
+
+// TestReadAfterActiveTailReadsOnlyTheBatch pins the cost of a tailing poll:
+// serving the last frame of a long active segment reads that frame, not the
+// segment — a follower polling every millisecond must not cost the primary
+// more the longer it has been up.
+func TestReadAfterActiveTailReadsOnlyTheBatch(t *testing.T) {
+	var read int64
+	cfg := testConfig(t, t.TempDir())
+	cfg.Fsync = FsyncOff
+	cfg.FS = readCountFS{faults.OS, &read}
+	j, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer j.Close()
+
+	const n = 2000 // 50 KB of frames, far below the rotation threshold
+	appendN(t, j, 0, n)
+	end := j.DurableCursor()
+	last := Cursor{Seg: end.Seg, Off: end.Off - FrameSize}
+
+	read = 0
+	data, start, next, err := j.ReadAfter(last, 1<<20)
+	if err != nil || start != last || next != end || int64(len(data)) != FrameSize {
+		t.Fatalf("ReadAfter(%v) = %d bytes, %v..%v, %v; want one frame up to %v", last, len(data), start, next, err, end)
+	}
+	if read != FrameSize {
+		t.Fatalf("serving one frame read %d bytes of a %d-byte segment, want %d", read, end.Off, FrameSize)
+	}
+	// The batch limit bounds the read too, not just what is shipped.
+	read = 0
+	first := Cursor{Seg: end.Seg, Off: SegmentDataStart}
+	if data, _, _, err = j.ReadAfter(first, 4*int(FrameSize)); err != nil || int64(len(data)) != 4*FrameSize {
+		t.Fatalf("ReadAfter(%v, 4 frames) = %d bytes, %v", first, len(data), err)
+	}
+	if read != 4*FrameSize {
+		t.Fatalf("serving four frames read %d bytes, want %d", read, 4*FrameSize)
+	}
+}
+
 // TestReadAfterSkipsPoisonedTail injects a partial write so a torn frame
 // lands on disk, and checks the stream serves only acknowledged records:
 // the torn tail is skipped, and the stream resumes in the next segment.

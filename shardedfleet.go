@@ -13,16 +13,14 @@ import (
 	"prorp/internal/shardedfleet"
 )
 
-// ShardedFleet is the online serving runtime: a lock-striped fleet that
-// partitions databases across shards (FNV hash on database id), each shard
-// behind its own mutex with a worker goroutine draining a bounded event
-// queue — so unrelated databases never contend, unlike SyncedFleet's
-// single global mutex. It mirrors the SyncedFleet API (switching is one
-// constructor change) and adds whole-fleet snapshots, deletion, live KPI
-// counters, and prediction introspection. See internal/shardedfleet for the
-// runtime's concurrency contract.
-//
-// Callers must Close a ShardedFleet to stop its shard workers.
+// ShardedFleet is the online serving runtime and the one concurrency-safe
+// fleet: databases are partitioned across shards (FNV hash on database
+// id), each shard behind its own mutex, so unrelated databases never
+// contend. Every operation applies inline under the owning shard's lock;
+// a single-stripe fleet (NewShardedFleetShards(opts, 1)) is the
+// global-mutex baseline. It exposes operation-level methods only — handing
+// out *Database from behind a lock would defeat it. See
+// internal/shardedfleet for the runtime's concurrency contract.
 type ShardedFleet struct {
 	rt   *shardedfleet.Runtime
 	opts Options
@@ -47,30 +45,20 @@ func NewShardedFleetShards(opts Options, shards int) (*ShardedFleet, error) {
 	return &ShardedFleet{rt: rt, opts: opts}, nil
 }
 
-// Close stops the shard workers after draining queued events. The fleet
-// stays readable and snapshottable; asynchronous submission fails
-// afterwards, while synchronous operations remain usable.
-func (s *ShardedFleet) Close() { s.rt.Close() }
+// Close is a no-op: the fleet owns no goroutine or other resource. It
+// survives only because the frozen benchmark/ module calls it.
+func (s *ShardedFleet) Close() {}
 
 // InstrumentObs attaches the fleet runtime's live instrumentation —
-// per-event-kind decision latency histograms, the Algorithm 5 scan
-// duration, and per-shard queue-depth gauges — to reg. Hosts outside this
-// module cannot name the internal registry type, by design: observability
-// is a serving-stack concern, wired by internal/server. Without a registry
-// attached the hot path pays one atomic load per event.
+// per-event-kind decision latency histograms and the Algorithm 5 scan
+// duration — to reg. Hosts outside this module cannot name the internal
+// registry type, by design: observability is a serving-stack concern, wired
+// by internal/server. Without a registry attached the hot path pays one
+// atomic load per event.
 func (s *ShardedFleet) InstrumentObs(reg *obs.Registry) { s.rt.Instrument(reg) }
 
 // Shards reports the stripe count.
 func (s *ShardedFleet) Shards() int { return s.rt.NumShards() }
-
-// QueueSojourn reports the worst measured enqueue-to-apply delay across
-// the shard queues — the fleet's queue-congestion signal, folded into
-// the serving layer's overload pressure state.
-func (s *ShardedFleet) QueueSojourn() time.Duration { return s.rt.QueueSojourn() }
-
-// QueueSheds reports how many sheddable submissions the shard queues
-// refused for congestion (see internal/shardedfleet.TrySubmitSheddable).
-func (s *ShardedFleet) QueueSheds() uint64 { return s.rt.QueueSheds() }
 
 // Create adds a new database created at createdAt.
 func (s *ShardedFleet) Create(id int, createdAt time.Time) error {
@@ -265,10 +253,9 @@ func (s *ShardedFleet) Restore(id int, r io.Reader) (wakeAt time.Time, err error
 func (s *ShardedFleet) WriteTo(w io.Writer) (int64, error) { return s.rt.WriteTo(w) }
 
 // RestoreShardedFleet reconstructs a sharded fleet (0 shards = default
-// stripe count) from an archive written by Fleet.WriteTo,
-// SyncedFleet.WriteTo, or ShardedFleet.WriteTo, under possibly re-trained
-// options. It returns the wake-ups the host must schedule for logically
-// paused databases.
+// stripe count) from an archive written by Fleet.WriteTo or
+// ShardedFleet.WriteTo, under possibly re-trained options. It returns the
+// wake-ups the host must schedule for logically paused databases.
 func RestoreShardedFleet(opts Options, shards int, r io.Reader) (*ShardedFleet, []PendingWake, error) {
 	sf, err := NewShardedFleetShards(opts, shards)
 	if err != nil {
@@ -276,7 +263,6 @@ func RestoreShardedFleet(opts Options, shards int, r io.Reader) (*ShardedFleet, 
 	}
 	pending, err := sf.rt.RestoreArchive(r)
 	if err != nil {
-		sf.Close()
 		return nil, nil, err
 	}
 	wakes := make([]PendingWake, len(pending))
@@ -295,7 +281,6 @@ type FleetKPI struct {
 	Resumed          int `json:"resumed"`
 	LogicallyPaused  int `json:"logically_paused"`
 	PhysicallyPaused int `json:"physically_paused"`
-	QueuedEvents     int `json:"queued_events"`
 	// Counters.
 	Creates        uint64 `json:"creates"`
 	Deletes        uint64 `json:"deletes"`
@@ -353,7 +338,6 @@ func (s *ShardedFleet) KPI() FleetKPI {
 		Resumed:          resumed,
 		LogicallyPaused:  logical,
 		PhysicallyPaused: physical,
-		QueuedEvents:     s.rt.Backlog(),
 		Creates:          c.Creates,
 		Deletes:          c.Deletes,
 		Logins:           c.Logins,

@@ -2,29 +2,141 @@ package prorp
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"prorp/internal/historystore"
 )
 
-// fleetDriver is the operation surface shared by SyncedFleet and
-// ShardedFleet; the equivalence test drives both through it.
+// fleetDriver is the operation surface of ShardedFleet that the equivalence
+// tests drive; the reference Fleet reaches it through fleetRef.
 type fleetDriver interface {
 	Create(id int, createdAt time.Time) error
+	Delete(id int) error
 	Login(id int, t time.Time) (Decision, error)
 	Idle(id int, t time.Time) (Decision, error)
 	Wake(id int, t time.Time) (Decision, error)
 	RunResumeOp(now time.Time) []Prewarmed
 	State(id int) (State, error)
+	Size() int
 	PausedCount() int
+	History(id int) ([]ActivityEvent, error)
+	ExplainPrediction(id int, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool, err error)
+	PlanMaintenance(id int, now time.Time, duration time.Duration, deadline time.Time) (MaintenancePlan, error)
+	Snapshot(id int, w io.Writer) error
+	Restore(id int, r io.Reader) (wakeAt time.Time, err error)
+	WriteTo(w io.Writer) (int64, error)
 }
 
 var (
-	_ fleetDriver = (*SyncedFleet)(nil)
+	_ fleetDriver = fleetRef{}
 	_ fleetDriver = (*ShardedFleet)(nil)
 )
+
+// fleetRef adapts the unsynchronised, paper-shaped Fleet — the reference
+// every ShardedFleet oracle compares against — to fleetDriver: per-database
+// operations go through the *Database the Fleet hands out.
+type fleetRef struct{ *Fleet }
+
+func newFleetRef(t *testing.T, opts Options) fleetRef {
+	t.Helper()
+	f, err := NewFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleetRef{f}
+}
+
+func (f fleetRef) db(id int) (*Database, error) {
+	db, ok := f.Database(id)
+	if !ok {
+		return nil, fmt.Errorf("prorp: %w: %d", ErrUnknownDatabase, id)
+	}
+	return db, nil
+}
+
+func (f fleetRef) Create(id int, createdAt time.Time) error {
+	_, err := f.Fleet.Create(id, createdAt)
+	return err
+}
+
+func (f fleetRef) State(id int) (State, error) {
+	db, err := f.db(id)
+	if err != nil {
+		return 0, err
+	}
+	return db.State(), nil
+}
+
+func (f fleetRef) History(id int) ([]ActivityEvent, error) {
+	db, err := f.db(id)
+	if err != nil {
+		return nil, err
+	}
+	var out []ActivityEvent
+	for _, e := range db.machine.History().Scan(math.MinInt64, math.MaxInt64) {
+		out = append(out, ActivityEvent{
+			Time:  time.Unix(e.Time, 0).UTC(),
+			Login: e.Type == historystore.EventStart,
+		})
+	}
+	return out, nil
+}
+
+func (f fleetRef) ExplainPrediction(id int, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool, err error) {
+	db, err := f.db(id)
+	if err != nil {
+		return nil, time.Time{}, time.Time{}, false, err
+	}
+	windows, start, end, ok = db.ExplainPrediction(now)
+	return windows, start, end, ok, nil
+}
+
+func (f fleetRef) PlanMaintenance(id int, now time.Time, duration time.Duration, deadline time.Time) (MaintenancePlan, error) {
+	db, err := f.db(id)
+	if err != nil {
+		return MaintenancePlan{}, err
+	}
+	return db.PlanMaintenance(now, duration, deadline)
+}
+
+func (f fleetRef) Snapshot(id int, w io.Writer) error {
+	db, err := f.db(id)
+	if err != nil {
+		return err
+	}
+	_, err = db.WriteTo(w)
+	return err
+}
+
+func (f fleetRef) Restore(id int, r io.Reader) (time.Time, error) {
+	_, wakeAt, err := f.Fleet.Restore(id, r)
+	return wakeAt, err
+}
+
+// forEachFacade runs test against a fresh fleet of each flavor. mk builds
+// further fleets of the same flavor (restore targets).
+func forEachFacade(t *testing.T, opts Options, test func(t *testing.T, mk func() fleetDriver)) {
+	t.Run("Fleet", func(t *testing.T) {
+		test(t, func() fleetDriver { return newFleetRef(t, opts) })
+	})
+	t.Run("ShardedFleet", func(t *testing.T) {
+		test(t, func() fleetDriver {
+			sh, err := NewShardedFleetShards(opts, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sh
+		})
+	})
+}
 
 func equivOptions() Options {
 	opts := DefaultOptions()
@@ -136,28 +248,23 @@ func driveScript(t *testing.T, f fleetDriver) []string {
 	return trace
 }
 
-func TestShardedFleetMirrorsSyncedFleet(t *testing.T) {
+func TestShardedFleetMirrorsFleet(t *testing.T) {
 	// The sharded runtime must be observationally identical to the
-	// single-lock fleet: same decisions, same resume-op prewarm sets, same
-	// states — switching implementations is one constructor change.
-	sy, err := NewSyncedFleet(equivOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// unsynchronised reference fleet: same decisions, same resume-op prewarm
+	// sets, same states.
 	sh, err := NewShardedFleetShards(equivOptions(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
 
-	want := driveScript(t, sy)
+	want := driveScript(t, newFleetRef(t, equivOptions()))
 	got := driveScript(t, sh)
 	if len(got) != len(want) {
-		t.Fatalf("trace lengths differ: sharded %d, synced %d", len(got), len(want))
+		t.Fatalf("trace lengths differ: sharded %d, reference %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("trace[%d]:\nsharded: %s\nsynced:  %s", i, got[i], want[i])
+			t.Fatalf("trace[%d]:\nsharded:   %s\nreference: %s", i, got[i], want[i])
 		}
 	}
 }
@@ -172,7 +279,6 @@ func TestShardedFleetConcurrentMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
 
 	const dbs = 16
 	const cycles = 20
@@ -270,48 +376,45 @@ func TestShardedFleetConcurrentMatchesReplay(t *testing.T) {
 }
 
 func TestFleetArchiveInterop(t *testing.T) {
-	// Archives move freely between SyncedFleet, ShardedFleet, and Fleet:
-	// same wire format, same restored states, same pending wakes.
+	// Archives move freely between ShardedFleet and Fleet: same wire
+	// format, same restored states, same pending wakes.
 	// The default 28-day history keeps database 4 unpredicted after its
 	// single login, so it logically pauses (pending wake); databases 0..3
 	// run a four-day daily pattern — enough matching days to predict — and
 	// end physically paused; database 5 stays active.
 	opts := DefaultOptions()
 	opts.LogicalPause = time.Hour
-	sy, err := NewSyncedFleet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newFleetRef(t, opts)
 	for id := 0; id < 4; id++ {
-		if err := sy.Create(id, t0.Add(9*time.Hour)); err != nil {
+		if err := ref.Create(id, t0.Add(9*time.Hour)); err != nil {
 			t.Fatal(err)
 		}
 		for d := 0; d < 4; d++ {
 			base := t0.Add(time.Duration(d) * 24 * time.Hour)
 			if d > 0 {
-				if _, err := sy.Login(id, base.Add(9*time.Hour)); err != nil {
+				if _, err := ref.Login(id, base.Add(9*time.Hour)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := sy.Idle(id, base.Add(17*time.Hour)); err != nil {
+			if _, err := ref.Idle(id, base.Add(17*time.Hour)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := sy.Create(4, t0.Add(9*time.Hour)); err != nil {
+	if err := ref.Create(4, t0.Add(9*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sy.Idle(4, t0.Add(10*time.Hour)); err != nil {
+	if _, err := ref.Idle(4, t0.Add(10*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sy.Create(5, t0.Add(9*time.Hour)); err != nil {
+	if err := ref.Create(5, t0.Add(9*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
 	wantState := func(t *testing.T, f fleetDriver) {
 		t.Helper()
 		for id := 0; id < 6; id++ {
-			want, err := sy.State(id)
+			want, err := ref.State(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,18 +425,17 @@ func TestFleetArchiveInterop(t *testing.T) {
 		}
 	}
 
-	var syncedArchive bytes.Buffer
-	if _, err := sy.WriteTo(&syncedArchive); err != nil {
+	var fleetArchive bytes.Buffer
+	if _, err := ref.WriteTo(&fleetArchive); err != nil {
 		t.Fatal(err)
 	}
 
-	// SyncedFleet archive -> ShardedFleet.
-	sh, shWakes, err := RestoreShardedFleet(opts, 3, bytes.NewReader(syncedArchive.Bytes()))
+	// Fleet archive -> ShardedFleet.
+	sh, shWakes, err := RestoreShardedFleet(opts, 3, bytes.NewReader(fleetArchive.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
-	if sh.Size() != 6 || sh.PausedCount() != sy.PausedCount() {
+	if sh.Size() != 6 || sh.PausedCount() != ref.PausedCount() {
 		t.Fatalf("restored sharded: Size %d PausedCount %d", sh.Size(), sh.PausedCount())
 	}
 	wantState(t, sh)
@@ -341,30 +443,31 @@ func TestFleetArchiveInterop(t *testing.T) {
 		t.Fatalf("sharded pending wakes = %+v", shWakes)
 	}
 
-	// ShardedFleet archive -> SyncedFleet. The sharded fleet writes members
-	// in id order, so the bytes match the synced archive exactly.
+	// ShardedFleet archive -> Fleet. The sharded fleet writes members in
+	// id order, so the bytes match the Fleet archive exactly.
 	var shardedArchive bytes.Buffer
 	if _, err := sh.WriteTo(&shardedArchive); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(shardedArchive.Bytes(), syncedArchive.Bytes()) {
-		t.Fatal("sharded archive bytes differ from synced archive")
+	if !bytes.Equal(shardedArchive.Bytes(), fleetArchive.Bytes()) {
+		t.Fatal("sharded archive bytes differ from Fleet archive")
 	}
-	sy2, syWakes, err := RestoreSyncedFleet(opts, bytes.NewReader(shardedArchive.Bytes()))
+	fl2, flWakes, err := RestoreFleet(opts, bytes.NewReader(shardedArchive.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantState(t, sy2)
-	if len(syWakes) != 1 || syWakes[0].ID != 4 {
-		t.Fatalf("synced pending wakes = %+v", syWakes)
+	ref2 := fleetRef{fl2}
+	wantState(t, ref2)
+	if len(flWakes) != 1 || flWakes[0].ID != 4 {
+		t.Fatalf("Fleet pending wakes = %+v", flWakes)
 	}
 
 	// Both restored fleets run the same live resume op.
 	at := t0.Add(4*24*time.Hour + 9*time.Hour).Add(-2 * time.Minute)
 	shPws := sh.RunResumeOp(at)
-	syPws := sy2.RunResumeOp(at)
-	if len(shPws) != 4 || len(syPws) != 4 {
-		t.Fatalf("resume ops after restore: sharded %d, synced %d", len(shPws), len(syPws))
+	flPws := ref2.RunResumeOp(at)
+	if len(shPws) != 4 || len(flPws) != 4 {
+		t.Fatalf("resume ops after restore: sharded %d, Fleet %d", len(shPws), len(flPws))
 	}
 
 	// Single-database snapshots interoperate too.
@@ -372,8 +475,7 @@ func TestFleetArchiveInterop(t *testing.T) {
 	if err := sh.Snapshot(4, &one); err != nil {
 		t.Fatal(err)
 	}
-	sy3, _ := NewSyncedFleet(opts)
-	wakeAt, err := sy3.Restore(4, &one)
+	wakeAt, err := newFleetRef(t, opts).Restore(4, &one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,60 +484,221 @@ func TestFleetArchiveInterop(t *testing.T) {
 	}
 }
 
-func TestSyncedFleetDeleteExplainPrediction(t *testing.T) {
-	opts := equivOptions()
-	sy, err := NewSyncedFleet(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id < 2; id++ {
-		if err := sy.Create(id, t0.Add(9*time.Hour)); err != nil {
+func TestFacadeBasics(t *testing.T) {
+	// The default 28-day history keeps a fresh database unpredicted, so
+	// the first idle takes the logical-pause path.
+	forEachFacade(t, DefaultOptions(), func(t *testing.T, mk func() fleetDriver) {
+		f := mk()
+		if err := f.Create(1, t0); err != nil {
 			t.Fatal(err)
 		}
-		for d := 0; d < 2; d++ {
-			base := t0.Add(time.Duration(d) * 24 * time.Hour)
-			if d > 0 {
-				if _, err := sy.Login(id, base.Add(9*time.Hour)); err != nil {
+		if err := f.Create(1, t0); !errors.Is(err, ErrDuplicateDatabase) {
+			t.Fatalf("duplicate Create = %v", err)
+		}
+		if f.Size() != 1 {
+			t.Fatalf("Size = %d", f.Size())
+		}
+		d, err := f.Idle(1, t0.Add(time.Hour))
+		if err != nil || d.Event != EventLogicalPause {
+			t.Fatalf("Idle = %+v, %v", d, err)
+		}
+		st, err := f.State(1)
+		if err != nil || st != LogicallyPaused {
+			t.Fatalf("State = %v, %v", st, err)
+		}
+
+		// A logically paused database snapshots and restores into another
+		// fleet of the same flavor with its wake-up still owed.
+		var snap bytes.Buffer
+		if err := f.Snapshot(1, &snap); err != nil {
+			t.Fatal(err)
+		}
+		f2 := mk()
+		wakeAt, err := f2.Restore(1, &snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wakeAt.Equal(d.WakeAt) {
+			t.Fatalf("restore wakeAt = %v, want %v", wakeAt, d.WakeAt)
+		}
+		if st, _ := f2.State(1); st != LogicallyPaused {
+			t.Fatalf("restored state = %v", st)
+		}
+
+		if _, err := f.Wake(1, d.WakeAt); err != nil {
+			t.Fatal(err)
+		}
+		if f.PausedCount() != 1 {
+			t.Fatalf("PausedCount = %d", f.PausedCount())
+		}
+		if _, err := f.Login(1, t0.Add(20*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+
+		// Every per-database operation rejects an unknown id, typed.
+		unknown := map[string]func() error{
+			"Login":    func() error { _, err := f.Login(9, t0); return err },
+			"Idle":     func() error { _, err := f.Idle(9, t0); return err },
+			"Wake":     func() error { _, err := f.Wake(9, t0); return err },
+			"Delete":   func() error { return f.Delete(9) },
+			"State":    func() error { _, err := f.State(9); return err },
+			"History":  func() error { _, err := f.History(9); return err },
+			"Snapshot": func() error { return f.Snapshot(9, &bytes.Buffer{}) },
+			"ExplainPrediction": func() error {
+				_, _, _, _, err := f.ExplainPrediction(9, t0)
+				return err
+			},
+			"PlanMaintenance": func() error {
+				_, err := f.PlanMaintenance(9, t0, time.Minute, t0.Add(time.Hour))
+				return err
+			},
+		}
+		for name, op := range unknown {
+			if err := op(); !errors.Is(err, ErrUnknownDatabase) {
+				t.Errorf("%s(9) = %v, want ErrUnknownDatabase", name, err)
+			}
+		}
+	})
+}
+
+func TestFacadeDeleteExplainPrediction(t *testing.T) {
+	forEachFacade(t, equivOptions(), func(t *testing.T, mk func() fleetDriver) {
+		f := mk()
+		for id := 0; id < 2; id++ {
+			if err := f.Create(id, t0.Add(9*time.Hour)); err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < 2; d++ {
+				base := t0.Add(time.Duration(d) * 24 * time.Hour)
+				if d > 0 {
+					if _, err := f.Login(id, base.Add(9*time.Hour)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := f.Idle(id, base.Add(17*time.Hour)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := sy.Idle(id, base.Add(17*time.Hour)); err != nil {
+		}
+		if f.PausedCount() != 2 {
+			t.Fatalf("PausedCount = %d", f.PausedCount())
+		}
+
+		// ExplainPrediction reports the qualifying window behind the pause.
+		windows, start, _, ok, err := f.ExplainPrediction(0, t0.Add(1*24*time.Hour+18*time.Hour))
+		if err != nil || !ok {
+			t.Fatalf("ExplainPrediction = ok=%v, %v", ok, err)
+		}
+		if len(windows) == 0 {
+			t.Fatal("ExplainPrediction returned no windows")
+		}
+		if start.IsZero() {
+			t.Fatal("ExplainPrediction returned zero start")
+		}
+
+		// Deleting a paused database clears its control-plane metadata: the
+		// pending proactive resume cannot fire.
+		if err := f.Delete(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Delete(0); err == nil {
+			t.Fatal("double Delete succeeded")
+		}
+		if f.Size() != 1 || f.PausedCount() != 1 {
+			t.Fatalf("after Delete: Size %d PausedCount %d", f.Size(), f.PausedCount())
+		}
+		pws := f.RunResumeOp(t0.Add(2*24*time.Hour + 9*time.Hour).Add(-2 * time.Minute))
+		if len(pws) != 1 || pws[0].ID != 1 {
+			t.Fatalf("resume op after Delete = %+v", pws)
+		}
+	})
+}
+
+// TestHistoryFacadeEquivalence drives the same multi-day workload through
+// the reference Fleet and the ShardedFleet and requires History to return
+// event-for-event identical results.
+func TestHistoryFacadeEquivalence(t *testing.T) {
+	ref := newFleetRef(t, equivOptions())
+	sh, err := NewShardedFleetShards(equivOptions(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const dbs = 5
+	day := 24 * time.Hour
+	for id := 1; id <= dbs; id++ {
+		if err := ref.Create(id, t0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.Create(id, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for d := 0; d < 4; d++ {
+		for id := 1; id <= dbs; id++ {
+			in := t0.Add(time.Duration(d)*day + time.Duration(8+id)*time.Hour)
+			out := in.Add(time.Duration(2+id) * time.Hour)
+			if _, err := ref.Login(id, in); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Login(id, in); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Idle(id, out); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sh.Idle(id, out); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if sy.PausedCount() != 2 {
-		t.Fatalf("PausedCount = %d", sy.PausedCount())
-	}
 
-	// ExplainPrediction reports the qualifying window behind the pause.
-	windows, start, _, ok, err := sy.ExplainPrediction(0, t0.Add(1*24*time.Hour+18*time.Hour))
-	if err != nil || !ok {
-		t.Fatalf("ExplainPrediction = ok=%v, %v", ok, err)
+	for id := 1; id <= dbs; id++ {
+		want, err := ref.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sh.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("db %d: reference history is empty", id)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("db %d: sharded history has %d events, reference %d", id, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("db %d event %d: sharded %+v, reference %+v", id, i, got[i], want[i])
+			}
+		}
+		for i := 1; i < len(want); i++ {
+			if want[i].Time.Before(want[i-1].Time) {
+				t.Fatalf("db %d: history out of order at %d: %+v", id, i, want)
+			}
+		}
 	}
-	if len(windows) == 0 {
-		t.Fatal("ExplainPrediction returned no windows")
-	}
-	if start.IsZero() {
-		t.Fatal("ExplainPrediction returned zero start")
-	}
-	if _, _, _, _, err := sy.ExplainPrediction(99, t0); err == nil {
-		t.Fatal("ExplainPrediction(99) succeeded")
-	}
+}
 
-	// Deleting a paused database clears its control-plane metadata: the
-	// pending proactive resume cannot fire.
-	if err := sy.Delete(0); err != nil {
-		t.Fatal(err)
+// TestShardedFleetStartsNoGoroutine pins the one-apply-path contract: a
+// fleet owns no worker, so building fleets and dropping them without Close
+// leaks nothing.
+func TestShardedFleetStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fleets := make([]*ShardedFleet, 100)
+	for i := range fleets {
+		sh, err := NewShardedFleet(DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.Create(i, t0); err != nil {
+			t.Fatal(err)
+		}
+		fleets[i] = sh
 	}
-	if err := sy.Delete(0); err == nil {
-		t.Fatal("double Delete succeeded")
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 fleets grew the goroutine count from %d to %d", before, after)
 	}
-	if sy.Size() != 1 || sy.PausedCount() != 1 {
-		t.Fatalf("after Delete: Size %d PausedCount %d", sy.Size(), sy.PausedCount())
-	}
-	pws := sy.RunResumeOp(t0.Add(2*24*time.Hour + 9*time.Hour).Add(-2 * time.Minute))
-	if len(pws) != 1 || pws[0].ID != 1 {
-		t.Fatalf("resume op after Delete = %+v", pws)
-	}
+	runtime.KeepAlive(fleets)
 }
