@@ -101,10 +101,7 @@ func (n *node) childIndex(k int64) int {
 
 // Get returns the value stored under k.
 func (t *Tree) Get(k int64) (byte, bool) {
-	n := t.root
-	for !n.leaf() {
-		n = n.children[n.childIndex(k)]
-	}
+	n := t.leafFor(k)
 	i := search(n.keys, k)
 	if i < len(n.keys) && n.keys[i] == k {
 		return n.vals[i], true
@@ -228,31 +225,68 @@ func (t *Tree) Max() (int64, bool) {
 	return n.keys[len(n.keys)-1], true
 }
 
+// leafFor returns the leaf whose key range covers k.
+func (t *Tree) leafFor(k int64) *node {
+	n := t.root
+	for !n.leaf() {
+		n = n.children[n.childIndex(k)]
+	}
+	return n
+}
+
 // Ascend calls fn for every key in [lo, hi] in ascending order, stopping
 // early if fn returns false. This is the range query of Algorithm 4
 // (lines 19-24): O(log n) to locate lo, then O(m) along the leaf chain.
 func (t *Tree) Ascend(lo, hi int64, fn func(k int64, v byte) bool) {
-	if t.size == 0 || lo > hi {
-		return
-	}
-	n := t.root
-	for !n.leaf() {
-		n = n.children[n.childIndex(lo)]
-	}
-	for n != nil {
-		for i, k := range n.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, n.vals[i]) {
+	n := t.leafFor(lo)
+	for i := search(n.keys, lo); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			k := n.keys[i]
+			if k > hi || !fn(k, n.vals[i]) {
 				return
 			}
 		}
-		n = n.next
 	}
+}
+
+// Cursor is a position on the leaf chain: Ascend as a resumable scan, for
+// callers that interleave several range reads. Any Insert or Delete
+// invalidates it.
+type Cursor struct {
+	n *node
+	i int
+}
+
+// SeekGE returns a cursor on the first key >= k.
+func (t *Tree) SeekGE(k int64) Cursor {
+	n := t.leafFor(k)
+	c := Cursor{n: n, i: search(n.keys, k)}
+	c.settle()
+	return c
+}
+
+// settle moves a cursor that stands past the last key of its leaf to the
+// first key of the next leaf. Only the root of an empty tree is a leaf
+// without keys, and it has no successor, so one step is enough.
+func (c *Cursor) settle() {
+	if c.i == len(c.n.keys) {
+		c.n, c.i = c.n.next, 0
+	}
+}
+
+// Valid reports whether the cursor addresses a key; false past the last.
+func (c Cursor) Valid() bool { return c.n != nil }
+
+// Key returns the key under a valid cursor.
+func (c Cursor) Key() int64 { return c.n.keys[c.i] }
+
+// Val returns the value under a valid cursor.
+func (c Cursor) Val() byte { return c.n.vals[c.i] }
+
+// Next advances a valid cursor to the following key in ascending order.
+func (c *Cursor) Next() {
+	c.i++
+	c.settle()
 }
 
 // Delete removes k and reports whether it was present.

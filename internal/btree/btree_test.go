@@ -3,6 +3,7 @@ package btree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,6 +133,62 @@ func TestAscendBounds(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestAscendFromEveryLeafPosition starts range scans at every position a
+// lower bound can take relative to a leaf — its first key, a key in the
+// middle, the gap between two keys, its last key, and just past its last
+// key (where the scan must begin in the next leaf) — and walks a Cursor
+// from the same spot.
+func TestAscendFromEveryLeafPosition(t *testing.T) {
+	tr := New()
+	var all []int64
+	for k := int64(0); k < 5000; k += 10 {
+		tr.Insert(k, byte(k/10%2))
+		all = append(all, k)
+	}
+	leaf := tr.root
+	for !leaf.leaf() {
+		leaf = leaf.children[0]
+	}
+	leaves := 0
+	for ; leaf != nil; leaf = leaf.next {
+		leaves++
+		first, mid, last := leaf.keys[0], leaf.keys[len(leaf.keys)/2], leaf.keys[len(leaf.keys)-1]
+		for _, lo := range []int64{first - 1, first, mid - 3, mid, mid + 1, last, last + 1} {
+			want := all[sort.Search(len(all), func(i int) bool { return all[i] >= lo }):]
+			hi := lo + 1000 // several leaves on
+			var got []int64
+			tr.Ascend(lo, hi, func(k int64, v byte) bool {
+				if v != byte(k/10%2) {
+					t.Fatalf("Ascend(%d,%d): key %d carries value %d", lo, hi, k, v)
+				}
+				got = append(got, k)
+				return true
+			})
+			wantRange := want[:sort.Search(len(want), func(i int) bool { return want[i] > hi })]
+			if !slices.Equal(got, wantRange) {
+				t.Fatalf("Ascend(%d,%d) = %v, want %v", lo, hi, got, wantRange)
+			}
+			got = got[:0]
+			for c := tr.SeekGE(lo); c.Valid(); c.Next() {
+				got = append(got, c.Key())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("cursor from SeekGE(%d) visited %d keys starting %v, want %d starting %v",
+					lo, len(got), got[:min(3, len(got))], len(want), want[:min(3, len(want))])
+			}
+		}
+	}
+	if leaves < 3 {
+		t.Fatalf("tree has %d leaves; the test needs several", leaves)
+	}
+	if c := tr.SeekGE(5000); c.Valid() {
+		t.Fatalf("Seek past the largest key is valid at %d", c.Key())
+	}
+	if c := New().SeekGE(0); c.Valid() {
+		t.Fatal("Seek on an empty tree is valid")
 	}
 }
 

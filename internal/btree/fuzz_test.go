@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,42 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		if err := tr.checkInvariants(); err != nil {
 			t.Fatal(err)
+		}
+
+		// Range scans from lower bounds the input picks: with 16-bit keys
+		// and multi-leaf trees they land on keys, between keys, and past
+		// the last key of a leaf.
+		keys := make([]int64, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i := 0; i+2 < len(data) && i < 3*16; i += 3 {
+			lo := int64(binary.LittleEndian.Uint16(data[i+1:i+3])) - 1
+			hi := lo + int64(data[i])*8
+			from, _ := slices.BinarySearch(keys, lo)
+			to, _ := slices.BinarySearch(keys, hi+1)
+			var got []int64
+			tr.Ascend(lo, hi, func(k int64, v byte) bool {
+				if v != model[k] {
+					t.Fatalf("Ascend(%d,%d): key %d carries %d, model %d", lo, hi, k, v, model[k])
+				}
+				got = append(got, k)
+				return true
+			})
+			if !slices.Equal(got, keys[from:to]) {
+				t.Fatalf("Ascend(%d,%d) = %v, model %v", lo, hi, got, keys[from:to])
+			}
+			n := from
+			for c := tr.SeekGE(lo); c.Valid(); c.Next() {
+				if n >= len(keys) || c.Key() != keys[n] {
+					t.Fatalf("cursor from SeekGE(%d): key %d at position %d, model %v", lo, c.Key(), n-from, keys[from:])
+				}
+				n++
+			}
+			if n != len(keys) {
+				t.Fatalf("cursor from SeekGE(%d) stopped after %d keys, model has %d", lo, n-from, len(keys)-from)
+			}
 		}
 	})
 }

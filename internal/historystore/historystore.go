@@ -8,6 +8,7 @@
 //	Algorithm 2  sys.InsertHistory       -> (*Store).Insert
 //	Algorithm 3  sys.DeleteOldHistory    -> (*Store).DeleteOld
 //	Algorithm 4's range MIN/MAX query    -> (*Store).FirstLastLogin
+//	Algorithm 4's look-back scan         -> (*Store).SeekLogin
 //
 // The history travels with the database when it moves between nodes (the
 // durability principle of Section 3.3); here that simply means the Store is
@@ -104,6 +105,43 @@ func (s *Store) FirstLastLogin(lo, hi int64) (first, last int64, ok bool) {
 		return true
 	})
 	return first, last, ok
+}
+
+// LoginCursor walks the login events (event_type = 1) of a store in
+// timestamp order: the resumable form of FirstLastLogin's range scan.
+// Algorithm 4 holds one per look-back day and slides it along with the
+// window instead of re-running the range query per window. Any Insert or
+// DeleteOld on the store invalidates it.
+type LoginCursor struct {
+	c btree.Cursor
+}
+
+// SeekLogin returns a cursor on the first login at or after t.
+func (s *Store) SeekLogin(t int64) LoginCursor {
+	c := LoginCursor{c: s.idx.SeekGE(t)}
+	c.skipLogouts()
+	return c
+}
+
+func (c *LoginCursor) skipLogouts() {
+	for c.c.Valid() && c.c.Val() != EventStart {
+		c.c.Next()
+	}
+}
+
+// Time returns the timestamp of the login under the cursor; ok is false
+// once the cursor has passed the last login.
+func (c LoginCursor) Time() (t int64, ok bool) {
+	if !c.c.Valid() {
+		return 0, false
+	}
+	return c.c.Key(), true
+}
+
+// Next advances to the following login.
+func (c *LoginCursor) Next() {
+	c.c.Next()
+	c.skipLogouts()
 }
 
 // HasActivity reports whether any event (start or end) falls in [lo, hi].

@@ -1,6 +1,7 @@
 package historystore
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +167,42 @@ func TestFirstLastLogin(t *testing.T) {
 	first, last, ok = s.FirstLastLogin(100, 300)
 	if !ok || first != 100 || last != 300 {
 		t.Fatalf("inclusive bounds broken: %d,%d,%v", first, last, ok)
+	}
+}
+
+// TestLoginCursorAgreesWithFirstLastLogin walks a cursor from every
+// timestamp of a multi-leaf store with runs of consecutive logouts in it and
+// checks it against the range aggregate it is the resumable form of.
+func TestLoginCursorAgreesWithFirstLastLogin(t *testing.T) {
+	s := New()
+	rng := rand.New(rand.NewSource(11))
+	const span = 1000
+	for i := 0; i < 200; i++ {
+		typ := EventEnd
+		if rng.Intn(3) == 0 {
+			typ = EventStart
+		}
+		s.Insert(rng.Int63n(span), typ)
+	}
+	for from := int64(-1); from <= span; from++ {
+		c := s.SeekLogin(from)
+		prev := from - 1
+		for {
+			got, ok := c.Time()
+			// The next login after prev, by the range query.
+			want, _, wantOK := s.FirstLastLogin(prev+1, span)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("cursor from %d after %d: %d,%v, FirstLastLogin says %d,%v", from, prev, got, ok, want, wantOK)
+			}
+			if !ok {
+				break
+			}
+			prev = got
+			c.Next()
+		}
+	}
+	if _, ok := New().SeekLogin(0).Time(); ok {
+		t.Error("cursor on an empty store reports a login")
 	}
 }
 

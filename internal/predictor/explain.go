@@ -29,57 +29,56 @@ type WindowStat struct {
 
 // Explain scans every candidate window over the horizon (no early break,
 // unlike Predict) and reports per-window statistics plus the prediction
-// Predict would make. It costs a full horizon scan; use it for debugging
+// Predict would make. It costs a full horizon sweep; use it for debugging
 // and tooling, not on the hot path.
 func Explain(st *historystore.Store, p Params, now int64) ([]WindowStat, Activity, bool) {
-	periodSec, lookbacks := p.period()
-	if lookbacks == 0 {
-		return nil, Activity{}, false
-	}
-	pred, ok := Predict(st, p, now)
-
 	var stats []WindowStat
+	pred, ok := ExplainEach(st, p, now, func(ws WindowStat) {
+		if stats == nil {
+			stats = make([]WindowStat, 0, p.WindowCount())
+		}
+		stats = append(stats, ws)
+	})
+	return stats, pred, ok
+}
+
+// ExplainEach is Explain handing each window's statistics to yield, in scan
+// order, instead of collecting them: a caller that converts them to a type
+// of its own allocates that slice only.
+func ExplainEach(st *historystore.Store, p Params, now int64, yield func(WindowStat)) (Activity, bool) {
+	var scratch [stackDays]dayScan
+	sw := newSweep(st, p, now, scratch[:0])
+	lookbacks := len(sw.days)
+	if lookbacks == 0 {
+		return Activity{}, false
+	}
+	pred, ok := sw.predict(p, now)
+	// The statistics cover every window, not only those before Predict's
+	// early break: rewind the cursors (h more B-tree descents).
+	sw = newSweep(st, p, now, sw.days[:0])
+
+	selected := false
 	winStart := now
 	predEnd := now + int64(p.HorizonHours)*3600
 	for winStart+p.WindowSec <= predEnd {
-		ws := WindowStat{WinStart: winStart, FirstLoginOffset: p.WindowSec}
-		hits := 0
-		for prevDay := 1; prevDay <= lookbacks; prevDay++ {
-			lo := winStart - int64(prevDay)*periodSec
-			hi := lo + p.WindowSec
-			first, last, any := st.FirstLastLogin(lo, hi)
-			if !any {
-				continue
-			}
-			if off := first - lo; off < ws.FirstLoginOffset {
-				ws.FirstLoginOffset = off
-			}
-			if off := last - lo; off > ws.LastLoginOffset {
-				ws.LastLoginOffset = off
-			}
-			hits++
+		hits, first, last := sw.window()
+		ws := WindowStat{
+			WinStart:         winStart,
+			Probability:      float64(hits) / float64(lookbacks),
+			FirstLoginOffset: first,
+			LastLoginOffset:  last,
 		}
-		ws.Probability = float64(hits) / float64(lookbacks)
 		ws.Qualifies = ws.Probability >= p.Confidence
-		if ok && winStart+ws.FirstLoginOffset == pred.Start && ws.Qualifies && !selectedMarked(stats) {
-			ws.Selected = true
+		if ok && !selected && ws.Qualifies && winStart+first == pred.Start {
+			ws.Selected, selected = true, true
 		}
 		if hits == 0 {
 			ws.FirstLoginOffset = 0
 		}
-		stats = append(stats, ws)
+		yield(ws)
 		winStart += p.SlideSec
 	}
-	return stats, pred, ok
-}
-
-func selectedMarked(stats []WindowStat) bool {
-	for _, s := range stats {
-		if s.Selected {
-			return true
-		}
-	}
-	return false
+	return pred, ok
 }
 
 // RenderExplain formats the qualifying windows of an Explain scan as a

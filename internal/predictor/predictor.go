@@ -11,6 +11,11 @@
 // subsequent overlapping windows the prediction is refined, and the scan
 // stops at the first non-improving window (the paper's "earliest start with
 // the highest confidence" rule, Figure 5).
+//
+// The paper writes the scan as one range query per window per look-back;
+// this package executes it as one pass (see sweep) that returns the same
+// Activity for every history and parameter set. The literal scan lives on
+// in the package's tests as the oracle the pass is compared against.
 package predictor
 
 import (
@@ -121,7 +126,14 @@ func (a Activity) IsZero() bool { return a.Start == 0 && a.End == 0 }
 // the predicted next activity within the horizon and ok = false when no
 // window clears the confidence threshold.
 func Predict(st *historystore.Store, p Params, now int64) (Activity, bool) {
-	periodSec, lookbacks := p.period()
+	var scratch [stackDays]dayScan
+	sw := newSweep(st, p, now, scratch[:0])
+	return sw.predict(p, now)
+}
+
+// predict is the window loop of Algorithm 4 over a fresh sweep.
+func (sw *sweep) predict(p Params, now int64) (Activity, bool) {
+	lookbacks := len(sw.days)
 	if lookbacks == 0 {
 		return Activity{}, false
 	}
@@ -135,25 +147,7 @@ func Predict(st *historystore.Store, p Params, now int64) (Activity, bool) {
 	)
 
 	for winStart+p.WindowSec <= predEnd {
-		winWithActivity := 0
-		firstLoginPerWin := p.WindowSec // offset within the window
-		lastLoginPerWin := int64(0)
-
-		for prevDay := 1; prevDay <= lookbacks; prevDay++ {
-			winStartPrev := winStart - int64(prevDay)*periodSec
-			winEndPrev := winStartPrev + p.WindowSec
-			first, last, ok := st.FirstLastLogin(winStartPrev, winEndPrev)
-			if !ok {
-				continue
-			}
-			if off := first - winStartPrev; off < firstLoginPerWin {
-				firstLoginPerWin = off
-			}
-			if off := last - winStartPrev; off > lastLoginPerWin {
-				lastLoginPerWin = off
-			}
-			winWithActivity++
-		}
+		winWithActivity, firstLoginPerWin, lastLoginPerWin := sw.window()
 
 		prob := float64(winWithActivity) / float64(lookbacks)
 		if p.Confidence <= prob && (prevProb < prob || pred.IsZero()) {

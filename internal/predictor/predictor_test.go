@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"prorp/internal/historystore"
+	"prorp/internal/workload"
 )
 
 const (
@@ -321,5 +322,49 @@ func BenchmarkPredictWorstCaseHistory(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Predict(st, p, now)
+	}
+}
+
+// fleetHistory is one office-hours database of the EU1 mix after 29 days:
+// a few dozen tuples, the shape every database of the serving benchmark's
+// seeded fleet has (and the opposite regime from the dense histories above,
+// where the first window qualifies and the scan breaks at once).
+func fleetHistory(b *testing.B) (*historystore.Store, int64) {
+	prof, err := workload.Region("EU1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(7, prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := 29*day + 9*hour + 30*60
+	for _, tr := range gen.Generate(200, 0, 30*day) {
+		if tr.Pattern == workload.Office && tr.Birth < day {
+			return storeAt(tr, Default().HistoryDays, now), now
+		}
+	}
+	b.Fatal("no office database in the first 200 traces")
+	return nil, 0
+}
+
+func BenchmarkPredictFleetHistory(b *testing.B) {
+	st, now := fleetHistory(b)
+	p := Default()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Predict(st, p, now)
+	}
+	b.ReportMetric(float64(st.Len()), "tuples")
+}
+
+func BenchmarkExplainFleetHistory(b *testing.B) {
+	st, now := fleetHistory(b)
+	p := Default()
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Explain(st, p, now)
 	}
 }

@@ -283,16 +283,21 @@ type PredictionWindow struct {
 // scans the full horizon, so it is for debugging and tooling, not the hot
 // path.
 func (d *Database) ExplainPrediction(now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool) {
-	stats, pred, ok := predictor.Explain(d.machine.History(), d.opts.policyConfig().Predictor, now.Unix())
-	windows = make([]PredictionWindow, len(stats))
-	for i, s := range stats {
-		windows[i] = PredictionWindow{
+	return explainPrediction(d.machine, d.opts.policyConfig().Predictor, now)
+}
+
+// explainPrediction is ExplainPrediction over one machine's history, shared
+// by the facades. The windows slice is the scan's only allocation.
+func explainPrediction(m *policy.Machine, p predictor.Params, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool) {
+	windows = make([]PredictionWindow, 0, p.WindowCount())
+	pred, ok := predictor.ExplainEach(m.History(), p, now.Unix(), func(s predictor.WindowStat) {
+		windows = append(windows, PredictionWindow{
 			Start:       time.Unix(s.WinStart, 0).UTC(),
 			Probability: s.Probability,
 			Qualifies:   s.Qualifies,
 			Selected:    s.Selected,
-		}
-	}
+		})
+	})
 	if !ok {
 		return windows, time.Time{}, time.Time{}, false
 	}

@@ -149,27 +149,10 @@ func (s *ShardedFleet) NextPredictedActivity(id int) (start, end time.Time, ok b
 // now (see Database.ExplainPrediction). The scan runs under the owning
 // shard's lock; it is for debugging and tooling, not the hot path.
 func (s *ShardedFleet) ExplainPrediction(id int, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool, err error) {
-	var stats []predictor.WindowStat
-	var pred predictor.Activity
-	verr := s.rt.View(id, func(m *policy.Machine) {
-		stats, pred, ok = predictor.Explain(m.History(), s.opts.policyConfig().Predictor, now.Unix())
+	err = s.rt.View(id, func(m *policy.Machine) {
+		windows, start, end, ok = explainPrediction(m, s.opts.policyConfig().Predictor, now)
 	})
-	if verr != nil {
-		return nil, time.Time{}, time.Time{}, false, verr
-	}
-	windows = make([]PredictionWindow, len(stats))
-	for i, st := range stats {
-		windows[i] = PredictionWindow{
-			Start:       time.Unix(st.WinStart, 0).UTC(),
-			Probability: st.Probability,
-			Qualifies:   st.Qualifies,
-			Selected:    st.Selected,
-		}
-	}
-	if !ok {
-		return windows, time.Time{}, time.Time{}, false, nil
-	}
-	return windows, time.Unix(pred.Start, 0).UTC(), time.Unix(pred.End, 0).UTC(), true, nil
+	return windows, start, end, ok, err
 }
 
 // PlanMaintenance schedules a maintenance operation for one database (see

@@ -595,6 +595,12 @@ func TestFacadeDeleteExplainPrediction(t *testing.T) {
 		if start.IsZero() {
 			t.Fatal("ExplainPrediction returned zero start")
 		}
+		// The returned windows are the scan's only allocation: a GET costs
+		// one slice, not an intermediate []WindowStat plus its conversion.
+		at := t0.Add(1*24*time.Hour + 18*time.Hour)
+		if allocs := testing.AllocsPerRun(50, func() { f.ExplainPrediction(0, at) }); allocs > 1 {
+			t.Errorf("ExplainPrediction allocates %v times per call, want 1", allocs)
+		}
 
 		// Deleting a paused database clears its control-plane metadata: the
 		// pending proactive resume cannot fire.
