@@ -149,10 +149,11 @@ loadgen-check:
 	PRORP_SERVING_BENCH_RECORD=$(CURDIR)/BENCH_serving.fresh.json \
 	$(GO) test -run TestServingBenchDrift -count 1 -v ./internal/loadgen/harness
 
-# One pass over the fleet-concurrency benchmark and the predictor
-# benchmarks, as a smoke test: they cannot rot unnoticed.
+# One pass over the fleet-concurrency benchmark, the Algorithm 5 beat
+# benchmark and the predictor benchmarks, as a smoke test: they cannot rot
+# unnoticed.
 bench-short:
-	$(GO) test -run '^$$' -bench BenchmarkShardedFleetStripes -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkShardedFleetStripes|BenchmarkFleetResumeOp' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Typical|WorstCase)History' -benchtime 1x ./internal/predictor
 
 # benchmark/ is its own module, invisible to the root `./...`: vet and

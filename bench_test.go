@@ -161,24 +161,95 @@ func BenchmarkFig12PauseWorkflows(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetResumeOp measures one control-plane iteration (Algorithm 5)
-// over a fleet with many paused databases.
+// BenchmarkFleetResumeOp measures one control-plane beat (Algorithm 5) over
+// a proactive fleet in which every database is physically paused with a
+// predicted start, the starts spread evenly over 24 h, so the metadata
+// store's start index holds the whole fleet.
+//
+//   - steady: the clock advances by the spacing of the starts, so one
+//     database comes due per beat at either size; the difference between the
+//     two sizes is what fleet size costs.
+//   - backlog: the clock starts with 5,000 databases past due and advances so
+//     that one cap's worth (100) comes due per beat; every beat collects and
+//     sorts the whole backlog and pre-warms the 100 lowest ids.
+//
+// After each beat the pre-warmed databases log in at their predicted time
+// and go idle an hour later, which pauses them again with tomorrow's
+// prediction: the fleet is the same at every b.N. Only RunResumeOp is timed
+// (ns/op is overridden with the beat's own time, clock reads included).
 func BenchmarkFleetResumeOp(b *testing.B) {
 	opts := DefaultOptions()
-	opts.Mode = Reactive // machines not needed; measure the metadata scan
-	fleet, err := NewFleet(opts)
-	if err != nil {
-		b.Fatal(err)
+	opts.History = 7 * 24 * time.Hour // one matching day clears c = 0.1
+	facades := []struct {
+		name string
+		mk   func() (fleetDriver, error)
+	}{
+		{"sharded", func() (fleetDriver, error) { return NewShardedFleet(opts) }},
+		{"fleet", func() (fleetDriver, error) { f, err := NewFleet(opts); return fleetRef{f}, err }},
 	}
-	t0 := time.Unix(1_700_000_000, 0)
-	for i := 0; i < 10_000; i++ {
-		if _, err := fleet.Create(i, t0); err != nil {
-			b.Fatal(err)
+	const day = 24 * time.Hour
+	for _, fc := range facades {
+		for _, dbs := range []int{10_000, 100_000} {
+			perDay := time.Duration(dbs)
+			modes := []struct {
+				name        string
+				start, step time.Duration
+			}{
+				{"steady", -opts.PrewarmLead - opts.ResumeOpPeriod, day / perDay},
+				{"backlog", day * 5_000 / perDay, day * time.Duration(opts.MaxPrewarmsPerOp) / perDay},
+			}
+			for _, mode := range modes {
+				b.Run(fmt.Sprintf("%s/dbs=%d/%s", fc.name, dbs, mode.name), func(b *testing.B) {
+					f, err := fc.mk()
+					if err != nil {
+						b.Fatal(err)
+					}
+					// Database id is active for the first hour after
+					// base + id*day/dbs on two consecutive days; next[id] is
+					// its login on the third. The second idle predicts it,
+					// every database's start the same interval ahead of its
+					// login, so the clock is set against database 0's.
+					base := time.Unix(1_700_000_000, 0)
+					next := make([]time.Time, dbs)
+					for id := range next {
+						at := base.Add(day * time.Duration(id) / perDay)
+						f.Create(id, at)
+						f.Idle(id, at.Add(time.Hour))
+						f.Login(id, at.Add(day))
+						f.Idle(id, at.Add(day+time.Hour))
+						next[id] = at.Add(2 * day)
+					}
+					if got := f.PausedCount(); got != dbs {
+						b.Fatalf("%d of %d databases physically paused", got, dbs)
+					}
+					_, start0, _, ok, err := f.ExplainPrediction(0, base.Add(day+time.Hour))
+					if err != nil || !ok {
+						b.Fatalf("database 0 has no prediction: %v", err)
+					}
+					now := start0.Add(mode.start)
+					var beat time.Duration
+					prewarms := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						now = now.Add(mode.step)
+						t := time.Now()
+						pws := f.RunResumeOp(now)
+						beat += time.Since(t)
+						prewarms += len(pws)
+						for _, pw := range pws {
+							f.Login(pw.ID, next[pw.ID])
+							f.Idle(pw.ID, next[pw.ID].Add(time.Hour))
+							next[pw.ID] = next[pw.ID].Add(day)
+						}
+					}
+					b.ReportMetric(float64(beat.Nanoseconds())/float64(b.N), "ns/op")
+					b.ReportMetric(float64(prewarms)/float64(b.N), "prewarms/op")
+					if got := f.PausedCount(); got != dbs {
+						b.Fatalf("%d of %d databases physically paused after %d beats", got, dbs, b.N)
+					}
+				})
+			}
 		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fleet.RunResumeOp(t0.Add(time.Duration(i) * time.Minute))
 	}
 }
 

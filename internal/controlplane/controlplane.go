@@ -6,6 +6,7 @@
 package controlplane
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -14,52 +15,132 @@ import (
 // the start of their next predicted activity (Algorithm 1 line 31 writes
 // it; Algorithm 5 reads it). A predicted start of 0 means "no prediction" —
 // such databases are never proactively resumed.
+//
+// Beside the id-keyed map the store keeps an index on predicted start, the
+// counterpart of the index the paper's SELECT on sys.databases reads: a
+// binary min-heap holding every database with start > 0. Each database
+// tracks its heap position, so a clear costs O(log n) and SelectDue never
+// looks at a database that is not due.
 type MetadataStore struct {
-	predStart map[int]int64
+	paused  map[int]*pausedDB
+	byStart startHeap
+}
+
+// pausedDB is one physically paused database.
+type pausedDB struct {
+	id    int
+	start int64
+	pos   int // index in byStart; -1 when start <= 0 keeps it out of the index
+}
+
+// startHeap is a container/heap min-heap on predicted start that keeps
+// every member's pos current.
+type startHeap []*pausedDB
+
+func (h startHeap) Len() int           { return len(h) }
+func (h startHeap) Less(i, j int) bool { return h[i].start < h[j].start }
+func (h startHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *startHeap) Push(x any) {
+	p := x.(*pausedDB)
+	p.pos = len(*h)
+	*h = append(*h, p)
+}
+
+func (h *startHeap) Pop() any {
+	old := *h
+	last := len(old) - 1
+	p := old[last]
+	old[last] = nil
+	*h = old[:last]
+	return p
 }
 
 // NewMetadataStore returns an empty store.
 func NewMetadataStore() *MetadataStore {
-	return &MetadataStore{predStart: make(map[int]int64)}
+	return &MetadataStore{paused: make(map[int]*pausedDB)}
 }
 
 // SetPaused records that db physically paused with the given predicted
 // next activity start (0 = none).
 func (s *MetadataStore) SetPaused(db int, predStart int64) {
-	s.predStart[db] = predStart
+	s.ClearPaused(db)
+	p := &pausedDB{id: db, start: predStart, pos: -1}
+	s.paused[db] = p
+	if predStart > 0 {
+		heap.Push(&s.byStart, p)
+	}
 }
 
-// ClearPaused removes db from the paused set (it resumed by any means).
-func (s *MetadataStore) ClearPaused(db int) {
-	delete(s.predStart, db)
+// ClearPaused removes db from the paused set (it resumed by any means) and
+// reports whether it was there.
+func (s *MetadataStore) ClearPaused(db int) bool {
+	p, ok := s.paused[db]
+	if !ok {
+		return false
+	}
+	delete(s.paused, db)
+	if p.pos >= 0 {
+		heap.Remove(&s.byStart, p.pos)
+	}
+	return true
 }
 
 // PausedCount reports how many databases are physically paused.
-func (s *MetadataStore) PausedCount() int { return len(s.predStart) }
+func (s *MetadataStore) PausedCount() int { return len(s.paused) }
 
 // PredictedStart returns the recorded prediction for db.
 func (s *MetadataStore) PredictedStart(db int) (int64, bool) {
-	v, ok := s.predStart[db]
-	return v, ok
+	p, ok := s.paused[db]
+	if !ok {
+		return 0, false
+	}
+	return p.start, true
 }
 
-// SelectDue implements the SELECT of Algorithm 5: physically paused
-// databases whose predicted activity starts within the k-th interval from
-// now — concretely, 0 < start <= now + k + period, where period is the
-// cadence of the proactive resume operation. Including already-due entries
-// (start < now+k) catches predictions that became due between iterations,
-// which the paper's one-minute cadence makes negligible but a slower
-// cadence would miss. Results are sorted by database id for determinism.
-func (s *MetadataStore) SelectDue(now, prewarmLeadSec, periodSec int64) []int {
-	var due []int
-	cutoff := now + prewarmLeadSec + periodSec
-	for db, start := range s.predStart {
-		if start > 0 && start <= cutoff {
-			due = append(due, db)
-		}
+// NextStart returns the earliest predicted start among the paused
+// databases, or 0 when none of them has a prediction. SelectDue is empty
+// unless NextStart is Due.
+func (s *MetadataStore) NextStart() int64 {
+	if len(s.byStart) == 0 {
+		return 0
 	}
+	return s.byStart[0].start
+}
+
+// Due is the WHERE clause of Algorithm 5's SELECT: a physically paused
+// database is due when its predicted activity starts within the k-th
+// interval from now — concretely, 0 < start <= now + k + period, where
+// period is the cadence of the proactive resume operation. Including
+// already-due entries (start < now+k) catches predictions that became due
+// between iterations, which the paper's one-minute cadence makes negligible
+// but a slower cadence would miss.
+func Due(start, now, prewarmLeadSec, periodSec int64) bool {
+	return start > 0 && start <= now+prewarmLeadSec+periodSec
+}
+
+// SelectDue implements the SELECT of Algorithm 5: the physically paused
+// databases that are Due, sorted by database id for determinism. It reads
+// the start index from its root and descends only below entries that are
+// themselves due, so it costs O(due), not O(paused).
+func (s *MetadataStore) SelectDue(now, prewarmLeadSec, periodSec int64) []int {
+	due := s.appendDue(nil, 0, now, prewarmLeadSec, periodSec)
 	sort.Ints(due)
 	return due
+}
+
+// appendDue appends the due ids of the heap subtree rooted at i. A subtree
+// whose root is not due holds nothing due.
+func (s *MetadataStore) appendDue(due []int, i int, now, prewarmLeadSec, periodSec int64) []int {
+	if i >= len(s.byStart) || !Due(s.byStart[i].start, now, prewarmLeadSec, periodSec) {
+		return due
+	}
+	due = append(due, s.byStart[i].id)
+	due = s.appendDue(due, 2*i+1, now, prewarmLeadSec, periodSec)
+	return s.appendDue(due, 2*i+2, now, prewarmLeadSec, periodSec)
 }
 
 // Config tunes the region control plane.
@@ -106,7 +187,7 @@ func (s *MetadataStore) ResumeOp(cfg Config, now int64) []int {
 		due = due[:cfg.MaxPrewarmsPerOp]
 	}
 	for _, db := range due {
-		delete(s.predStart, db)
+		s.ClearPaused(db)
 	}
 	return due
 }

@@ -1,6 +1,10 @@
 package controlplane
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -217,4 +221,171 @@ func TestRunnerNoIncidentsByDefault(t *testing.T) {
 	if r.Mitigations != 50 {
 		t.Fatalf("mitigations = %d, want 50", r.Mitigations)
 	}
+}
+
+// selectDueReference is the linear scan SelectDue shipped as before the
+// store had a start index, kept verbatim as the oracle: every paused
+// database is examined on every call.
+func selectDueReference(predStart map[int]int64, now, prewarmLeadSec, periodSec int64) []int {
+	var due []int
+	cutoff := now + prewarmLeadSec + periodSec
+	for db, start := range predStart {
+		if start > 0 && start <= cutoff {
+			due = append(due, db)
+		}
+	}
+	sort.Ints(due)
+	return due
+}
+
+// checkIndex verifies the start index against the map: positions round-trip,
+// exactly the databases with a positive start are indexed, and no parent
+// starts later than its child.
+func checkIndex(s *MetadataStore) error {
+	indexed := 0
+	for id, p := range s.paused {
+		switch {
+		case p.id != id:
+			return fmt.Errorf("paused[%d] holds id %d", id, p.id)
+		case p.start <= 0 && p.pos != -1:
+			return fmt.Errorf("db %d: start %d but pos %d", id, p.start, p.pos)
+		case p.start > 0 && (p.pos < 0 || p.pos >= len(s.byStart) || s.byStart[p.pos] != p):
+			return fmt.Errorf("db %d: pos %d does not lead back to it", id, p.pos)
+		}
+		if p.start > 0 {
+			indexed++
+		}
+	}
+	if indexed != len(s.byStart) {
+		return fmt.Errorf("%d databases with a prediction, %d index entries", indexed, len(s.byStart))
+	}
+	for i, p := range s.byStart {
+		if p.pos != i {
+			return fmt.Errorf("byStart[%d] (db %d) has pos %d", i, p.id, p.pos)
+		}
+		if parent := s.byStart[(i-1)/2]; i > 0 && parent.start > p.start {
+			return fmt.Errorf("byStart[%d] start %d under parent start %d", i, p.start, parent.start)
+		}
+	}
+	return nil
+}
+
+// runStoreOps decodes data as a sequence of three-byte store operations,
+// applies each to a MetadataStore and to the pre-index model (a plain map
+// and the reference scan), and compares the two after every step. Ids and
+// starts are drawn from small ranges so re-sets, shared starts and clears
+// of paused databases come up constantly.
+func runStoreOps(t *testing.T, data []byte) {
+	const lead, period = 300, 60
+	s := NewMetadataStore()
+	model := map[int]int64{}
+	startOf := func(b byte) int64 { return int64(b%32)*60 - 60 } // -60, 0, 60 ... 1800
+	set := func(id int, start int64) {
+		s.SetPaused(id, start)
+		model[id] = start
+	}
+	clear := func(id int) {
+		s.ClearPaused(id)
+		delete(model, id)
+	}
+	pausedIDs := func() []int {
+		ids := make([]int, 0, len(model))
+		for id := range model {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		return ids
+	}
+
+	for i := 0; i+2 < len(data); i += 3 {
+		op, a, b := data[i]%8, data[i+1], data[i+2]
+		desc := fmt.Sprintf("step %d op %d a %d b %d", i/3, op, a, b)
+		switch op {
+		case 0, 1: // set: a fresh id, or a re-set of whatever a%64 holds
+			set(int(a%64), startOf(b))
+		case 2: // re-set a paused id to a later, earlier, equal or zero start
+			if ids := pausedIDs(); len(ids) > 0 {
+				id := ids[int(a)%len(ids)]
+				set(id, []int64{model[id] + 60, model[id] - 60, model[id], 0}[b%4])
+			}
+		case 3: // several ids on one start
+			for id := int(a % 64); id <= int(a%64)+int(b%8); id++ {
+				set(id, startOf(b/8))
+			}
+		case 4: // clear: paused or not, as it comes
+			clear(int(a % 64))
+		case 5: // clear twice
+			clear(int(a % 64))
+			clear(int(a % 64))
+		case 6: // clear an id that was never set
+			clear(1000 + int(a))
+		case 7: // one resume operation
+			cfg := Config{OpPeriodSec: period, PrewarmLeadSec: lead, MaxPrewarmsPerOp: []int{0, 1, 100}[a%3]}
+			now := startOf(b) - lead - period
+			want := selectDueReference(model, now, lead, period)
+			if cfg.MaxPrewarmsPerOp > 0 && len(want) > cfg.MaxPrewarmsPerOp {
+				want = want[:cfg.MaxPrewarmsPerOp]
+			}
+			for _, id := range want {
+				delete(model, id)
+			}
+			if got := s.ResumeOp(cfg, now); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ResumeOp(cap %d, now %d) = %v, reference %v", desc, cfg.MaxPrewarmsPerOp, now, got, want)
+			}
+		}
+
+		if err := checkIndex(s); err != nil {
+			t.Fatalf("%s: %v", desc, err)
+		}
+		if s.PausedCount() != len(model) {
+			t.Fatalf("%s: PausedCount = %d, model %d", desc, s.PausedCount(), len(model))
+		}
+		var next int64
+		for id := 0; id < 64+8; id++ {
+			want, wantOK := model[id]
+			if got, ok := s.PredictedStart(id); got != want || ok != wantOK {
+				t.Fatalf("%s: PredictedStart(%d) = %d,%v, model %d,%v", desc, id, got, ok, want, wantOK)
+			}
+			if want > 0 && (next == 0 || want < next) {
+				next = want
+			}
+		}
+		if got := s.NextStart(); got != next {
+			t.Fatalf("%s: NextStart = %d, model %d", desc, got, next)
+		}
+		// The cutoff lands on a start (b is a multiple of 60 away), one
+		// second short of it, and one past it.
+		for _, now := range []int64{startOf(b) - lead - period, startOf(b) - lead - period - 1, startOf(b) - lead - period + 1} {
+			got, want := s.SelectDue(now, lead, period), selectDueReference(model, now, lead, period)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: SelectDue(now %d) = %v, reference %v", desc, now, got, want)
+			}
+		}
+	}
+}
+
+// TestSelectDueMatchesReference drives seeded random operation sequences
+// through runStoreOps: the indexed SelectDue and ResumeOp must agree with
+// the linear scan after every single step.
+func TestSelectDueMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for seq := 0; seq < 300; seq++ {
+		data := make([]byte, 3*(1+rng.Intn(400)))
+		rng.Read(data)
+		runStoreOps(t, data)
+	}
+}
+
+// FuzzMetadataStoreOps feeds runStoreOps from fuzzer-chosen bytes. Run with
+// `go test -fuzz FuzzMetadataStoreOps ./internal/controlplane`; the seed
+// corpus keeps it exercising as a normal test.
+func FuzzMetadataStoreOps(f *testing.F) {
+	f.Add([]byte{0, 1, 10, 0, 2, 10, 2, 0, 1, 7, 1, 10, 4, 1, 0, 5, 2, 0})
+	f.Add([]byte{3, 0, 255, 3, 4, 255, 7, 0, 31, 7, 2, 31, 6, 9, 9})
+	seed := make([]byte, 600)
+	for i := range seed {
+		seed[i] = byte(i * 11)
+	}
+	f.Add(seed)
+	f.Fuzz(runStoreOps)
 }

@@ -134,6 +134,7 @@ func (rt *Runtime) RestoreDB(id int, r io.Reader) (wakeAt int64, err error) {
 	s.dbs[id] = m
 	if m.State() == policy.PhysicallyPaused && rt.cfg.Policy.Mode == policy.Proactive {
 		s.meta.SetPaused(id, m.NextActivity().Start)
+		s.publish()
 	}
 	return m.RestoredTimer(), nil
 }

@@ -15,8 +15,9 @@ type instrumentation struct {
 	// shard lock — the policy engine's decision latency, including the
 	// Algorithm 1 transition and any prediction recompute it triggers.
 	decision [5]*obs.Histogram
-	// scan is one full Algorithm 5 RunResumeOp iteration: concurrent
-	// metadata scan, fleet-wide cap merge, and the pre-warm phase.
+	// scan is one full Algorithm 5 RunResumeOp iteration: collecting the
+	// due databases from the shards' start indexes, the fleet-wide cap
+	// merge, and the pre-warm phase.
 	scan *obs.Histogram
 }
 

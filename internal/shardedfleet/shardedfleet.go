@@ -10,10 +10,13 @@
 // Create and Delete lock the owning shard, apply the event, and return the
 // policy effects. Nothing is queued and the runtime owns no goroutine.
 //
-// The Algorithm 5 proactive-resume scan (RunResumeOp) walks the shards
-// concurrently, merges the due databases, applies the fleet-wide
-// per-iteration cap, and pre-warms shard by shard. Snapshots (WriteTo) take
-// a consistent fleet image by holding every shard lock at once.
+// The Algorithm 5 proactive-resume beat (RunResumeOp) runs on its caller's
+// goroutine. Every shard publishes the earliest predicted start in its
+// metadata store in an atomic; the beat reads the 32 atomics, locks only the
+// shards that have something due (usually none), merges what their start
+// index yields, applies the fleet-wide per-iteration cap, and pre-warms id
+// by id. Snapshots (WriteTo) take a consistent fleet image by holding every
+// shard lock at once.
 package shardedfleet
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prorp/internal/controlplane"
@@ -141,7 +145,17 @@ type shard struct {
 	dbs  map[int]*policy.Machine
 	meta *controlplane.MetadataStore
 	kpi  Counters
+
+	// nextStart is meta.NextStart() as of the last mutation, published under
+	// mu so the beat can skip a shard with nothing due without locking it. A
+	// beat that races a mutation sees the value from before or after it,
+	// exactly as a locked scan would have run before or after it.
+	nextStart atomic.Int64
 }
+
+// publish refreshes nextStart. Caller holds s.mu and calls it before
+// unlocking on every path that may have changed s.meta.
+func (s *shard) publish() { s.nextStart.Store(s.meta.NextStart()) }
 
 // Runtime is the sharded fleet engine. Safe for concurrent use.
 type Runtime struct {
@@ -265,6 +279,7 @@ func (rt *Runtime) do(kind Kind, id int, at int64) (policy.Effects, error) {
 	s := rt.shardFor(id)
 	s.mu.Lock()
 	eff, err := s.apply(kind, id, at, &rt.cfg)
+	s.publish()
 	s.mu.Unlock()
 	if timed {
 		rt.observeDecision(kind, t0)
@@ -394,11 +409,11 @@ type Prewarmed struct {
 }
 
 // RunResumeOp runs one iteration of the proactive resume operation
-// (Algorithm 5) across all shards: phase one scans every shard's metadata
-// concurrently for due databases, the merged set is capped fleet-wide
+// (Algorithm 5) across all shards: phase one collects the due databases
+// from the shards that have any, the merged set is capped fleet-wide
 // (MaxPrewarmsPerOp; overflow stays for the next iteration), and phase two
-// pre-warms the survivors shard by shard, again concurrently. Results are
-// sorted by database id.
+// pre-warms the survivors. Both phases run on the caller's goroutine.
+// Results are sorted by database id.
 func (rt *Runtime) RunResumeOp(now int64) []Prewarmed {
 	if rt.cfg.Policy.Mode != policy.Proactive {
 		return nil
@@ -434,78 +449,60 @@ func (rt *Runtime) PrewarmIDs(now int64, ids []int) []Prewarmed {
 	if rt.cfg.Policy.Mode != policy.Proactive {
 		return nil
 	}
-	return rt.prewarmIDs(now, ids)
+	out := rt.prewarmIDs(now, ids)
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out
 }
 
-// scanDue runs the concurrent per-shard metadata scan and merges the
-// results into one sorted slice.
+// scanDue collects the due databases of every shard into one sorted slice.
+// A shard whose published earliest start is not due is skipped without
+// taking its lock, so a beat with nothing due touches no mutex at all.
 func (rt *Runtime) scanDue(now int64) []int {
-	due := make([][]int, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s *shard) {
-			defer wg.Done()
-			s.mu.Lock()
-			due[i] = s.meta.SelectDue(now, rt.cfg.Control.PrewarmLeadSec, rt.cfg.Control.OpPeriodSec)
-			s.mu.Unlock()
-		}(i, s)
-	}
-	wg.Wait()
-
+	lead, period := rt.cfg.Control.PrewarmLeadSec, rt.cfg.Control.OpPeriodSec
 	var merged []int
-	for _, d := range due {
-		merged = append(merged, d...)
+	for _, s := range rt.shards {
+		if !controlplane.Due(s.nextStart.Load(), now, lead, period) {
+			continue
+		}
+		s.mu.Lock()
+		merged = append(merged, s.meta.SelectDue(now, lead, period)...)
+		s.mu.Unlock()
 	}
 	sort.Ints(merged)
 	return merged
 }
 
-// prewarmIDs pre-warms the given databases shard by shard, concurrently.
-func (rt *Runtime) prewarmIDs(now int64, merged []int) []Prewarmed {
-	if len(merged) == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	byShard := make(map[int][]int)
-	for _, id := range merged {
-		i := rt.shardIndex(id)
-		byShard[i] = append(byShard[i], id)
-	}
-	results := make([][]Prewarmed, len(rt.shards))
-	for i, ids := range byShard {
-		wg.Add(1)
-		go func(i int, ids []int) {
-			defer wg.Done()
-			s := rt.shards[i]
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			for _, id := range ids {
-				// Re-check under the lock: the database may have resumed,
-				// been deleted, or been pre-warmed since the scan phase.
-				if _, paused := s.meta.PredictedStart(id); !paused {
-					continue
-				}
-				s.meta.ClearPaused(id)
-				m, ok := s.dbs[id]
-				if !ok {
-					continue
-				}
-				eff := m.OnPrewarm(now)
-				if eff.Transition != policy.TransPrewarm {
-					continue // stale entry
-				}
-				s.record(id, eff)
-				results[i] = append(results[i], Prewarmed{ID: id, Effects: eff})
-			}
-		}(i, ids)
-	}
-	wg.Wait()
-
+// prewarmIDs pre-warms the given databases one by one, each under its
+// shard's lock, and reports them in the order given.
+func (rt *Runtime) prewarmIDs(now int64, ids []int) []Prewarmed {
 	var out []Prewarmed
-	for _, r := range results {
-		out = append(out, r...)
+	for _, id := range ids {
+		s := rt.shardFor(id)
+		s.mu.Lock()
+		if eff, ok := s.prewarm(id, now); ok {
+			out = append(out, Prewarmed{ID: id, Effects: eff})
+		}
+		s.mu.Unlock()
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
+}
+
+// prewarm pre-warms one database if it is still physically paused: it may
+// have resumed, been deleted, or been pre-warmed since the scan phase.
+// Caller holds s.mu.
+func (s *shard) prewarm(id int, now int64) (policy.Effects, bool) {
+	if !s.meta.ClearPaused(id) {
+		return policy.Effects{}, false
+	}
+	s.publish()
+	m, ok := s.dbs[id]
+	if !ok {
+		return policy.Effects{}, false
+	}
+	eff := m.OnPrewarm(now)
+	if eff.Transition != policy.TransPrewarm {
+		return eff, false // stale entry
+	}
+	s.record(id, eff)
+	return eff, true
 }

@@ -3,8 +3,11 @@ package shardedfleet
 import (
 	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"prorp/internal/controlplane"
 	"prorp/internal/policy"
@@ -282,5 +285,171 @@ func TestConcurrentHammer(t *testing.T) {
 	cp.Wait()
 	if got, want := rt.Size(), drivers*dbsPer; got != want {
 		t.Fatalf("Size = %d, want %d", got, want)
+	}
+}
+
+// checkPublished verifies, with every writer and beater stopped, that each
+// shard's lock-free hint equals its store's earliest start and that the
+// indexed, hint-skipping DueForResume agrees with a look at every database
+// of every shard. ids is the universe of ids ever used.
+func checkPublished(t *testing.T, rt *Runtime, ids int, now int64) {
+	t.Helper()
+	for i, s := range rt.shards {
+		s.mu.Lock()
+		published, next := s.nextStart.Load(), s.meta.NextStart()
+		s.mu.Unlock()
+		if published != next {
+			t.Fatalf("shard %d publishes earliest start %d, its store says %d", i, published, next)
+		}
+	}
+	cutoff := now + rt.cfg.Control.PrewarmLeadSec + rt.cfg.Control.OpPeriodSec
+	var want []int
+	for id := 0; id < ids; id++ {
+		s := rt.shardFor(id)
+		s.mu.Lock()
+		start, paused := s.meta.PredictedStart(id)
+		s.mu.Unlock()
+		if paused && start > 0 && start <= cutoff {
+			want = append(want, id)
+		}
+	}
+	if got := rt.DueForResume(now); !slices.Equal(got, want) {
+		t.Fatalf("DueForResume(%d) = %v, scan of every shard %v", now, got, want)
+	}
+}
+
+func TestPublishedNextStartUnderRace(t *testing.T) {
+	// Run with -race. Writers drive every mutation path that can change a
+	// shard's earliest start — Login, Logout, Wake, Delete, RestoreDB — on
+	// disjoint id ranges while another goroutine beats. A beat may miss a
+	// database whose pause it raced (a locked scan would, too), but once
+	// the writers stop nothing may be missing: the hint must be exact.
+	rt := mustNew(t, testCfg(8))
+	const (
+		writers = 4
+		perW    = 24
+		days    = 5
+	)
+	fail := func(err error) bool {
+		if err != nil {
+			t.Error(err)
+		}
+		return err != nil
+	}
+	for d := 0; d < days; d++ {
+		morning := t0 + int64(d)*day + 9*3600
+		stop := make(chan struct{})
+		var beats sync.WaitGroup
+		beats.Add(1)
+		go func() {
+			defer beats.Done()
+			// The beats stay within this morning, where yesterday's
+			// predictions come due while their databases log in.
+			for k := int64(0); ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				at := morning - 600 + k%20*60
+				if k%2 == 0 {
+					rt.RunResumeOp(at)
+				} else {
+					rt.DueForResume(at)
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for id := g * perW; id < (g+1)*perW; id++ {
+					if d == 0 {
+						if fail(rt.Create(id, morning)) {
+							return
+						}
+					} else if _, err := rt.Login(id, morning); err != nil {
+						// Deleted for good on an earlier day.
+						if !errors.Is(err, ErrUnknownDatabase) || id%8 != 7 {
+							t.Error(err)
+							return
+						}
+						continue
+					}
+					eff, err := rt.Logout(id, morning+8*3600)
+					if fail(err) {
+						return
+					}
+					if eff.TimerAt > 0 {
+						if _, err := rt.Wake(id, eff.TimerAt); fail(err) {
+							return
+						}
+					}
+					switch {
+					case id%8 == 3: // move through an archive: Delete + RestoreDB
+						var snap bytes.Buffer
+						err := rt.View(id, func(m *policy.Machine) { _, err = m.WriteTo(&snap) })
+						if fail(err) || fail(rt.Delete(id)) {
+							return
+						}
+						if _, err := rt.RestoreDB(id, &snap); fail(err) {
+							return
+						}
+					case id%8 == 7 && d == days-2: // paused with a prediction, then gone
+						if fail(rt.Delete(id)) {
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		beats.Wait()
+		// Quiesced: nothing due this evening, everything due tomorrow
+		// morning, and the cutoff on and just short of the earliest start.
+		first := int64(math.MaxInt64)
+		for _, s := range rt.shards {
+			if next := s.nextStart.Load(); next > 0 && next < first {
+				first = next
+			}
+		}
+		onFirst := first - rt.cfg.Control.PrewarmLeadSec - rt.cfg.Control.OpPeriodSec
+		for _, now := range []int64{morning + 9*3600, morning + day - 120, onFirst, onFirst - 1} {
+			checkPublished(t, rt, writers*perW, now)
+		}
+	}
+	// The pre-warm phase publishes too: drain the last morning in one beat.
+	lastMorning := t0 + int64(days)*day + 9*3600 - 120
+	if len(rt.RunResumeOp(lastMorning)) == 0 {
+		t.Fatal("nothing due on the last morning; the test lost its predictions")
+	}
+	checkPublished(t, rt, writers*perW, lastMorning)
+}
+
+// TestBeatWithNothingDueTakesNoLock pins the lock-free beat: with every
+// shard lock held by someone else, a beat whose cutoff lies before every
+// published start must still return.
+func TestBeatWithNothingDueTakesNoLock(t *testing.T) {
+	rt := mustNew(t, testCfg(8))
+	for id := 0; id < 24; id++ {
+		driveDailyPattern(t, rt, id, 2)
+	}
+	for _, s := range rt.shards {
+		s.mu.Lock()
+	}
+	done := make(chan int, 1)
+	go func() { done <- len(rt.RunResumeOp(t0 + 1*day + 18*3600)) }()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Errorf("pre-warmed %d databases the evening before", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a beat with nothing due waits for a shard lock")
+	}
+	for _, s := range rt.shards {
+		s.mu.Unlock()
 	}
 }

@@ -86,9 +86,10 @@ func (s *ShardedFleet) Wake(id int, t time.Time) (Decision, error) {
 	return decisionFrom(eff), err
 }
 
-// RunResumeOp runs one control-plane iteration (Algorithm 5), scanning the
-// shards concurrently and merging the due databases under the fleet-wide
-// per-iteration cap.
+// RunResumeOp runs one control-plane iteration (Algorithm 5) on the
+// caller's goroutine: it reads the due databases off the shards' start
+// indexes, skipping shards with nothing due, and pre-warms them under the
+// fleet-wide per-iteration cap.
 func (s *ShardedFleet) RunResumeOp(now time.Time) []Prewarmed {
 	pws := s.rt.RunResumeOp(now.Unix())
 	out := make([]Prewarmed, len(pws))

@@ -689,7 +689,8 @@ func TestHistoryFacadeEquivalence(t *testing.T) {
 
 // TestShardedFleetStartsNoGoroutine pins the one-apply-path contract: a
 // fleet owns no worker, so building fleets and dropping them without Close
-// leaks nothing.
+// leaks nothing — and the Algorithm 5 beat, steady or draining a backlog
+// under the cap, runs on its caller and leaves no goroutine behind either.
 func TestShardedFleetStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	fleets := make([]*ShardedFleet, 100)
@@ -707,4 +708,37 @@ func TestShardedFleetStartsNoGoroutine(t *testing.T) {
 		t.Fatalf("100 fleets grew the goroutine count from %d to %d", before, after)
 	}
 	runtime.KeepAlive(fleets)
+
+	// 250 databases with a 09:00 habit, paused overnight: beats the evening
+	// before find nothing, the morning's drain 100, 100 and 50.
+	opts := DefaultOptions()
+	opts.History = 7 * 24 * time.Hour // one matching day clears c = 0.1
+	sh, err := NewShardedFleet(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dbs = 250
+	morning := t0.Add(9 * time.Hour)
+	for id := 0; id < dbs; id++ {
+		sh.Create(id, morning)
+		sh.Idle(id, morning.Add(time.Hour))
+		sh.Login(id, morning.Add(24*time.Hour))
+		sh.Idle(id, morning.Add(25*time.Hour))
+	}
+	if got := sh.PausedCount(); got != dbs {
+		t.Fatalf("%d of %d databases physically paused", got, dbs)
+	}
+	for beat := 0; beat < 10; beat++ {
+		if pws := sh.RunResumeOp(morning.Add(26*time.Hour + time.Duration(beat)*time.Minute)); len(pws) != 0 {
+			t.Fatalf("steady beat %d pre-warmed %d databases", beat, len(pws))
+		}
+	}
+	for beat, want := range []int{100, 100, 50, 0} {
+		if pws := sh.RunResumeOp(morning.Add(48*time.Hour + time.Duration(beat)*time.Minute)); len(pws) != want {
+			t.Fatalf("backlog beat %d pre-warmed %d databases, want %d", beat, len(pws), want)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("beats grew the goroutine count from %d to %d", before, after)
+	}
 }
