@@ -150,11 +150,12 @@ loadgen-check:
 	$(GO) test -run TestServingBenchDrift -count 1 -v ./internal/loadgen/harness
 
 # One pass over the fleet-concurrency benchmark, the Algorithm 5 beat
-# benchmark and the predictor benchmarks, as a smoke test: they cannot rot
-# unnoticed.
+# benchmark, the predictor benchmarks and the quorum-acked replica cycle,
+# as a smoke test: they cannot rot unnoticed.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedFleetStripes|BenchmarkFleetResumeOp' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Typical|WorstCase)History' -benchtime 1x ./internal/predictor
+	$(GO) test -run '^$$' -bench 'BenchmarkQuorumAckedLogin' -benchtime 1x ./internal/server
 
 # benchmark/ is its own module, invisible to the root `./...`: vet and
 # unit-test it here so an API deletion cannot break it unnoticed.

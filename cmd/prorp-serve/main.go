@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -94,6 +95,23 @@ func parseGroupPeers(s string) (map[string]string, error) {
 	return peers, nil
 }
 
+// newHTTPServer is the public listener. Slow-client hardening: a peer that
+// stalls mid-headers, mid-body, or between keep-alive requests cannot pin a
+// connection forever. Every request's context descends from ctx — the
+// process's shutdown signal — because /v1/repl/stream holds a caught-up
+// follower's poll open: cancelling ctx lets those go at once, so Shutdown
+// drains the requests that are doing work instead of waiting out a park.
+func newHTTPServer(ctx context.Context, addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -113,7 +131,7 @@ func main() {
 		walBatchEvery = flag.Duration("wal-batch-interval", 0, "group-commit window for -wal-fsync=batch (0 = default 2ms)")
 		role          = flag.String("role", "primary", "replication role: primary (accept writes, serve the stream) or replica (pull the primary's journal, serve reads, reject writes; requires -primary-addr and -wal-dir)")
 		primaryAddr   = flag.String("primary-addr", "", "primary's base URL for -role=replica (e.g. http://primary:8080)")
-		replPoll      = flag.Duration("repl-poll-interval", 0, "follower poll cadence while caught up (0 = default 250ms)")
+		replPoll      = flag.Duration("repl-poll-interval", 0, "follower back-off after a failed or damaged stream poll (0 = default 250ms); answered polls are followed by the next at once, and the primary holds a caught-up poll open until a record is ready")
 		replBatch     = flag.Int("repl-batch-bytes", 0, "max replication stream batch size in bytes (0 = default 256 KiB)")
 		leaseTTL      = flag.Duration("lease-ttl", 0, "primary-lease TTL: the primary heartbeats a lease of this length to its followers, and a follower whose lease lapses stands for election (0 = self-healing failover disabled; requires -repl-peers and -repl-self)")
 		electionTO    = flag.Duration("election-timeout", 0, "base election timeout: a candidate waits this plus a random fraction of it after lease lapse before standing (0 = -lease-ttl)")
@@ -223,15 +241,9 @@ func main() {
 		log.Fatalf("prorp-serve: %v", err)
 	}
 
-	// Slow-client hardening: a peer that stalls mid-headers, mid-body, or
-	// between keep-alive requests cannot pin a connection forever.
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	httpSrv := newHTTPServer(ctx, *addr, srv)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("prorp-serve: listening on %s (%d shards, mode %s, role %s)",
@@ -257,8 +269,6 @@ func main() {
 		}()
 	}
 
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
 	select {
 	case <-ctx.Done():
 		log.Printf("prorp-serve: shutting down")
@@ -272,6 +282,7 @@ func main() {
 	// worse — a failed final snapshot is logged and turned into a non-zero
 	// exit, so supervisors restart the process instead of trusting a
 	// silently stale snapshot.
+	cancel() // whichever way we got here, let go of the parked stream polls
 	exit := 0
 	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelShutdown()

@@ -22,6 +22,7 @@
 package breaker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -298,7 +299,9 @@ type breakingDoer struct {
 // Wrap decorates an inter-node HTTP doer with per-host circuit
 // breaking. A transport error counts as a failure; any HTTP response —
 // even a 5xx — counts as success, because the breaker targets hung or
-// partitioned peers, not peers answering with application errors.
+// partitioned peers, not peers answering with application errors. A call
+// its own caller cancelled is neither: the caller gave up (a long poll
+// abandoned on shutdown or failover), which says nothing about the peer.
 func Wrap(inner Doer, g *Group) Doer {
 	return &breakingDoer{inner: inner, group: g}
 }
@@ -310,6 +313,9 @@ func (d *breakingDoer) Do(req *http.Request) (*http.Response, error) {
 		return nil, fmt.Errorf("%w: %s", ErrOpen, req.URL.Host)
 	}
 	resp, err := d.inner.Do(req)
+	if err != nil && errors.Is(req.Context().Err(), context.Canceled) {
+		return resp, err // no verdict; a dropped half-open probe is re-admitted by Allow
+	}
 	b.Report(gen, err == nil)
 	return resp, err
 }

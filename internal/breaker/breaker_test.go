@@ -1,6 +1,7 @@
 package breaker
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -362,5 +363,53 @@ func TestWrapPerHost(t *testing.T) {
 	states := g.States()
 	if states["bad"] != "closed" || states["good"] != "closed" {
 		t.Fatalf("states = %v", states)
+	}
+}
+
+// cancelDoer holds every call until its request is cancelled, like a long
+// poll the peer has parked.
+type cancelDoer struct{ entered chan struct{} }
+
+func (d cancelDoer) Do(req *http.Request) (*http.Response, error) {
+	d.entered <- struct{}{}
+	<-req.Context().Done()
+	return nil, req.Context().Err()
+}
+
+// TestWrapIgnoresCallerCancellation: a call abandoned by its own caller is
+// no verdict on the peer — it neither trips a closed breaker nor fails a
+// half-open probe — while a deadline the peer ran into still counts.
+func TestWrapIgnoresCallerCancellation(t *testing.T) {
+	g := NewGroup(1, time.Second, newTickClock().Now)
+	inner := cancelDoer{entered: make(chan struct{})}
+	d := Wrap(inner, g)
+
+	do := func(ctx context.Context) error {
+		req, _ := http.NewRequestWithContext(ctx, "GET", "http://peer/x", nil)
+		_, err := d.Do(req)
+		return err
+	}
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error)
+		go func() { errc <- do(ctx) }()
+		<-inner.entered
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call returned %v", err)
+		}
+	}
+	if st := g.For("peer").State(); st != Closed {
+		t.Fatalf("three cancelled calls left the breaker %v, want closed (threshold 1)", st)
+	}
+
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	go func() { <-inner.entered }()
+	if err := do(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired call returned %v", err)
+	}
+	if st := g.For("peer").State(); st != Open {
+		t.Fatalf("a call that ran out its deadline left the breaker %v, want open", st)
 	}
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,9 +19,13 @@ import (
 // sender's epoch, so fencing information propagates with the data path
 // instead of needing a separate channel.
 const (
-	HeaderEpoch      = "X-Repl-Epoch"
-	HeaderCursor     = "X-Repl-Cursor"      // effective batch start
-	HeaderNextCursor = "X-Repl-Next-Cursor" // cursor after the batch
+	HeaderEpoch  = "X-Repl-Epoch"
+	HeaderCursor = "X-Repl-Cursor" // effective batch start
+	// HeaderNextCursor is the cursor after the batch on a 200. On a 204 it is
+	// sent when the primary normalised ?after to a different position — the
+	// clean end of a sealed segment hops to the start of the next — so a
+	// caught-up follower leaves a segment before compaction deletes it.
+	HeaderNextCursor = "X-Repl-Next-Cursor"
 	HeaderLagRecords = "X-Repl-Lag-Records" // records still behind after the batch
 	HeaderNode       = "X-Repl-Node"        // follower's node id (quorum coverage key)
 	HeaderLeaseTTL   = "X-Repl-Lease-Ms"    // primary's lease grant, relative ms
@@ -39,10 +44,12 @@ type FollowerConfig struct {
 	// Doer performs the HTTP round trips; chaos tests wrap it in a
 	// faults.FaultDoer. Default http.DefaultClient.
 	Doer faults.Doer
-	// Clock paces the poll loop (default wall clock).
+	// Clock times the back-off after a failed poll (default wall clock).
 	Clock faults.Clock
-	// PollInterval is the idle/error poll cadence (default 250ms). While
-	// behind, the follower polls continuously.
+	// PollInterval is the back-off after a failed, torn or cut poll (default
+	// 250ms). It is not a cadence: an answered poll — a batch or a 204 — is
+	// followed by the next one at once, and the primary holds a caught-up
+	// poll open until it has a record to ship.
 	PollInterval time.Duration
 	// MaxBatchBytes caps one stream batch (default 256 KiB).
 	MaxBatchBytes int
@@ -96,14 +103,22 @@ type FollowerStats struct {
 	Resyncs        uint64 // snapshot resyncs completed
 }
 
-// Follower is the replica's pull loop. Build with NewFollower, then Start;
-// Stop is idempotent and waits for the loop to exit.
+// Follower is the replica's stream loop: one long poll after another, each
+// poll's ?after cursor acknowledging everything the one before delivered.
+// Build with NewFollower, then Start; Stop is idempotent and waits for the
+// loop to exit.
 type Follower struct {
 	cfg FollowerConfig
 
+	// ctx is the loop's lifetime, cancelled by Stop; every poll runs under a
+	// child of it, so a poll the primary has parked never holds Stop up.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu              sync.Mutex
-	primary         string // mutable: failover repoints the follower
-	needResync      bool   // snapshot resync required before the next poll
+	primary         string             // mutable: failover repoints the follower
+	cancelPoll      context.CancelFunc // the in-flight poll's, nil between polls
+	needResync      bool               // snapshot resync required before the next poll
 	cursor          wal.Cursor
 	sourceReign     uint64 // lineage of cursor: reign epoch of the journal it indexes
 	caughtUp        bool
@@ -119,14 +134,12 @@ type Follower struct {
 	resyncs        atomic.Uint64
 
 	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
 	done      chan struct{}
 }
 
 // defaultFollowerClient bounds every stream poll and snapshot fetch:
 // http.DefaultClient has no timeout, and a primary that accepts the
-// connection then hangs would wedge the poll loop forever — the follower
+// connection then hangs would wedge the stream loop forever — the follower
 // would neither stream nor notice the primary is gone.
 var defaultFollowerClient = &http.Client{Timeout: 30 * time.Second}
 
@@ -148,12 +161,14 @@ func NewFollower(cfg FollowerConfig, cursor wal.Cursor) *Follower {
 		cfg.Logf = func(string, ...any) {}
 	}
 	cfg.PrimaryURL = strings.TrimRight(cfg.PrimaryURL, "/")
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Follower{
 		cfg:        cfg,
+		ctx:        ctx,
+		cancel:     cancel,
 		primary:    cfg.PrimaryURL,
 		needResync: cfg.ResyncOnStart,
 		cursor:     cursor,
-		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 }
@@ -170,7 +185,8 @@ func (f *Follower) PrimaryURL() string {
 // addresses the OLD primary's journal, and cursor spaces are per-lineage
 // (each node journals streamed records at its own offsets), so repointing
 // forces a snapshot resync rather than resuming the cursor against a
-// journal it never came from.
+// journal it never came from. A poll parked at the old primary is cancelled,
+// so the resync starts now rather than when that primary lets go of it.
 func (f *Follower) SetPrimary(url string) {
 	url = strings.TrimRight(url, "/")
 	f.mu.Lock()
@@ -182,17 +198,22 @@ func (f *Follower) SetPrimary(url string) {
 	f.needResync = true
 	f.sourceReign = 0 // the new primary's journal is a different lineage
 	f.caughtUp = false
+	if f.cancelPoll != nil {
+		f.cancelPoll()
+	}
 }
 
-// Start launches the pull loop.
+// Start launches the stream loop.
 func (f *Follower) Start() {
 	f.startOnce.Do(func() { go f.run() })
 }
 
-// Stop halts the pull loop and waits for it to exit. Safe to call more
-// than once, and before Start (the loop then never runs).
+// Stop halts the stream loop — cancelling the poll in flight, which the
+// primary may be holding open — and waits for it to exit. A batch already
+// being applied is applied to its end. Safe to call more than once, and
+// before Start (the loop then never runs).
 func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
+	f.cancel()
 	f.startOnce.Do(func() { close(f.done) }) // never started: release waiters
 	<-f.done
 }
@@ -258,31 +279,38 @@ func (f *Follower) LastError() string {
 
 func (f *Follower) run() {
 	defer close(f.done)
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		var d time.Duration
+	for f.ctx.Err() == nil {
+		// One lock hold decides what this turn does and registers its
+		// cancel, so a SetPrimary lands either before the turn (which then
+		// resyncs) or on a poll it can cancel — never on a poll of the new
+		// primary at the old primary's cursor.
+		ctx, cancel := context.WithCancel(f.ctx)
 		f.mu.Lock()
-		forced := f.needResync
+		forced, primary, cur := f.needResync, f.primary, f.cursor
+		f.cancelPoll = cancel
 		f.mu.Unlock()
+
+		var d time.Duration
 		if forced {
 			// Boot state no cursor covers, or a repoint to a new primary:
 			// adopt its snapshot before streaming (see SetPrimary).
 			d = f.resync(0, 0)
 		} else {
-			d = f.pollOnce()
+			d = f.pollOnce(ctx, primary, cur)
 		}
+
+		f.mu.Lock()
+		f.cancelPoll = nil
+		f.mu.Unlock()
+		cancel()
 		if d > 0 {
 			f.sleep(d)
 		}
 	}
 }
 
-// sleep pauses between polls, returning early when Stop is called. The
-// clock's Sleep runs in a goroutine so a manual-clock test can't wedge
+// sleep backs off after a failed poll, returning early when Stop is called.
+// The clock's Sleep runs in a goroutine so a manual-clock test can't wedge
 // shutdown.
 func (f *Follower) sleep(d time.Duration) {
 	ch := make(chan struct{})
@@ -291,7 +319,7 @@ func (f *Follower) sleep(d time.Duration) {
 		close(ch)
 	}()
 	select {
-	case <-f.stop:
+	case <-f.ctx.Done():
 	case <-ch:
 	}
 }
@@ -307,12 +335,15 @@ func (f *Follower) fail(format string, args ...any) time.Duration {
 	return f.cfg.PollInterval
 }
 
-// pollOnce performs one stream exchange and returns how long to sleep
-// before the next (0 = poll again immediately; there is more to pull).
-func (f *Follower) pollOnce() time.Duration {
-	cur := f.Cursor()
-	url := fmt.Sprintf("%s/v1/repl/stream?after=%s&max=%d", f.PrimaryURL(), cur, f.cfg.MaxBatchBytes)
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+// pollOnce performs one stream exchange with primary from cursor cur and
+// returns how long to back off before the next: 0 after every answered
+// poll — the next poll is what acknowledges this one's records, and the
+// primary, not the follower, decides how long a caught-up poll waits —
+// PollInterval after a failure. A poll cancelled by Stop or SetPrimary is
+// not a failure.
+func (f *Follower) pollOnce(ctx context.Context, primary string, cur wal.Cursor) time.Duration {
+	url := fmt.Sprintf("%s/v1/repl/stream?after=%s&max=%d", primary, cur, f.cfg.MaxBatchBytes)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return f.fail("building request: %v", err)
 	}
@@ -321,13 +352,21 @@ func (f *Follower) pollOnce() time.Duration {
 		req.Header.Set(HeaderNode, f.cfg.NodeID)
 	}
 	resp, err := f.cfg.Doer.Do(req)
+	if resp != nil {
+		defer func() {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}()
+	}
+	if ctx.Err() != nil {
+		// Cancelled while in flight. Whatever came back — an error, or the
+		// empty answer of a handler that saw its client leave — says nothing
+		// about the primary.
+		return 0
+	}
 	if err != nil {
 		return f.fail("stream %s: %v", cur, err)
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
 
 	primaryEpoch, _ := strconv.ParseUint(resp.Header.Get(HeaderEpoch), 10, 64)
 	if primaryEpoch > 0 && primaryEpoch < f.cfg.Node.Epoch() {
@@ -358,19 +397,10 @@ func (f *Follower) pollOnce() time.Duration {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		renew()
-		return f.applyBatch(resp, reign)
+		return f.applyBatch(ctx, resp, reign)
 	case http.StatusNoContent:
 		renew()
-		f.caughtUpPolls.Add(1)
-		f.mu.Lock()
-		f.caughtUp = true
-		f.lagRecords = 0
-		f.lastErr = ""
-		if reign > 0 {
-			f.sourceReign = reign
-		}
-		f.mu.Unlock()
-		return f.cfg.PollInterval
+		return f.caughtUpAt(resp, cur, reign)
 	case http.StatusGone, http.StatusRequestedRangeNotSatisfiable:
 		// Cursor unusable: compacted below retained history (410) or ahead
 		// of the primary's lineage (416). Both mean snapshot resync.
@@ -381,7 +411,44 @@ func (f *Follower) pollOnce() time.Duration {
 	}
 }
 
-func (f *Follower) applyBatch(resp *http.Response, reign uint64) time.Duration {
+// caughtUpAt folds in a 204: nothing to apply, possibly a cursor to adopt.
+// The primary names a cursor when cur normalises to a later position — the
+// end of a segment it has since sealed — and the follower moves there (and
+// says so durably), so the segment it has finished with can be compacted
+// without stranding it. Only forwards: a cursor behind ours is a reordered
+// or confused answer, and following it would re-apply records.
+func (f *Follower) caughtUpAt(resp *http.Response, cur wal.Cursor, reign uint64) time.Duration {
+	f.caughtUpPolls.Add(1)
+	moved := false
+	if h := resp.Header.Get(HeaderNextCursor); h != "" {
+		next, err := wal.ParseCursor(h)
+		if err != nil {
+			return f.fail("bad %s header: %v", HeaderNextCursor, err)
+		}
+		if cur.Before(next) {
+			cur, moved = next, true
+		}
+	}
+	f.mu.Lock()
+	if moved {
+		f.cursor = cur
+	}
+	f.caughtUp = true
+	f.lagRecords = 0
+	f.lastErr = ""
+	if reign > 0 {
+		f.sourceReign = reign
+	}
+	f.mu.Unlock()
+	if moved && f.cfg.Persist != nil {
+		if err := f.cfg.Persist(f.cfg.Node.Epoch(), cur, false); err != nil {
+			return f.fail("persisting cursor %s: %v", cur, err)
+		}
+	}
+	return 0
+}
+
+func (f *Follower) applyBatch(ctx context.Context, resp *http.Response, reign uint64) time.Duration {
 	start, err := wal.ParseCursor(resp.Header.Get(HeaderCursor))
 	if err != nil {
 		return f.fail("bad %s header: %v", HeaderCursor, err)
@@ -402,6 +469,9 @@ func (f *Follower) applyBatch(resp *http.Response, reign uint64) time.Duration {
 	// One extra frame of headroom: a batch is never larger than what we
 	// asked for, so anything bigger is damage, not data.
 	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(f.cfg.MaxBatchBytes)+wal.FrameSize))
+	if ctx.Err() != nil {
+		return 0 // cancelled mid-body: nothing applied, nothing to report
+	}
 	if err != nil {
 		return f.fail("reading batch at %s: %v", start, err)
 	}
@@ -464,10 +534,10 @@ func (f *Follower) applyBatch(resp *http.Response, reign uint64) time.Duration {
 		f.corruptBatches.Add(1)
 		f.cfg.Logf("repl follower: batch at %s damaged after %d of %d bytes; re-polling", start, consumed, declared)
 		return f.cfg.PollInterval
-	case lag > 0:
-		return 0 // more to pull; go again immediately
 	default:
-		return f.cfg.PollInterval
+		// Poll again at once, behind or not: the next poll's cursor is the
+		// acknowledgment the primary's writers are waiting for.
+		return 0
 	}
 }
 
@@ -494,7 +564,10 @@ func (f *Follower) resync(primaryEpoch uint64, status int) time.Duration {
 		f.sourceReign = reign
 	}
 	f.needResync = false
-	f.caughtUp = false
+	// The snapshot is the primary's state as of now: nothing is known to
+	// be missing until a poll says otherwise, and that poll may be parked.
+	f.caughtUp = true
+	f.lagRecords = 0
 	f.lastErr = ""
 	f.mu.Unlock()
 	if f.cfg.Persist != nil {

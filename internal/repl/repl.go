@@ -6,8 +6,10 @@
 // The model, in one paragraph: the primary's WAL already is the
 // authoritative, acknowledged event stream (every mutation is journaled
 // before it is acknowledged), so replication is just shipping that stream.
-// A follower pulls batches of CRC-framed records from
-// GET /v1/repl/stream?after=<segment:offset>, appends each record to its
+// A follower holds a long poll on
+// GET /v1/repl/stream?after=<segment:offset> — the primary answers with a
+// batch of CRC-framed records the moment one is durable, and the
+// follower's next poll acknowledges it — and appends each record to its
 // OWN journal before applying it to its fleet (the same
 // journalize-before-apply discipline the primary uses), so a replica is a
 // crash-restartable node at every instant. Promotion is explicit

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,13 +110,23 @@ func TestNodeEpochFencing(t *testing.T) {
 }
 
 // miniPrimary implements the primary's stream endpoint straight over a
-// wal.Journal — the same protocol internal/server serves — so follower
-// tests exercise the real wire format.
+// wal.Journal — the same protocol internal/server serves, the park
+// included — so follower tests exercise the real wire format. A caught-up
+// poll is held until the journal has a record, the request is cancelled, or
+// park elapses (then 204); every answered poll is counted.
 type miniPrimary struct {
-	mu    sync.Mutex
-	j     *wal.Journal
-	epoch uint64
+	mu     sync.Mutex
+	j      *wal.Journal
+	epoch  uint64
+	park   time.Duration // 0 = miniPark
+	polls  int           // answered polls
+	parked int           // polls held open right now
+	after  wal.Cursor    // ?after of the poll parked last
 }
+
+// miniPark is long enough that a test which finishes while a poll is parked
+// proves nothing waited for the park, and short enough to keep 204s coming.
+const miniPark = 50 * time.Millisecond
 
 func (p *miniPrimary) setEpoch(e uint64) {
 	p.mu.Lock()
@@ -123,18 +134,68 @@ func (p *miniPrimary) setEpoch(e uint64) {
 	p.mu.Unlock()
 }
 
-func (p *miniPrimary) Do(req *http.Request) (*http.Response, error) {
+func (p *miniPrimary) count() (polls, parked int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.polls, p.parked
+}
+
+func (p *miniPrimary) lastAfter() wal.Cursor {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.after
+}
+
+func (p *miniPrimary) Do(req *http.Request) (*http.Response, error) {
 	q := req.URL.Query()
 	c, err := wal.ParseCursor(q.Get("after"))
 	if err != nil {
 		return nil, err
 	}
 	max, _ := strconv.Atoi(q.Get("max"))
+	p.mu.Lock()
+	park := p.park
+	p.mu.Unlock()
+	if park == 0 {
+		park = miniPark
+	}
+	deadline := time.NewTimer(park)
+	defer deadline.Stop()
+
+	var (
+		data        []byte
+		start, next wal.Cursor
+		rerr        error
+	)
+	for expired := false; !expired; {
+		tail := p.j.TailChanged()
+		data, start, next, rerr = p.j.ReadAfter(c, max)
+		if rerr != nil || len(data) > 0 || start != c {
+			break
+		}
+		p.mu.Lock()
+		p.parked++
+		p.after = c
+		p.mu.Unlock()
+		select {
+		case <-tail:
+		case <-deadline.C:
+			expired = true
+		case <-req.Context().Done():
+		}
+		p.mu.Lock()
+		p.parked--
+		p.mu.Unlock()
+		if err := req.Context().Err(); err != nil {
+			return nil, err
+		}
+	}
+
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.polls++
 	rec := httptest.NewRecorder()
 	rec.Header().Set(HeaderEpoch, strconv.FormatUint(p.epoch, 10))
-	data, start, next, rerr := p.j.ReadAfter(c, max)
 	switch {
 	case errors.Is(rerr, wal.ErrCursorCompacted):
 		rec.WriteHeader(http.StatusGone)
@@ -143,6 +204,9 @@ func (p *miniPrimary) Do(req *http.Request) (*http.Response, error) {
 	case rerr != nil:
 		rec.WriteHeader(http.StatusInternalServerError)
 	case len(data) == 0:
+		if start != c {
+			rec.Header().Set(HeaderNextCursor, start.String())
+		}
 		rec.WriteHeader(http.StatusNoContent)
 	default:
 		rec.Header().Set(HeaderCursor, start.String())
@@ -182,6 +246,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// countingClock counts the follower's back-off sleeps and keeps them short.
+type countingClock struct{ sleeps atomic.Int64 }
+
+func (c *countingClock) Now() time.Time { return time.Now() }
+
+func (c *countingClock) Sleep(d time.Duration) {
+	c.sleeps.Add(1)
+	time.Sleep(min(d, time.Millisecond))
+}
+
+// hostDoer routes a request to the miniPrimary bound to its URL host.
+type hostDoer map[string]*miniPrimary
+
+func (d hostDoer) Do(req *http.Request) (*http.Response, error) {
+	p := d[req.URL.Host]
+	if p == nil {
+		return nil, fmt.Errorf("connection refused: %s", req.URL.Host)
+	}
+	return p.Do(req)
 }
 
 type collector struct {
@@ -419,9 +504,11 @@ func TestFollowerSurvivesCorruptAndCutBatches(t *testing.T) {
 	inj.PartialWrites("http.body", 0.3)
 
 	var got collector
+	var clock countingClock
 	f := NewFollower(FollowerConfig{
 		PrimaryURL:   "http://primary",
 		Doer:         faults.NewFaultDoer(primary, inj, nil),
+		Clock:        &clock,
 		PollInterval: time.Millisecond, MaxBatchBytes: int(4 * wal.FrameSize),
 		Node: NewNode(RoleReplica, 1), Apply: got.apply,
 		Logf: t.Logf,
@@ -437,6 +524,16 @@ func TestFollowerSurvivesCorruptAndCutBatches(t *testing.T) {
 		if id != int64(i) {
 			t.Fatalf("record %d has id %d: corruption reordered or duplicated the stream (%v)", i, id, ids)
 		}
+	}
+	// The eager re-poll is for answered polls only: every damaged batch
+	// still backed off before the next attempt.
+	f.Stop()
+	st := f.Stats()
+	if st.CorruptBatches == 0 {
+		t.Fatal("seed 42 damaged no batch: the back-off assertion below is vacuous")
+	}
+	if n := clock.sleeps.Load(); n < int64(st.CorruptBatches) {
+		t.Fatalf("%d damaged batches, %d back-off sleeps: a damaged path is being hammered", st.CorruptBatches, n)
 	}
 }
 
@@ -480,4 +577,168 @@ func TestFollowerStopBeforeStart(t *testing.T) {
 	f := NewFollower(FollowerConfig{PrimaryURL: "http://primary", Node: NewNode(RoleReplica, 1), Apply: func(wal.Record) error { return nil }}, wal.Cursor{})
 	f.Stop() // must not hang or panic
 	f.Stop()
+}
+
+// TestFollowerParksAndAcksWithoutSleeping is the protocol in one test: a
+// caught-up follower holds exactly one poll open at the primary, a record
+// appended there reaches it without the park running out, its very next
+// poll carries the cursor past that record (the ack), and none of it ever
+// touches the clock — PollInterval is left at its 250 ms default, which at
+// the parent was the latency of every one of these records.
+func TestFollowerParksAndAcksWithoutSleeping(t *testing.T) {
+	j := openJournal(t)
+	appendLogins(t, j, 0, 3)
+	primary := &miniPrimary{j: j, epoch: 1, park: time.Hour}
+	var got collector
+	var clock countingClock
+	f := NewFollower(FollowerConfig{
+		PrimaryURL: "http://primary", Doer: primary, Clock: &clock,
+		Node: NewNode(RoleReplica, 1), Apply: got.apply,
+	}, wal.Cursor{})
+	f.Start()
+	defer f.Stop()
+
+	parkedAt := func(c wal.Cursor) func() bool {
+		return func() bool {
+			_, parked := primary.count()
+			return parked == 1 && primary.lastAfter() == c
+		}
+	}
+	waitFor(t, "the caught-up poll to park", parkedAt(j.DurableCursor()))
+	if f.LagRecords() != 0 || f.LagSeconds(time.Now()) != 0 {
+		t.Fatalf("a follower whose poll is parked reports lag %d records / %v s", f.LagRecords(), f.LagSeconds(time.Now()))
+	}
+	for i := 3; i < 50; i++ {
+		appendLogins(t, j, i, 1)
+		// The re-poll IS the ack: the primary sees the new cursor without
+		// anything else having to happen.
+		waitFor(t, "the ack of record "+strconv.Itoa(i), parkedAt(j.DurableCursor()))
+	}
+	if ids := got.snapshot(); len(ids) != 50 || ids[49] != 49 {
+		t.Fatalf("applied %v", ids)
+	}
+	if polls, _ := primary.count(); polls > 51 {
+		t.Fatalf("%d answered polls for 47 records after catch-up, want one each", polls)
+	}
+	if st := f.Stats(); st.StreamErrors != 0 || st.CaughtUpPolls != 0 {
+		t.Fatalf("stats %+v: want no errors and no park run out", st)
+	}
+	if n := clock.sleeps.Load(); n != 0 {
+		t.Fatalf("follower slept %d times on a healthy stream", n)
+	}
+}
+
+// TestFollowerStopAndSetPrimaryCancelParkedPoll: Stop returns and SetPrimary
+// takes effect while the primary is holding the poll open, and the
+// cancelled poll is not an error.
+func TestFollowerStopAndSetPrimaryCancelParkedPoll(t *testing.T) {
+	ja, jb := openJournal(t), openJournal(t)
+	appendLogins(t, ja, 0, 2)
+	appendLogins(t, jb, 100, 2)
+	a := &miniPrimary{j: ja, epoch: 1, park: time.Hour}
+	b := &miniPrimary{j: jb, epoch: 1, park: time.Hour}
+	parked := func(p *miniPrimary) func() bool {
+		return func() bool { _, n := p.count(); return n == 1 }
+	}
+
+	var got collector
+	var resyncs atomic.Int64
+	f := NewFollower(FollowerConfig{
+		PrimaryURL: "http://a", Doer: hostDoer{"a": a, "b": b},
+		Node: NewNode(RoleReplica, 1), Apply: got.apply,
+		Resync: func(uint64) (wal.Cursor, uint64, error) {
+			resyncs.Add(1)
+			return wal.Cursor{Seg: 1, Off: wal.SegmentDataStart}, 1, nil
+		},
+	}, wal.Cursor{})
+	f.Start()
+	defer f.Stop()
+	waitFor(t, "the poll to park at a", parked(a))
+
+	// Repoint: the poll parked at a is dropped, the resync runs, and the
+	// next poll parks at b — none of which waits for a's hour to pass.
+	f.SetPrimary("http://b")
+	waitFor(t, "the poll to park at b", parked(b))
+	if _, n := a.count(); n != 0 {
+		t.Fatalf("%d poll(s) still parked at the old primary", n)
+	}
+	if resyncs.Load() != 1 {
+		t.Fatalf("resyncs = %d, want 1", resyncs.Load())
+	}
+	if ids := got.snapshot(); len(ids) != 4 || ids[2] != 100 {
+		t.Fatalf("applied %v, want a's two records then b's", ids)
+	}
+
+	f.Stop() // with b holding the poll for an hour: a Stop that waits hangs the test
+	if _, n := b.count(); n != 0 {
+		t.Fatalf("%d poll(s) still parked after Stop", n)
+	}
+	if st := f.Stats(); st.StreamErrors != 0 || f.LastError() != "" {
+		t.Fatalf("cancelled polls were counted as errors: %+v, %q", st, f.LastError())
+	}
+}
+
+// TestFollowerLeavesSealedSegmentOn204: when the primary rotates, a
+// caught-up follower is told the normalised cursor on its 204, adopts and
+// persists it, and so survives the compaction of the segment it had
+// finished — no 410, no resync. It never follows a cursor backwards.
+func TestFollowerLeavesSealedSegmentOn204(t *testing.T) {
+	j := openJournal(t)
+	appendLogins(t, j, 0, 4)
+	primary := &miniPrimary{j: j, epoch: 1, park: time.Hour}
+	var got collector
+	var persisted struct {
+		sync.Mutex
+		cur wal.Cursor
+	}
+	f := NewFollower(FollowerConfig{
+		PrimaryURL: "http://primary", Doer: primary,
+		Node: NewNode(RoleReplica, 1), Apply: got.apply,
+		Persist: func(_ uint64, c wal.Cursor, _ bool) error {
+			persisted.Lock()
+			persisted.cur = c
+			persisted.Unlock()
+			return nil
+		},
+		Resync: func(uint64) (wal.Cursor, uint64, error) {
+			return wal.Cursor{}, 0, errors.New("no resync should be needed")
+		},
+	}, wal.Cursor{})
+	f.Start()
+	defer f.Stop()
+	waitFor(t, "catch-up", func() bool { return f.Cursor() == j.DurableCursor() })
+
+	for round := 0; round < 5; round++ {
+		boundary, err := j.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wal.Cursor{Seg: boundary, Off: wal.SegmentDataStart}
+		waitFor(t, "the follower to move to "+want.String(), func() bool {
+			persisted.Lock()
+			defer persisted.Unlock()
+			return f.Cursor() == want && persisted.cur == want
+		})
+		if _, err := j.CompactBefore(boundary); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 0 {
+			appendLogins(t, j, 100+round, 1)
+			waitFor(t, "the post-rotation record", func() bool { return f.Cursor() == j.DurableCursor() })
+		}
+	}
+	if st := f.Stats(); st.Resyncs != 0 || st.StreamErrors != 0 {
+		t.Fatalf("stats %+v: five rotations + compactions should cost no resync and no error", st)
+	}
+
+	// A cursor behind ours on a 204 is not followed.
+	behind := httptest.NewRecorder()
+	behind.Header().Set(HeaderNextCursor, "1:12")
+	behind.WriteHeader(http.StatusNoContent)
+	f.Stop()
+	at := f.Cursor()
+	f.caughtUpAt(behind.Result(), at, 1)
+	if f.Cursor() != at {
+		t.Fatalf("follower moved backwards from %v to %v", at, f.Cursor())
+	}
 }

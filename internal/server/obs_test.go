@@ -270,15 +270,15 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
-// stubStream204 is a replication Doer whose primary is always caught up:
-// every stream poll returns 204. It keeps a replica's follower quiet while
-// a test exercises the HTTP surface.
-type stubStream204 struct{}
+// stubParkedStream is a replication Doer whose primary is always caught up:
+// like a real one it holds every stream poll open, here until the follower
+// gives up on it. It keeps a replica's follower quiet while a test
+// exercises the HTTP surface.
+type stubParkedStream struct{}
 
-func (stubStream204) Do(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	rec.WriteHeader(http.StatusNoContent)
-	return rec.Result(), nil
+func (stubParkedStream) Do(req *http.Request) (*http.Response, error) {
+	<-req.Context().Done()
+	return nil, req.Context().Err()
 }
 
 // TestLatencyHistogramStatusLabels pins the success/failure split of the
@@ -298,7 +298,7 @@ func TestLatencyHistogramStatusLabels(t *testing.T) {
 		Now:              clock.Now,
 		Role:             repl.RoleReplica,
 		PrimaryAddr:      "http://stub",
-		ReplDoer:         stubStream204{},
+		ReplDoer:         stubParkedStream{},
 		ReplPollInterval: time.Millisecond,
 		Logf:             t.Logf,
 	})

@@ -18,6 +18,7 @@ import (
 	"prorp"
 	"prorp/internal/breaker"
 	"prorp/internal/faults"
+	"prorp/internal/obs"
 	"prorp/internal/repl"
 	"prorp/internal/wal"
 )
@@ -52,6 +53,7 @@ type replCounters struct {
 	streamRecords   atomic.Uint64 // records shipped (primary)
 	snapshotsServed atomic.Uint64 // resync snapshots served (primary)
 	streamLag       atomic.Int64  // records behind at the last stream poll
+	streamParked    atomic.Int64  // stream polls held open right now (primary)
 	applied         atomic.Uint64 // streamed records applied (replica)
 	applySkipped    atomic.Uint64 // streamed records already applied (replica)
 	quorumTimeouts  atomic.Uint64 // quorum-acked writes refused on timeout
@@ -342,10 +344,11 @@ const (
 // observePeerEpoch folds a peer's epoch header into the node. This is how
 // fencing propagates: the first stream poll a new-epoch follower sends to
 // the old primary demotes it, durably, before the response goes out.
-func (s *Server) observePeerEpoch(r *http.Request) {
+// Returns the peer's epoch, 0 when it sent none.
+func (s *Server) observePeerEpoch(r *http.Request) uint64 {
 	e, err := strconv.ParseUint(r.Header.Get(repl.HeaderEpoch), 10, 64)
 	if err != nil || e == 0 {
-		return
+		return 0
 	}
 	if s.node.ObserveEpoch(e) {
 		if perr := s.persistReplState(s.node.Epoch(), s.loadCursor(), true); perr != nil {
@@ -355,6 +358,7 @@ func (s *Server) observePeerEpoch(r *http.Request) {
 			s.logf("fenced: observed epoch %d from a peer; this node no longer accepts writes", e)
 		}
 	}
+	return e
 }
 
 // notePeerID watches for two different remote hosts polling under the
@@ -383,37 +387,75 @@ func (s *Server) notePeerID(id, remoteAddr string) {
 	s.peerAddrs[id] = host
 }
 
-// handleReplStream serves one batch of WAL frames after a cursor. Only
-// records durable per the fsync policy are shipped — the stream can never
-// run ahead of what a crash would preserve — and the poisoned tail is
-// excluded for the same reason appends past it are refused.
+// maxStreamPark bounds how long a caught-up stream poll is held open. It is
+// a keep-alive, not a cadence: records wake the poll the moment they are
+// shippable, and the follower's client times out far later (30 s).
+const maxStreamPark = time.Second
+
+// streamPark is the longest one caught-up poll is held: short enough that
+// the lease heartbeat riding the answer reaches the follower three times
+// per TTL.
+func (s *Server) streamPark() time.Duration {
+	if ttl := s.cfg.LeaseTTL; ttl > 0 && ttl/3 < maxStreamPark {
+		return ttl / 3
+	}
+	return maxStreamPark
+}
+
+// parkDeadline returns the channel whose close ends the current park: one
+// streamPark after the first poll that asked for it, on the server's clock —
+// the clock the leases it keeps alive run on. Polls that park inside that
+// span share it (a poll waits at most streamPark, and each follower gets a
+// 204, hence a heartbeat, at least once per span), so the deadline costs
+// one sleeping goroutine however many polls come and go.
+func (s *Server) parkDeadline() <-chan struct{} {
+	s.parkMu.Lock()
+	defer s.parkMu.Unlock()
+	if s.parkTick == nil {
+		tick := make(chan struct{})
+		s.parkTick = tick
+		go func() {
+			s.clock.Sleep(s.streamPark())
+			s.parkMu.Lock()
+			s.parkTick = nil
+			s.parkMu.Unlock()
+			close(tick)
+		}()
+	}
+	return s.parkTick
+}
+
+// handleReplStream serves one batch of WAL frames after a cursor, holding
+// the request open while there is none: a caught-up poll parks on the
+// journal's shippable end and is answered the moment a record can ship, or
+// with a 204 at the park deadline. Only records durable per the fsync
+// policy are shipped — the stream can never run ahead of what a crash would
+// preserve — and the poisoned tail is excluded for the same reason appends
+// past it are refused.
+//
+// Everything the answer says about this node — epoch, lease grant, role —
+// is read AFTER the park: a primary fenced while a poll was parked answers
+// with the new epoch and no lease, so the follower times out and elects.
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	s.observePeerEpoch(r)
-	w.Header().Set(repl.HeaderEpoch, strconv.FormatUint(s.node.Epoch(), 10))
-	// The lease heartbeat rides the stream headers — but ONLY from the
-	// unfenced primary. A fenced ex-primary still serves the stream (its
-	// tail is what catch-up needs), yet it must not extend anyone's lease:
-	// a follower still pointed at it has to time out and elect.
-	if s.cfg.LeaseTTL > 0 && s.node.CanAcceptWrites() {
-		w.Header().Set(repl.HeaderLeaseTTL, strconv.FormatInt(s.cfg.LeaseTTL.Milliseconds(), 10))
+	peerEpoch := s.observePeerEpoch(r)
+	stampEpoch := func() {
+		w.Header().Set(repl.HeaderEpoch, strconv.FormatUint(s.node.Epoch(), 10))
+	}
+	// unavailable answers for a node that is not serving the stream (a
+	// replica — replicas don't relay — or a node shutting down): the
+	// follower counts it a failed poll and backs off.
+	unavailable := func() {
+		stampEpoch()
+		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	if s.node.Role() != repl.RolePrimary || s.wal == nil {
-		// Replicas don't relay. A fenced primary, though, still serves the
-		// stream: its acknowledged tail is exactly what a catching-up
-		// follower of the new epoch needs to drain.
-		w.WriteHeader(http.StatusServiceUnavailable)
+		unavailable()
 		return
 	}
-	// The reign tags the journal being served — set even when fenced: a
-	// fenced ex-primary's epoch has moved on, but the journal it serves is
-	// still the old reign's cursor space, and that is what the follower's
-	// cursor will index.
-	if lin := s.lineage(); lin > 0 {
-		w.Header().Set(repl.HeaderReign, strconv.FormatUint(lin, 10))
-	}
 	s.notePeerID(r.Header.Get(repl.HeaderNode), r.RemoteAddr)
-	cur, err := wal.ParseCursor(r.URL.Query().Get("after"))
+	after, err := wal.ParseCursor(r.URL.Query().Get("after"))
 	if err != nil {
+		stampEpoch()
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error()})
 		return
 	}
@@ -421,18 +463,82 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
+			stampEpoch()
 			writeJSON(w, http.StatusBadRequest, errorJSON{Error: fmt.Sprintf("bad max %q", v)})
 			return
 		}
 		maxBytes = min(n, maxStreamBatch)
 	}
-	data, start, next, err := s.wal.ReadAfter(cur, maxBytes)
-	// A poll at ?after=<cur> means everything before cur is durably
-	// journaled on that follower: fold it into quorum coverage. Skip the
-	// foreign-lineage case — a cursor from another primary's stream space
-	// compares meaninglessly against ours and must not satisfy a quorum.
-	if s.coverage != nil && !errors.Is(err, wal.ErrCursorAhead) {
-		s.coverage.Observe(r.Header.Get(repl.HeaderNode), cur)
+
+	var (
+		data        []byte
+		start, next wal.Cursor
+		deadline    <-chan struct{} // taken at the first park, kept across wake-ups
+	)
+	for first, expired := true, false; !expired; first = false {
+		select {
+		case <-s.stop:
+			unavailable() // a closed journal has no tail to wait on
+			return
+		default:
+		}
+		// Taken before the read, so an append that lands between the read
+		// and the wait below has already closed the channel in hand.
+		tail := s.wal.TailChanged()
+		data, start, next, err = s.wal.ReadAfter(after, maxBytes)
+		if first && s.coverage != nil && !errors.Is(err, wal.ErrCursorAhead) {
+			// A poll at ?after=<cur> means everything before cur is durably
+			// journaled on that follower: fold it into quorum coverage — at
+			// once, before any park; this is the ack writers are waiting on.
+			// Skip the foreign-lineage case — a cursor from another
+			// primary's stream space compares meaninglessly against ours and
+			// must not satisfy a quorum.
+			s.coverage.Observe(r.Header.Get(repl.HeaderNode), after)
+		}
+		// Answer when there is anything to say: a verdict, a batch, a cursor
+		// the follower should move to (ReadAfter hopped it out of a sealed
+		// segment), or an epoch it has not heard of.
+		if err != nil || len(data) > 0 || start != after ||
+			(peerEpoch > 0 && peerEpoch < s.node.Epoch()) {
+			break
+		}
+		if deadline == nil {
+			deadline = s.parkDeadline()
+		}
+		gone := false
+		s.repl.streamParked.Add(1)
+		select {
+		case <-tail:
+		case <-deadline:
+			expired = true
+		case <-r.Context().Done():
+			gone = true // the follower hung up, or the listener is shutting down
+		case <-s.stop:
+			gone = true
+		}
+		s.repl.streamParked.Add(-1)
+		if gone {
+			unavailable() // nobody is owed a lease
+			return
+		}
+	}
+
+	stampEpoch()
+	h := w.Header()
+	// The lease heartbeat rides the stream headers — but ONLY from the
+	// unfenced primary. A fenced ex-primary still serves the stream (its
+	// acknowledged tail is exactly what a catching-up follower of the new
+	// epoch needs to drain), yet it must not extend anyone's lease: a
+	// follower still pointed at it has to time out and elect.
+	if s.cfg.LeaseTTL > 0 && s.node.CanAcceptWrites() {
+		h.Set(repl.HeaderLeaseTTL, strconv.FormatInt(s.cfg.LeaseTTL.Milliseconds(), 10))
+	}
+	// The reign tags the journal being served — set even when fenced: a
+	// fenced ex-primary's epoch has moved on, but the journal it serves is
+	// still the old reign's cursor space, and that is what the follower's
+	// cursor will index.
+	if lin := s.lineage(); lin > 0 {
+		h.Set(repl.HeaderReign, strconv.FormatUint(lin, 10))
 	}
 	switch {
 	case errors.Is(err, wal.ErrCursorCompacted):
@@ -442,23 +548,26 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusRequestedRangeNotSatisfiable) // foreign lineage: resync
 		return
 	case err != nil:
-		s.logf("repl stream at %s: %v", cur, err)
+		s.logf("repl stream at %s: %v", after, err)
 		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 		return
 	}
 	lag := s.wal.TailGapRecords(next)
 	s.repl.streamLag.Store(lag)
 	if len(data) == 0 {
+		if start != after {
+			h.Set(repl.HeaderNextCursor, start.String())
+		}
 		w.WriteHeader(http.StatusNoContent) // caught up
 		return
 	}
 	s.repl.streamBatches.Add(1)
 	s.repl.streamRecords.Add(uint64(int64(len(data)) / wal.FrameSize))
-	w.Header().Set(repl.HeaderCursor, start.String())
-	w.Header().Set(repl.HeaderNextCursor, next.String())
-	w.Header().Set(repl.HeaderLagRecords, strconv.FormatInt(lag, 10))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	h.Set(repl.HeaderCursor, start.String())
+	h.Set(repl.HeaderNextCursor, next.String())
+	h.Set(repl.HeaderLagRecords, strconv.FormatInt(lag, 10))
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 
@@ -498,7 +607,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleReplPromote makes this node the primary of a new epoch. On an
 // unfenced primary it is a no-op reporting the current epoch; on a
-// replica or fenced ex-primary it stops the pull loop, bumps the epoch
+// replica or fenced ex-primary it stops the stream loop, bumps the epoch
 // durably, and starts acknowledging writes. The old primary fences itself
 // the moment the new epoch reaches it over the stream (or via
 // POST /v1/repl/fence). Writes acknowledged by the old primary but not
@@ -593,7 +702,7 @@ func (s *Server) adoptPrimary(addr string, e uint64, ttl time.Duration) {
 	s.ensureFollowing(addr)
 }
 
-// ensureFollowing points this node's pull loop at addr, creating the
+// ensureFollowing points this node's stream loop at addr, creating the
 // follower if none exists — the self-healing half of failover: a fenced
 // ex-primary auto-demotes into a follower of the winner, no operator in
 // the loop. A live follower is repointed, which forces a snapshot resync
@@ -917,6 +1026,8 @@ func (s *Server) registerReplMetrics() {
 		func() float64 { _, sec := s.ReplicationLag(); return sec })
 	reg.GaugeFunc("prorp_repl_stream_lag_records", "Records the last stream response left behind (primary side).",
 		func() float64 { return float64(s.repl.streamLag.Load()) })
+	reg.GaugeFunc("prorp_repl_stream_parked", "Caught-up stream polls held open, waiting for a record to ship (primary side).",
+		func() float64 { return float64(s.repl.streamParked.Load()) })
 
 	counters := []struct {
 		name, help string
@@ -994,5 +1105,7 @@ func (s *Server) registerReplMetrics() {
 			func() float64 { return float64(s.coverage.Peers()) })
 		reg.CounterFunc("prorp_repl_quorum_timeouts_total", "Quorum-acked writes refused on timeout.",
 			func() uint64 { return s.repl.quorumTimeouts.Load() })
+		s.quorumHist = reg.Histogram("prorp_repl_quorum_wait_duration_seconds",
+			"Time a quorum-acked write waited, after its local fsync, for replica acks.", obs.LatencyBuckets)
 	}
 }

@@ -45,6 +45,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -135,8 +136,10 @@ type Config struct {
 	// http.Client with a 30s timeout); chaos tests inject a faults.FaultDoer
 	// over an in-process transport.
 	ReplDoer faults.Doer
-	// ReplPollInterval is the follower's idle/error poll cadence (0 =
-	// default, 250ms).
+	// ReplPollInterval is the follower's back-off after a failed or damaged
+	// stream poll (0 = default, 250ms). It is not a cadence: an answered poll
+	// is followed by the next at once, and the primary holds a caught-up
+	// poll open until a record is ready.
 	ReplPollInterval time.Duration
 	// ReplMaxBatchBytes caps one replication stream batch (0 = default,
 	// 256 KiB).
@@ -261,7 +264,7 @@ type Server struct {
 	ops     opsCounters
 
 	// Replication: node is the role/epoch state machine (always non-nil),
-	// followerP the pull loop — atomic because self-healing failover
+	// followerP the stream loop — atomic because self-healing failover
 	// creates and drops followers at runtime (a fenced ex-primary
 	// auto-demotes into one, an election winner sheds its own). replMu
 	// guards the repl-state file and the cached cursor; the stream-side
@@ -276,6 +279,11 @@ type Server struct {
 	// stream's X-Repl-Reign header; guarded by replMu.
 	replLineage uint64
 	repl        replCounters
+
+	// parkTick is the pending stream-park deadline, nil when no poll has
+	// asked for one since the last fired (see parkDeadline).
+	parkMu   sync.Mutex
+	parkTick chan struct{}
 
 	// peerAddrs maps follower node ids to the last remote host each polled
 	// from, to log when two hosts share an id (see notePeerID).
@@ -319,6 +327,9 @@ type Server struct {
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	predHist *obs.Histogram // ExplainPrediction latency (Algorithm 4 scan)
+	// quorumHist is the replication wait of one quorum-acked write; nil
+	// (no-op) outside quorum-acked mode.
+	quorumHist *obs.Histogram
 
 	// walGate orders mutations against snapshot boundaries: handlers hold
 	// it shared around the journal-append + fleet-apply pair, and the
@@ -822,11 +833,16 @@ func (s *Server) journalize(typ wal.RecordType, id int, t time.Time) (wal.Cursor
 // is a refusal, never a silent downgrade to async replication: the record
 // IS durable locally and WILL replicate, but the contract the client asked
 // for was not met inside the deadline, so the write is not acknowledged.
-func (s *Server) waitQuorum(end wal.Cursor) error {
+func (s *Server) waitQuorum(ctx context.Context, end wal.Cursor) error {
 	if s.coverage == nil || s.cfg.QuorumAcks <= 0 || end.IsZero() {
 		return nil
 	}
-	if err := s.coverage.WaitCovered(end, s.cfg.QuorumAcks, s.cfg.QuorumTimeout); err != nil {
+	_, span := s.tracer.Start(ctx, "repl.quorum_wait")
+	t0 := time.Now()
+	err := s.coverage.WaitCovered(end, s.cfg.QuorumAcks, s.cfg.QuorumTimeout)
+	s.quorumHist.ObserveSince(t0)
+	span.End()
+	if err != nil {
 		s.repl.quorumTimeouts.Add(1)
 		return fmt.Errorf("%w: %d ack(s) required, %d replica(s) known",
 			errQuorumUnreached, s.cfg.QuorumAcks, s.coverage.Peers())
@@ -1337,7 +1353,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		// Quorum wait happens OUTSIDE walGate: a slow replica must not
 		// block snapshots or other writers, only this ack.
-		err = s.waitQuorum(end)
+		err = s.waitQuorum(r.Context(), end)
 	}
 	if err != nil {
 		s.writeErr(w, err)
@@ -1373,7 +1389,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.walGate.RUnlock()
 	if err == nil {
-		err = s.waitQuorum(end)
+		err = s.waitQuorum(r.Context(), end)
 	}
 	if err != nil {
 		s.writeErr(w, err)
@@ -1419,7 +1435,7 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, typ wal.Rec
 	}
 	s.walGate.RUnlock()
 	if err == nil {
-		err = s.waitQuorum(end)
+		err = s.waitQuorum(r.Context(), end)
 	}
 	if err != nil {
 		s.writeErr(w, err)

@@ -86,15 +86,12 @@ var ErrCursorCompacted = errors.New("wal: cursor below retained history (resync 
 // compaction — resync.
 var ErrCursorAhead = errors.New("wal: cursor ahead of durable history (resync from snapshot)")
 
-// streamEnd reports the active segment's sequence and the end of its
-// shippable prefix. Only acknowledged bytes ship: under FsyncOff an append
-// is acknowledged as soon as it is written (size), otherwise when an fsync
-// covers it (syncedTo); a poison offset caps either — frames at or beyond
-// it were never acknowledged and never will be.
-func (j *Journal) streamEnd() (activeSeq uint64, durable int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seg := j.active
+// shippableEnd is the end of seg's shippable prefix. Only acknowledged
+// bytes ship: under FsyncOff an append is acknowledged as soon as it is
+// written (size), otherwise when an fsync covers it (syncedTo); a poison
+// offset caps either — frames at or beyond it were never acknowledged and
+// never will be. Caller holds j.mu.
+func (j *Journal) shippableEnd(seg *segment) int64 {
 	end := seg.syncedTo
 	if j.cfg.Fsync == FsyncOff {
 		end = seg.size
@@ -102,10 +99,15 @@ func (j *Journal) streamEnd() (activeSeq uint64, durable int64) {
 	if seg.poisoned && seg.poisonedAt < end {
 		end = seg.poisonedAt
 	}
-	if end < segHeaderSize {
-		end = segHeaderSize
-	}
-	return seg.seq, end
+	return max(end, segHeaderSize)
+}
+
+// streamEnd reports the active segment's sequence, the end of its shippable
+// prefix, and where the segment sealed by the latest rotation ended.
+func (j *Journal) streamEnd() (activeSeq uint64, durable int64, sealed Cursor) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.active.seq, j.shippableEnd(j.active), j.lastSealed
 }
 
 // DurableCursor reports the journal's durable stream end: the position a
@@ -113,7 +115,7 @@ func (j *Journal) streamEnd() (activeSeq uint64, durable int64) {
 // WAL cursor" for election purposes — a vote comparison between a
 // candidate's follower cursor and a voting primary's own log.
 func (j *Journal) DurableCursor() Cursor {
-	seq, durable := j.streamEnd()
+	seq, durable, _ := j.streamEnd()
 	return Cursor{Seg: seq, Off: durable}
 }
 
@@ -135,34 +137,23 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 	// so the loop is bounded by the retained segment count; the cap only
 	// guards against a directory mutating faster than we can scan it.
 	for hop := 0; hop < 1<<16; hop++ {
-		activeSeq, durable := j.streamEnd()
-		seqs, err := scanDir(j.cfg.FS, j.cfg.Dir)
-		if err != nil {
-			return nil, c, c, err
-		}
-		if c.IsZero() {
-			first := activeSeq
-			if len(seqs) > 0 && seqs[0] < first {
-				first = seqs[0]
-			}
-			if first > 1 {
-				// Retained history does not reach back to genesis: a
-				// from-the-beginning reader would silently miss records.
-				return nil, c, c, ErrCursorCompacted
-			}
-			c = Cursor{Seg: first, Off: segHeaderSize}
-		}
-		if c.Off < segHeaderSize {
+		activeSeq, durable, sealed := j.streamEnd()
+		if !c.IsZero() && c.Off < segHeaderSize {
 			c.Off = segHeaderSize
 		}
-		if len(seqs) > 0 && c.Seg < seqs[0] && c.Seg < activeSeq {
-			return nil, c, c, ErrCursorCompacted
+		if !c.IsZero() && c == sealed {
+			// A follower that was caught up when the journal last rotated:
+			// it holds all of that segment, and the active one is its
+			// successor. Known without the file, so it holds whether or not
+			// the snapshot behind the rotation has compacted it yet.
+			c = Cursor{Seg: activeSeq, Off: segHeaderSize}
 		}
 		if c.Seg > activeSeq || (c.Seg == activeSeq && c.Off > durable) {
 			return nil, c, c, ErrCursorAhead
 		}
-
 		if c.Seg == activeSeq {
+			// The tailing poll, one per acknowledged write: answered from the
+			// journal's own state and the open segment, no directory listing.
 			if c.Off == durable {
 				return nil, c, c, nil // caught up
 			}
@@ -188,40 +179,71 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 			return body[:n], c, Cursor{Seg: c.Seg, Off: c.Off + n}, nil
 		}
 
-		// Sealed segment. Work out where the stream continues if this one
-		// is exhausted, torn at the cursor, or gone.
+		// The zero cursor or a sealed segment: both need to know which
+		// segments are retained.
+		seqs, err := scanDir(j.cfg.FS, j.cfg.Dir)
+		if err != nil {
+			return nil, c, c, err
+		}
+		if c.IsZero() {
+			first := activeSeq
+			if len(seqs) > 0 && seqs[0] < first {
+				first = seqs[0]
+			}
+			if first > 1 {
+				// Retained history does not reach back to genesis: a
+				// from-the-beginning reader would silently miss records.
+				return nil, c, c, ErrCursorCompacted
+			}
+			c = Cursor{Seg: first, Off: segHeaderSize}
+			continue
+		}
+		if len(seqs) > 0 && c.Seg < seqs[0] {
+			return nil, c, c, ErrCursorCompacted
+		}
+
+		// Work out where the stream continues if this segment is exhausted
+		// or torn at the cursor.
 		nextSeq := activeSeq
 		for _, s := range seqs {
 			if s > c.Seg && s < nextSeq {
 				nextSeq = s
 			}
 		}
-		buf, err := j.readSegment(segPath(j.cfg.Dir, c.Seg), 0, -1)
+		// A sealed segment is read like the active one: the header and the
+		// batch, not the (up to SegmentBytes) file. If a compaction removes
+		// the file under either read, nobody can say any more whether
+		// records remained past the cursor, and hopping on would silently
+		// drop them from the follower: that is ErrCursorCompacted.
+		path := segPath(j.cfg.Dir, c.Seg)
+		hdr, err := j.readSegment(path, 0, segHeaderSize)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, c, c, ErrCursorCompacted
+		}
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				c = Cursor{Seg: nextSeq, Off: segHeaderSize} // compacted mid-scan
-				continue
-			}
 			return nil, c, c, err
 		}
-		if len(buf) < segHeaderSize || getU32(buf[0:4]) != segMagic || getU64(buf[4:12]) != c.Seg {
+		if len(hdr) < segHeaderSize || getU32(hdr[0:4]) != segMagic || getU64(hdr[4:12]) != c.Seg {
 			// Damaged header: replay discards the whole segment, so the
 			// stream does too.
 			c = Cursor{Seg: nextSeq, Off: segHeaderSize}
 			continue
 		}
-		off := c.Off
-		if off > int64(len(buf)) {
-			off = int64(len(buf))
+		body, err := j.readSegment(path, c.Off, int64(maxBytes))
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, c, c, ErrCursorCompacted
 		}
-		n := takeFrames(buf[off:], maxBytes)
+		if err != nil {
+			return nil, c, c, err
+		}
+		n := takeFrames(body, maxBytes)
 		if n == 0 {
 			// Clean end of segment, or a torn tail (never-acknowledged
 			// bytes). Either way the stream continues in the next segment.
 			c = Cursor{Seg: nextSeq, Off: segHeaderSize}
 			continue
 		}
-		return buf[off : off+n], c, Cursor{Seg: c.Seg, Off: off + n}, nil
+		return body[:n], c, Cursor{Seg: c.Seg, Off: c.Off + n}, nil
 	}
 	return nil, c, c, errors.New("wal: cursor chase did not converge")
 }
@@ -289,7 +311,15 @@ func ScanStream(data []byte, apply func(Record) error) (consumed int64, torn boo
 // exactly. Unreadable history counts as zero lag rather than failing: the
 // gauge must never take the stream down.
 func (j *Journal) TailGapRecords(c Cursor) int64 {
-	activeSeq, durable := j.streamEnd()
+	activeSeq, durable, _ := j.streamEnd()
+	if c.Seg == activeSeq {
+		// The tailing follower: the gap is inside the active segment, and
+		// the journal knows its end without listing the directory.
+		return max(durable-max(c.Off, segHeaderSize), 0) / FrameSize
+	}
+	if c.Seg > activeSeq {
+		return 0
+	}
 	seqs, err := scanDir(j.cfg.FS, j.cfg.Dir)
 	if err != nil {
 		return 0
@@ -300,9 +330,6 @@ func (j *Journal) TailGapRecords(c Cursor) int64 {
 			c.Seg = seqs[0]
 		}
 		c.Off = segHeaderSize
-	}
-	if c.Seg > activeSeq {
-		return 0
 	}
 	var gap int64
 	for _, s := range seqs {
@@ -321,13 +348,9 @@ func (j *Journal) TailGapRecords(c Cursor) int64 {
 			gap += fi.Size() - start
 		}
 	}
-	start := int64(segHeaderSize)
-	if c.Seg == activeSeq && c.Off > start {
-		start = c.Off
-	}
-	if durable > start {
-		gap += durable - start
-	}
+	// Past the early return the cursor sits below the active segment, all of
+	// whose shippable prefix is therefore still ahead of it.
+	gap += durable - segHeaderSize
 	return gap / FrameSize
 }
 

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"testing"
+	"time"
 
 	"prorp/internal/faults"
 )
@@ -99,10 +101,12 @@ func TestReadAfterStreamsEverything(t *testing.T) {
 	}
 }
 
-// readCountFS counts the bytes read through every file it opens.
+// readCountFS counts the bytes read through every file it opens, and the
+// directory listings.
 type readCountFS struct {
 	faults.FS
-	read *int64
+	read     *int64
+	listings *int
 }
 
 type readCountFile struct {
@@ -115,6 +119,11 @@ func (fs readCountFS) Open(name string) (faults.File, error) {
 	return readCountFile{f, fs.read}, err
 }
 
+func (fs readCountFS) ReadDir(name string) ([]fs.DirEntry, error) {
+	*fs.listings++
+	return fs.FS.ReadDir(name)
+}
+
 func (f readCountFile) Read(p []byte) (int, error) {
 	n, err := f.File.Read(p)
 	*f.read += int64(n)
@@ -123,13 +132,17 @@ func (f readCountFile) Read(p []byte) (int, error) {
 
 // TestReadAfterActiveTailReadsOnlyTheBatch pins the cost of a tailing poll:
 // serving the last frame of a long active segment reads that frame, not the
-// segment — a follower polling every millisecond must not cost the primary
-// more the longer it has been up.
+// segment, and lists no directory — a follower polling once per
+// acknowledged write must not cost the primary more the longer it has been
+// up or the more segments it retains.
 func TestReadAfterActiveTailReadsOnlyTheBatch(t *testing.T) {
-	var read int64
+	var (
+		read     int64
+		listings int
+	)
 	cfg := testConfig(t, t.TempDir())
 	cfg.Fsync = FsyncOff
-	cfg.FS = readCountFS{faults.OS, &read}
+	cfg.FS = readCountFS{faults.OS, &read, &listings}
 	j, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -141,7 +154,7 @@ func TestReadAfterActiveTailReadsOnlyTheBatch(t *testing.T) {
 	end := j.DurableCursor()
 	last := Cursor{Seg: end.Seg, Off: end.Off - FrameSize}
 
-	read = 0
+	read, listings = 0, 0
 	data, start, next, err := j.ReadAfter(last, 1<<20)
 	if err != nil || start != last || next != end || int64(len(data)) != FrameSize {
 		t.Fatalf("ReadAfter(%v) = %d bytes, %v..%v, %v; want one frame up to %v", last, len(data), start, next, err, end)
@@ -157,6 +170,281 @@ func TestReadAfterActiveTailReadsOnlyTheBatch(t *testing.T) {
 	}
 	if read != 4*FrameSize {
 		t.Fatalf("serving four frames read %d bytes, want %d", read, 4*FrameSize)
+	}
+	// The whole of one stream poll — batch, caught-up probe, lag gauge —
+	// stays off the directory while the cursor is in the active segment.
+	if data, _, _, err = j.ReadAfter(end, 1<<20); err != nil || len(data) != 0 {
+		t.Fatalf("caught-up ReadAfter(%v) = %d bytes, %v", end, len(data), err)
+	}
+	if gap := j.TailGapRecords(last); gap != 1 {
+		t.Fatalf("TailGapRecords(%v) = %d, want 1", last, gap)
+	}
+	if listings != 0 {
+		t.Fatalf("active-segment polls listed the directory %d times, want 0", listings)
+	}
+}
+
+// TestReadAfterSealedSegmentReadsOnlyTheBatch is the catch-up half: a batch
+// out of a sealed segment costs its header plus the batch, not the file.
+func TestReadAfterSealedSegmentReadsOnlyTheBatch(t *testing.T) {
+	var (
+		read     int64
+		listings int
+	)
+	cfg := testConfig(t, t.TempDir())
+	cfg.Fsync = FsyncOff
+	cfg.FS = readCountFS{faults.OS, &read, &listings}
+	j, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer j.Close()
+
+	const n = 2000
+	appendN(t, j, 0, n)
+	sealed := j.ActiveSeq()
+	if _, err := j.Rotate(); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+
+	const maxBytes = 8 * FrameSize
+	read = 0
+	mid := Cursor{Seg: sealed, Off: SegmentDataStart + 100*FrameSize}
+	data, start, next, err := j.ReadAfter(mid, int(maxBytes))
+	if err != nil || start != mid || int64(len(data)) != maxBytes || next.Off != mid.Off+maxBytes {
+		t.Fatalf("ReadAfter(%v) = %d bytes, %v..%v, %v", mid, len(data), start, next, err)
+	}
+	if limit := SegmentDataStart + maxBytes; read > limit {
+		t.Fatalf("a %d-byte batch from a sealed %d-byte segment read %d bytes, want <= %d",
+			maxBytes, SegmentDataStart+n*FrameSize, read, limit)
+	}
+	// Draining it in batches still yields every record, then hops on.
+	got, cur := streamAll(t, j, Cursor{Seg: sealed, Off: SegmentDataStart}, int(maxBytes))
+	if len(got) != n || cur != (Cursor{Seg: sealed + 1, Off: SegmentDataStart}) {
+		t.Fatalf("drained %d records to %v, want %d to the start of segment %d", len(got), cur, n, sealed+1)
+	}
+}
+
+// TestReadAfterCaughtUpCursorSurvivesCompaction: a follower that was caught
+// up when the journal rotated is moved into the new segment whether its
+// poll arrives before or after the snapshot behind the rotation compacts
+// the old one — the journal remembers where the sealed segment ended, so
+// the answer needs neither the file nor the directory. Two rotations
+// behind, the records in between are gone for good: resync.
+func TestReadAfterCaughtUpCursorSurvivesCompaction(t *testing.T) {
+	var (
+		read     int64
+		listings int
+	)
+	cfg := testConfig(t, t.TempDir())
+	cfg.FS = readCountFS{faults.OS, &read, &listings}
+	j, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer j.Close()
+
+	appendN(t, j, 0, 5)
+	caughtUp := j.DurableCursor()
+	boundary, err := j.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.CompactBefore(boundary); err != nil {
+		t.Fatal(err)
+	}
+	read, listings = 0, 0
+	want := Cursor{Seg: boundary, Off: SegmentDataStart}
+	data, start, next, err := j.ReadAfter(caughtUp, 1<<20)
+	if err != nil || len(data) != 0 || start != want || next != want {
+		t.Fatalf("ReadAfter(%v) after rotate+compact = %d bytes, %v..%v, %v; want an empty batch at %v", caughtUp, len(data), start, next, err, want)
+	}
+	if read != 0 || listings != 0 {
+		t.Fatalf("the hop read %d bytes and listed the directory %d times, want neither", read, listings)
+	}
+	// One record short of caught up is a different matter: that record is
+	// in the compacted segment.
+	behind := Cursor{Seg: caughtUp.Seg, Off: caughtUp.Off - FrameSize}
+	if _, _, _, err := j.ReadAfter(behind, 1<<20); !errors.Is(err, ErrCursorCompacted) {
+		t.Fatalf("ReadAfter(%v) = %v, want ErrCursorCompacted", behind, err)
+	}
+	appendN(t, j, 5, 2)
+	boundary2, err := j.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.CompactBefore(boundary2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := j.ReadAfter(caughtUp, 1<<20); !errors.Is(err, ErrCursorCompacted) {
+		t.Fatalf("two rotations behind: ReadAfter(%v) = %v, want ErrCursorCompacted", caughtUp, err)
+	}
+}
+
+// vanishingFS deletes a file just before its nth Open — a compaction
+// landing between two reads of one stream poll.
+type vanishingFS struct {
+	faults.FS
+	path  string
+	nth   int
+	opens *int
+}
+
+func (fs vanishingFS) Open(name string) (faults.File, error) {
+	if name == fs.path {
+		if *fs.opens++; *fs.opens == fs.nth {
+			os.Remove(name)
+		}
+	}
+	return fs.FS.Open(name)
+}
+
+// TestReadAfterSegmentCompactedMidRead: a sealed segment that disappears
+// while a poll is reading it — under the header read or under the batch
+// read — is ErrCursorCompacted, never a hop to the next segment: records
+// may have remained past the cursor, and a hop would drop them from the
+// follower without a trace (a replica that converges on a shorter archive).
+func TestReadAfterSegmentCompactedMidRead(t *testing.T) {
+	for nth := 1; nth <= 2; nth++ {
+		var opens int
+		dir := t.TempDir()
+		cfg := testConfig(t, dir)
+		cfg.FS = vanishingFS{faults.OS, segPath(dir, 1), nth, &opens}
+		j, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		appendN(t, j, 0, 10)
+		if _, err := j.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, j, 10, 2)
+		mid := Cursor{Seg: 1, Off: SegmentDataStart + 4*FrameSize} // six records still to ship
+		data, _, next, err := j.ReadAfter(mid, 1<<20)
+		if !errors.Is(err, ErrCursorCompacted) {
+			t.Fatalf("segment removed under read %d: ReadAfter = %d bytes, next %v, err %v; want ErrCursorCompacted", nth, len(data), next, err)
+		}
+		j.Close()
+	}
+}
+
+// parkedRead is what a stream handler does with a caught-up cursor: take
+// the tail channel, read, and — having found nothing — wait on the channel
+// and read again. parked is closed once the first read came back empty.
+type parkedRead struct {
+	parked chan struct{}
+	done   chan struct{}
+	data   []byte
+	start  Cursor
+	err    error
+}
+
+func parkAt(j *Journal, c Cursor) *parkedRead {
+	p := &parkedRead{parked: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		tail := j.TailChanged()
+		p.data, p.start, _, p.err = j.ReadAfter(c, 1<<20)
+		if p.err != nil || len(p.data) > 0 || p.start != c {
+			return // nothing to wait for; p.parked stays open
+		}
+		close(p.parked)
+		<-tail
+		p.data, p.start, _, p.err = j.ReadAfter(c, 1<<20)
+	}()
+	return p
+}
+
+// wait fails the test if the reader does not get as far as ch; the bound is
+// a hang guard, not a measurement.
+func (p *parkedRead) wait(t *testing.T, what string, ch <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("reader never %s", what)
+	}
+}
+
+// TestTailChangedWakesParkedReader: under every fsync policy a reader
+// parked at the journal's shippable end is woken by the next acknowledged
+// append and finds the record, and is let go by everything that ends the
+// wait for good — Rotate (the cursor hops), a poisoned append, Close, Kill.
+func TestTailChangedWakesParkedReader(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncBatch, FsyncOff} {
+		open := func(t *testing.T) (*Journal, *faults.Injector) {
+			inj := faults.NewInjector(1)
+			cfg := testConfig(t, t.TempDir())
+			cfg.Fsync = policy
+			cfg.FS = faults.NewFaultFS(faults.OS, inj, nil)
+			j, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			t.Cleanup(func() { j.Close() })
+			appendN(t, j, 0, 3)
+			return j, inj
+		}
+		park := func(t *testing.T, j *Journal) (*parkedRead, Cursor) {
+			end := j.DurableCursor()
+			p := parkAt(j, end)
+			p.wait(t, "parked", p.parked)
+			return p, end
+		}
+		t.Run(policy.String()+"/append", func(t *testing.T) {
+			j, _ := open(t)
+			p, _ := park(t, j)
+			appendN(t, j, 3, 1)
+			p.wait(t, "woke on the append", p.done)
+			var got []Record
+			if _, _, err := ScanStream(p.data, func(r Record) error { got = append(got, r); return nil }); err != nil ||
+				p.err != nil || len(got) != 1 || got[0].ID != 3 {
+				t.Fatalf("woken reader got %+v (read err %v, scan err %v), want record 3", got, p.err, err)
+			}
+		})
+		t.Run(policy.String()+"/rotate", func(t *testing.T) {
+			j, _ := open(t)
+			p, end := park(t, j)
+			if _, err := j.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			p.wait(t, "woke on the rotation", p.done)
+			if want := (Cursor{Seg: end.Seg + 1, Off: SegmentDataStart}); p.err != nil || p.start != want {
+				t.Fatalf("after Rotate the reader sits at %v (err %v), want %v", p.start, p.err, want)
+			}
+		})
+		t.Run(policy.String()+"/poison", func(t *testing.T) {
+			j, inj := open(t)
+			p, _ := park(t, j)
+			inj.PartialWrites("fs.write", 1)
+			if _, err := j.Append(Record{Type: RecordLogin, ID: 99, Unix: 99}); err == nil {
+				t.Fatal("partial write was acknowledged")
+			}
+			inj.Heal("fs.write")
+			p.wait(t, "woke on the poisoned append", p.done)
+			if p.err != nil || len(p.data) != 0 {
+				t.Fatalf("reader was handed %d bytes of a torn frame (err %v)", len(p.data), p.err)
+			}
+		})
+		t.Run(policy.String()+"/close", func(t *testing.T) {
+			j, _ := open(t)
+			p, _ := park(t, j)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			p.wait(t, "woke on Close", p.done)
+			select {
+			case <-j.TailChanged():
+			default:
+				t.Fatal("a closed journal handed out a channel that can still block")
+			}
+		})
+		t.Run(policy.String()+"/kill", func(t *testing.T) {
+			j, _ := open(t)
+			p, _ := park(t, j)
+			j.Kill()
+			p.wait(t, "woke on Kill", p.done)
+		})
 	}
 }
 

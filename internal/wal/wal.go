@@ -211,6 +211,13 @@ type Journal struct {
 	cond   *sync.Cond
 	active *segment
 	closed bool
+	// tail is the channel TailChanged last handed out, nil while nobody
+	// holds one; wakeLocked closes it.
+	tail chan struct{}
+	// lastSealed is the shippable end of the segment the latest rotation
+	// sealed, whose successor is the active segment (zero before the first
+	// rotation): a stream cursor equal to it has nothing left behind it.
+	lastSealed Cursor
 
 	appends       atomic.Uint64
 	bytesAppended atomic.Uint64
@@ -350,7 +357,41 @@ func (j *Journal) sealLocked(seg *segment) {
 	}
 	seg.f.Close()
 	seg.sealed = true
+	j.wakeLocked()
+}
+
+// wakeLocked announces that the shippable end, the active segment or the
+// journal's life cycle changed: blocked appenders re-check their segment,
+// and the channel a stream reader took from TailChanged is closed.
+func (j *Journal) wakeLocked() {
 	j.cond.Broadcast()
+	if j.tail != nil {
+		close(j.tail)
+		j.tail = nil
+	}
+}
+
+// TailChanged returns a channel that is closed the next time the record
+// stream may have more to give: a record became shippable (an fsync covered
+// it, or it was written under FsyncOff), the active segment was sealed or
+// poisoned, or the journal was closed or killed. A stream reader that wants
+// to wait for the next record takes the channel BEFORE it calls ReadAfter
+// and waits on it only when the read came back empty — a change between the
+// two closes the channel already in hand, so no wake-up is lost. On a closed
+// journal the channel is closed already; a caller that re-arms in a loop
+// must notice the shutdown itself.
+func (j *Journal) TailChanged() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		ch := make(chan struct{})
+		close(ch) // nothing would ever wake it
+		return ch
+	}
+	if j.tail == nil {
+		j.tail = make(chan struct{})
+	}
+	return j.tail
 }
 
 // poisonLocked marks frames at or beyond offset as never-durable.
@@ -361,7 +402,7 @@ func (j *Journal) poisonLocked(seg *segment, offset int64, err error) {
 		seg.poisonErr = err
 		j.cfg.Logf("wal: segment %d poisoned at offset %d: %v", seg.seq, offset, err)
 	}
-	j.cond.Broadcast()
+	j.wakeLocked()
 }
 
 // Append journals one record and blocks until it is durable per the fsync
@@ -411,6 +452,7 @@ func (j *Journal) Append(rec Record) (Cursor, error) {
 	if j.cfg.Fsync == FsyncOff {
 		j.appends.Add(1)
 		j.bytesAppended.Add(uint64(len(frame)))
+		j.wakeLocked() // written is shippable here: no fsync will announce it
 		return cur, nil
 	}
 	// Wait until an fsync covers this record, leading one when nobody is.
@@ -447,7 +489,7 @@ func (j *Journal) leadSyncLocked(seg *segment) {
 	}
 	if seg.sealed {
 		seg.syncing = false
-		j.cond.Broadcast()
+		j.wakeLocked()
 		return
 	}
 	target := seg.size
@@ -456,7 +498,7 @@ func (j *Journal) leadSyncLocked(seg *segment) {
 	}
 	if target <= seg.syncedTo {
 		seg.syncing = false
-		j.cond.Broadcast()
+		j.wakeLocked()
 		return
 	}
 	f := seg.f
@@ -474,7 +516,7 @@ func (j *Journal) leadSyncLocked(seg *segment) {
 		}
 		j.fsyncs.Add(1)
 	}
-	j.cond.Broadcast()
+	j.wakeLocked()
 }
 
 // Rotate seals the active segment and opens the next one, returning the
@@ -497,12 +539,18 @@ func (j *Journal) rotateLocked() error {
 	old := j.active
 	next := old.seq + 1
 	j.sealLocked(old)
+	j.lastSealed = Cursor{}
 	if err := j.openSegmentLocked(next); err != nil {
 		// No active segment — poison a placeholder so appends keep failing
 		// loudly rather than panicking, and retry the open on next append.
 		j.active = &segment{seq: old.seq, sealed: false, poisoned: true,
 			poisonedAt: 0, poisonErr: err, f: old.f, path: old.path, size: j.cfg.SegmentBytes}
 		return err
+	}
+	// Only a clean seal is remembered: where a poisoned segment (or the
+	// placeholder above) ends is settled by reading its file, as before.
+	if !old.poisoned {
+		j.lastSealed = Cursor{Seg: old.seq, Off: j.shippableEnd(old)}
 	}
 	j.rotations.Add(1)
 	return nil
@@ -603,7 +651,7 @@ func (j *Journal) Kill() {
 	j.closed = true
 	j.active.f.Close()
 	j.active.sealed = true
-	j.cond.Broadcast()
+	j.wakeLocked()
 }
 
 func putU32(b []byte, v uint32) {
