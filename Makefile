@@ -69,33 +69,34 @@ obs-bench:
 
 # The fault-injection chaos gate: every seeded suite under the race
 # detector, via non-overlapping sub-targets so CI can run (and report)
-# each family once instead of re-matching the same tests twice.
+# each family once instead of re-matching the same tests twice. Each suite
+# sweeps seeds 0..49 (the test binaries' -chaos.seeds flag).
 chaos: snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos
 
 # The snapshot half: seeded kill-and-restore through the pause/resume
 # archive path.
 snap-chaos:
-	$(GO) test -race -run TestChaosKillAndRestore -count 1 ./internal/server
+	$(GO) test -race -run TestChaosKillAndRestore -count 1 ./internal/server -chaos.seeds=50
 
 # Just the crash-durability half: 50 seeded kill-replay iterations at the
 # journal layer (torn tails, failed fsyncs) and end to end through the
 # server (zero acknowledged-but-lost events).
 wal-chaos:
-	$(GO) test -race -run TestChaosWAL -count 1 ./internal/server ./internal/wal
+	$(GO) test -race -run TestChaosWAL -count 1 ./internal/server ./internal/wal -chaos.seeds=50
 
 # The replication half: 50 seeded kill-primary/promote-replica iterations
 # over a hostile stream transport (partitions, mid-frame cuts, bit flips),
 # asserting zero acked-write loss and byte-exact convergence of the
 # rebooted old primary.
 repl-chaos:
-	$(GO) test -race -run TestChaosReplFailover -count 1 ./internal/server
+	$(GO) test -race -run TestChaosReplFailover -count 1 ./internal/server -chaos.seeds=50
 
 # The partitioning half: 50 seeded kill-mid-migration iterations of a
 # two-group control plane over a hostile transport, asserting zero
 # acked-write loss, exactly-one-owner after reconcile, and byte-identical
 # migrated archives.
 shard-chaos:
-	$(GO) test -race -run TestChaosShardMigration -count 1 ./internal/server
+	$(GO) test -race -run TestChaosShardMigration -count 1 ./internal/server -chaos.seeds=50
 
 # The self-healing half: 50 seeded kill-the-primary iterations where no
 # human intervenes — lease lapse, replica-initiated election, fencing of
@@ -103,7 +104,7 @@ shard-chaos:
 # one unfenced primary at quiesce. On failure the surviving node's
 # on-disk debris is copied to $$PRORP_CHAOS_DEBRIS for the CI artifact.
 lease-chaos:
-	$(GO) test -race -run TestChaosLeaseElection -count 1 ./internal/server
+	$(GO) test -race -run TestChaosLeaseElection -count 1 ./internal/server -chaos.seeds=50
 
 # The overload half: 50 seeded open-loop floods of a 3-node cluster with
 # hung and partitioned peers, asserting that login (Decision-class) p99
@@ -112,7 +113,7 @@ lease-chaos:
 # re-close after it, and that zero acknowledged writes are lost across a
 # kill-and-reboot of the flooded node.
 overload-chaos:
-	$(GO) test -race -run TestChaosOverload -count 1 ./internal/server
+	$(GO) test -race -run TestChaosOverload -count 1 ./internal/server -chaos.seeds=50
 
 # Refresh BENCH_router.json, the committed router-overhead record
 # (acceptance: router_overhead_pct <= 5 over the unrouted baseline).

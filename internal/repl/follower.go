@@ -55,15 +55,21 @@ type FollowerConfig struct {
 	MaxBatchBytes int
 	// Node is the local role/epoch state machine.
 	Node *Node
-	// Apply journalizes one streamed record into the local WAL and applies
-	// it to the local fleet — the replica's journalize-before-apply path. A
-	// non-nil error stops the batch; the cursor advances only past applied
-	// records, so the record is re-streamed on the next poll.
-	Apply func(rec wal.Record) error
-	// Persist, when non-nil, durably records the follower's epoch and
-	// cursor. sync=true means the write must be fsynced before returning
-	// (epoch changes — fencing must survive a crash); cursor-only progress
-	// is best-effort (a stale cursor merely re-streams idempotent records).
+	// Apply journalizes one streamed batch — the intact records of one poll,
+	// in stream order — into the local WAL with one write and one fsync, then
+	// applies them to the local fleet: the replica's journalize-before-apply
+	// path. It returns how many records it applied, from the front; the
+	// cursor advances past exactly those, so with a non-nil error the rest
+	// are re-streamed on the next poll (a journal error applies none).
+	Apply func(recs []wal.Record) (applied int, err error)
+	// Persist, when non-nil, records the follower's epoch and cursor.
+	// sync=true means the write must be fsynced before returning (epoch
+	// changes — fencing must survive a crash). Cursor-only progress need
+	// only survive a process kill: after a machine crash the host may boot
+	// with an older cursor, never a newer one. Re-applying what an older
+	// cursor re-streams is tolerated, not idempotent — creates, deletes and
+	// history tuples dedup, a login or logout re-runs its transition — so the
+	// host persists after every batch and the overlap stays one batch.
 	Persist func(epoch uint64, c wal.Cursor, sync bool) error
 	// Resync, when non-nil, performs a snapshot resync after the primary
 	// reports the cursor unusable (compacted or ahead): fetch the primary's
@@ -479,26 +485,29 @@ func (f *Follower) applyBatch(ctx context.Context, resp *http.Response, reign ui
 		return f.fail("batch at %s is %d bytes, declared %d", start, len(body), declared)
 	}
 
-	applied := 0
-	consumed, torn, aerr := wal.ScanStream(body, func(rec wal.Record) error {
-		if err := f.cfg.Apply(rec); err != nil {
-			return err
-		}
-		applied++
-		f.mu.Lock()
-		f.lastAppliedUnix = rec.Unix
-		f.mu.Unlock()
+	// One scan of the body collects the intact prefix; Apply journalizes it
+	// in one append and applies it.
+	recs := make([]wal.Record, 0, len(body)/int(wal.FrameSize))
+	_, torn, _ := wal.ScanStream(body, func(rec wal.Record) error {
+		recs = append(recs, rec)
 		return nil
 	})
+	var (
+		applied int
+		aerr    error
+	)
+	if len(recs) > 0 {
+		applied, aerr = f.cfg.Apply(recs)
+	}
+	consumed := int64(applied) * wal.FrameSize
 	f.records.Add(uint64(applied))
 	if applied > 0 {
 		f.batches.Add(1)
 	}
 
 	// Advance exactly past what was applied: the full batch's next cursor
-	// on a clean scan of the declared length, start+consumed otherwise.
-	// Everything streamed is idempotent under re-apply, so a conservative
-	// cursor is always safe.
+	// on a clean scan of the declared length, start+consumed otherwise. A
+	// cursor short of the batch's end only re-streams what was not applied.
 	full := !torn && aerr == nil && consumed == declared
 	cut := !full && aerr == nil && !torn // truncated on a frame boundary
 	newCur := next
@@ -511,6 +520,9 @@ func (f *Follower) applyBatch(ctx context.Context, resp *http.Response, reign ui
 	}
 	f.mu.Lock()
 	f.cursor = newCur
+	if applied > 0 {
+		f.lastAppliedUnix = recs[applied-1].Unix
+	}
 	if reign > 0 {
 		f.sourceReign = reign
 	}

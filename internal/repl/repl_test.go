@@ -270,15 +270,19 @@ func (d hostDoer) Do(req *http.Request) (*http.Response, error) {
 }
 
 type collector struct {
-	mu  sync.Mutex
-	ids []int64
+	mu      sync.Mutex
+	ids     []int64
+	batches []int // records handed to each Apply call
 }
 
-func (c *collector) apply(rec wal.Record) error {
+func (c *collector) apply(recs []wal.Record) (int, error) {
 	c.mu.Lock()
-	c.ids = append(c.ids, rec.ID)
+	for _, rec := range recs {
+		c.ids = append(c.ids, rec.ID)
+	}
+	c.batches = append(c.batches, len(recs))
 	c.mu.Unlock()
-	return nil
+	return len(recs), nil
 }
 
 func (c *collector) snapshot() []int64 {
@@ -330,6 +334,16 @@ func TestFollowerStreamsAndTracksLag(t *testing.T) {
 	}
 	if st := f.Stats(); st.CaughtUpPolls == 0 || st.Batches < 2 {
 		t.Fatalf("stats %+v: want caught-up polls and multiple batches", st)
+	}
+	// One Apply call per streamed batch, carrying the whole batch.
+	got.mu.Lock()
+	calls, most := len(got.batches), 0
+	for _, n := range got.batches {
+		most = max(most, n)
+	}
+	got.mu.Unlock()
+	if uint64(calls) != f.Stats().Batches || most != 3 {
+		t.Fatalf("%d Apply calls for %d batches, largest %d records; want one call per batch, up to the 3-frame cap", calls, f.Stats().Batches, most)
 	}
 	persisted.mu.Lock()
 	defer persisted.mu.Unlock()
@@ -542,20 +556,28 @@ func TestFollowerApplyErrorHoldsCursor(t *testing.T) {
 	appendLogins(t, j, 0, 5)
 	primary := &miniPrimary{j: j, epoch: 1}
 	var mu sync.Mutex
-	fail := true
+	journalFail, fail := true, true
 	var applied []int64
 	f := NewFollower(FollowerConfig{
 		PrimaryURL: "http://primary", Doer: primary, PollInterval: time.Millisecond,
 		Node: NewNode(RoleReplica, 1),
-		Apply: func(rec wal.Record) error {
+		Apply: func(recs []wal.Record) (int, error) {
 			mu.Lock()
 			defer mu.Unlock()
-			if rec.ID == 3 && fail {
-				fail = false
-				return errors.New("transient apply failure")
+			if journalFail {
+				// The journal refused the batch: nothing applied, all of it
+				// comes again.
+				journalFail = false
+				return 0, errors.New("transient journal failure")
 			}
-			applied = append(applied, rec.ID)
-			return nil
+			for i, rec := range recs {
+				if rec.ID == 3 && fail {
+					fail = false
+					return i, errors.New("transient apply failure")
+				}
+				applied = append(applied, rec.ID)
+			}
+			return len(recs), nil
 		},
 	}, wal.Cursor{})
 	f.Start()
@@ -568,13 +590,13 @@ func TestFollowerApplyErrorHoldsCursor(t *testing.T) {
 			t.Fatalf("apply order %v: record re-applied or skipped", applied)
 		}
 	}
-	if f.Stats().StreamErrors == 0 {
-		t.Fatal("apply error not counted")
+	if n := f.Stats().StreamErrors; n != 2 {
+		t.Fatalf("%d stream errors, want the journal failure and the apply failure", n)
 	}
 }
 
 func TestFollowerStopBeforeStart(t *testing.T) {
-	f := NewFollower(FollowerConfig{PrimaryURL: "http://primary", Node: NewNode(RoleReplica, 1), Apply: func(wal.Record) error { return nil }}, wal.Cursor{})
+	f := NewFollower(FollowerConfig{PrimaryURL: "http://primary", Node: NewNode(RoleReplica, 1), Apply: func(recs []wal.Record) (int, error) { return len(recs), nil }}, wal.Cursor{})
 	f.Stop() // must not hang or panic
 	f.Stop()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,21 @@ import (
 	"prorp/internal/faults"
 )
 
+// chaosSeeds is how many seeds (0..n-1) every chaos suite in this package
+// runs: `go test -chaos.seeds=3` for a quick look, the full sweep by default
+// and from `make chaos` / CI.
+var chaosSeeds = flag.Int("chaos.seeds", 50, "seeds each chaos suite runs (0..n-1)")
+
+// eachChaosSeed runs iteration once per seed, as parallel subtests seedNN.
+func eachChaosSeed(t *testing.T, iteration func(t *testing.T, seed int64)) {
+	for seed := int64(0); seed < int64(*chaosSeeds); seed++ {
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			iteration(t, seed)
+		})
+	}
+}
+
 // TestChaosKillAndRestore is the chaos gate of the serving stack: 50
 // seeded iterations, each driving a persistent server through concurrent
 // traffic while the disk misbehaves (transient errors, partial writes,
@@ -24,13 +40,7 @@ import (
 // first good snapshot is present and serviceable after kill-and-restore,
 // no matter which faults fired. Runs under -race in CI.
 func TestChaosKillAndRestore(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosIteration(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosIteration)
 }
 
 // fire sends one request and ignores the outcome: chaos traffic does not

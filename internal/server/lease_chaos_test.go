@@ -43,13 +43,7 @@ import (
 // on-disk debris (WAL segments, repl-state, snapshots) is copied to
 // $PRORP_CHAOS_DEBRIS/<test-name> for the workflow to upload.
 func TestChaosLeaseElection(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosLeaseElection(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosLeaseElection)
 }
 
 // saveDebris copies each node's durable state into $PRORP_CHAOS_DEBRIS

@@ -131,13 +131,7 @@ func migrateChaosConfig(t *testing.T, dir, g string, peers map[string]string, cl
 //
 // Runs under -race in CI (make shard-chaos).
 func TestChaosShardMigration(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosShardMigration(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosShardMigration)
 }
 
 func chaosShardMigration(t *testing.T, seed int64) {

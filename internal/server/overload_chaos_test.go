@@ -126,13 +126,7 @@ func p99(samples []time.Duration) time.Duration {
 // Runs under -race in CI (make overload-chaos). On failure, each group's
 // on-disk debris is copied to $PRORP_CHAOS_DEBRIS/<test-name>.
 func TestChaosOverload(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosOverload(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosOverload)
 }
 
 func chaosOverload(t *testing.T, seed int64) {

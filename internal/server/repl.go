@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	iofs "io/fs"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -48,18 +50,20 @@ func (s *Server) rejectNonPrimary(w http.ResponseWriter) bool {
 
 // replCounters are the stream-side counters, surfaced on /metrics.
 type replCounters struct {
-	writesRejected  atomic.Uint64 // mutations 503'd on a non-primary
-	streamBatches   atomic.Uint64 // 200 stream responses served (primary)
-	streamRecords   atomic.Uint64 // records shipped (primary)
-	snapshotsServed atomic.Uint64 // resync snapshots served (primary)
-	streamLag       atomic.Int64  // records behind at the last stream poll
-	streamParked    atomic.Int64  // stream polls held open right now (primary)
-	applied         atomic.Uint64 // streamed records applied (replica)
-	applySkipped    atomic.Uint64 // streamed records already applied (replica)
-	quorumTimeouts  atomic.Uint64 // quorum-acked writes refused on timeout
-	votesGranted    atomic.Uint64 // election votes this node granted
-	votesRefused    atomic.Uint64 // election votes this node refused
-	announces       atomic.Uint64 // primary announces delivered to peers
+	writesRejected   atomic.Uint64 // mutations 503'd on a non-primary
+	streamBatches    atomic.Uint64 // 200 stream responses served (primary)
+	streamRecords    atomic.Uint64 // records shipped (primary)
+	snapshotsServed  atomic.Uint64 // resync snapshots served (primary)
+	streamLag        atomic.Int64  // records behind at the last stream poll
+	streamParked     atomic.Int64  // stream polls held open right now (primary)
+	applied          atomic.Uint64 // streamed records applied (replica)
+	applySkipped     atomic.Uint64 // streamed records already applied (replica)
+	quorumTimeouts   atomic.Uint64 // quorum-acked writes refused on timeout
+	syncPersists     atomic.Uint64 // repl-state rewrites: temp file, fsync, rename
+	progressPersists atomic.Uint64 // repl-state progress lines overwritten in place
+	votesGranted     atomic.Uint64 // election votes this node granted
+	votesRefused     atomic.Uint64 // election votes this node refused
+	announces        atomic.Uint64 // primary announces delivered to peers
 }
 
 // Node exposes the replication state machine, for host wiring and tests.
@@ -105,15 +109,20 @@ func (s *Server) ReplicationLag() (records int64, seconds float64) {
 // ----- repl-state file ----------------------------------------------------
 
 // The repl-state file persists the node's epoch, fencing, stream cursor,
-// lease expiry, and cursor lineage next to the journal, one line:
-// "PRR1 <epoch> <fenced> <cursor> <leaseUnixMilli> <lineage>". Epoch and
-// fencing changes are fsynced (a fence that evaporates in a crash is
-// split brain); cursor-only progress is best-effort, since a stale cursor
-// merely re-streams idempotent records. The lease field makes reboots
-// respect an unexpired lease instead of instantly campaigning; the
-// lineage field is the reign epoch of the journal the cursor indexes, so
-// a rebooted node never compares its cursor against another reign's in a
-// vote.
+// lease expiry, and cursor lineage next to the journal. Line one,
+// "PRR1 <epoch> <fenced> <cursor> <leaseUnixMilli> <lineage>", is only ever
+// written whole — temp file, fsync, rename — at the sync events: epoch and
+// fencing changes (a fence that evaporates in a crash is split brain), votes,
+// promotion, resync. Cursor-only progress, one per applied batch and so
+// inside every quorum-acked write, overwrites the fixed-width progress line
+// after it in place, unsynced: "<seg>:<off> <leaseUnixMilli> <lineage> <sum>",
+// zero-padded, the sum a CRC-32C of the rest. It survives a process kill like
+// the rename it replaces; a machine crash may leave it old, torn or absent,
+// and then the node boots with line one's cursor — older, never newer, and
+// never a different epoch or fence. The lease field makes reboots respect an
+// unexpired lease instead of instantly campaigning; the lineage field is the
+// reign epoch of the journal the cursor indexes, so a rebooted node never
+// compares its cursor against another reign's in a vote.
 const replStateFile = "repl-state"
 
 func replStatePath(walDir string) string {
@@ -123,9 +132,42 @@ func replStatePath(walDir string) string {
 	return filepath.Join(walDir, replStateFile)
 }
 
+// replHead is the part of repl-state line one a progress persist must not
+// change.
+type replHead struct {
+	epoch  uint64
+	fenced bool
+}
+
+const (
+	progressBodyLen = 20 + 1 + 20 + 1 + 20 + 1 + 20       // "<seg>:<off> <lease> <lineage>"
+	progressLineLen = progressBodyLen + 1 + 8 + len("\n") // + " <sum>\n"
+)
+
+func formatProgress(c wal.Cursor, leaseMs int64, lineage uint64) []byte {
+	body := fmt.Sprintf("%020d:%020d %020d %020d", c.Seg, c.Off, leaseMs, lineage)
+	return []byte(body + " " + repl.BodySum([]byte(body)) + "\n")
+}
+
+// parseProgress reads a progress line; ok is false for anything but a whole
+// line whose checksum holds.
+func parseProgress(b []byte) (c wal.Cursor, leaseMs int64, lineage uint64, ok bool) {
+	if len(b) < progressLineLen || b[progressBodyLen] != ' ' || b[progressLineLen-1] != '\n' {
+		return wal.Cursor{}, 0, 0, false
+	}
+	body := b[:progressBodyLen]
+	if repl.BodySum(body) != string(b[progressBodyLen+1:progressLineLen-1]) {
+		return wal.Cursor{}, 0, 0, false
+	}
+	n, _ := fmt.Sscanf(string(body), "%d:%d %d %d", &c.Seg, &c.Off, &leaseMs, &lineage)
+	return c, leaseMs, lineage, n == 4
+}
+
 // loadReplState reads the persisted node state. A missing file is a fresh
-// node; a malformed one refuses the boot — guessing at fencing state is
-// how split brain happens.
+// node; a malformed line one refuses the boot — guessing at fencing state is
+// how split brain happens. The progress line is adopted (cursor, lease,
+// lineage) only when it is whole and not behind line one's cursor; anything
+// else is ignored.
 func loadReplState(fsys faults.FS, path string) (epoch uint64, fenced bool, c wal.Cursor, leaseMs int64, lineage uint64, err error) {
 	if path == "" {
 		return 0, false, wal.Cursor{}, 0, 0, nil
@@ -153,11 +195,19 @@ func loadReplState(fsys faults.FS, path string) (epoch uint64, fenced bool, c wa
 	if c, err = wal.ParseCursor(curStr); err != nil {
 		return 0, false, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state cursor: %w", err)
 	}
+	if _, rest, found := bytes.Cut(data, []byte("\n")); found {
+		if pc, pLease, pLineage, ok := parseProgress(rest); ok && !pc.Before(c) {
+			c, leaseMs, lineage = pc, pLease, pLineage
+		}
+	}
 	return epoch, fencedInt != 0, c, leaseMs, lineage, nil
 }
 
-// persistReplState atomically rewrites the repl-state file; doSync forces
-// an fsync before the rename. Doubles as the follower's Persist hook.
+// persistReplState records the node's replication state; it doubles as the
+// follower's Persist hook. doSync rewrites the file (see replStateFile);
+// without it only the progress line is overwritten — unless there is no
+// file open to overwrite, or line one would say a different epoch or fence
+// than the node holds (a sync persist failed earlier), which rewrite too.
 func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error {
 	path := replStatePath(s.cfg.WALDir)
 	if path == "" {
@@ -165,10 +215,7 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 	}
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
-	fenced := 0
-	if s.node.Fenced() {
-		fenced = 1
-	}
+	head := replHead{epoch: epoch, fenced: s.node.Fenced()}
 	var leaseMs int64
 	if s.lease != nil {
 		if u := s.lease.Until(); !u.IsZero() {
@@ -183,6 +230,24 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 			s.replLineage = r
 		}
 	}
+	if !doSync && s.replFile != nil && head == s.replHead {
+		_, err := s.replFile.Seek(s.replProgressAt, io.SeekStart)
+		if err == nil {
+			_, err = s.replFile.Write(formatProgress(c, leaseMs, s.replLineage))
+		}
+		if err != nil {
+			s.closeReplStateLocked() // whatever the file holds now, the next persist replaces it
+			return err
+		}
+		s.repl.progressPersists.Add(1)
+		s.replCursor = c
+		return nil
+	}
+
+	fenced := 0
+	if head.fenced {
+		fenced = 1
+	}
 	line := fmt.Sprintf("PRR1 %d %d %s %d %d\n", epoch, fenced, c, leaseMs, s.replLineage)
 	dir, base := filepath.Dir(path), filepath.Base(path)
 	f, err := s.cfg.FS.CreateTemp(dir, base+".tmp-*")
@@ -191,7 +256,7 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 	}
 	tmp := f.Name()
 	_, err = f.Write([]byte(line))
-	if err == nil && doSync {
+	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -204,8 +269,29 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 		s.cfg.FS.Remove(tmp)
 		return err
 	}
+	s.repl.syncPersists.Add(1)
 	s.replCursor = c
+	// Progress goes to the file just renamed into place, not the one it
+	// replaced. A failed open costs the next progress persist a rewrite; a
+	// server shutting down keeps no handle.
+	s.closeReplStateLocked()
+	select {
+	case <-s.stop:
+	default:
+		if f, err := s.cfg.FS.OpenFile(path, os.O_WRONLY, 0); err == nil {
+			s.replFile, s.replProgressAt, s.replHead = f, int64(len(line)), head
+		}
+	}
 	return nil
+}
+
+// closeReplStateLocked drops the handle progress persists write through.
+// Caller holds replMu.
+func (s *Server) closeReplStateLocked() {
+	if s.replFile != nil {
+		s.replFile.Close()
+		s.replFile = nil
+	}
 }
 
 // loadCursor is the node's current stream position: the live follower's
@@ -240,26 +326,39 @@ func (s *Server) replDoer() faults.Doer {
 var defaultReplClient = &http.Client{Timeout: 30 * time.Second}
 
 // applyStreamed is the follower's Apply hook: journalize-before-apply,
-// exactly like a live handler, under the shared side of walGate. An error
-// holds the cursor so the record is re-streamed; everything in the stream
-// is idempotent under re-apply, so the duplicate journal entry a retry
-// leaves behind is skipped at replay like any boundary double-apply.
-func (s *Server) applyStreamed(rec wal.Record) error {
+// exactly like a live handler, under the shared side of walGate — the whole
+// batch in one journal write and one fsync, then record by record into the
+// fleet. A journal error applies nothing; an apply error stops there. Either
+// way the cursor stays short of what was not applied and it is re-streamed,
+// leaving a duplicate journal entry that replay skips or tolerates like any
+// boundary double-apply (see applyRecord).
+func (s *Server) applyStreamed(recs []wal.Record) (applied int, err error) {
+	ctx, span := s.tracer.Start(context.Background(), "repl.apply_batch")
+	defer span.End()
 	s.walGate.RLock()
 	defer s.walGate.RUnlock()
-	if _, err := s.journalize(rec.Type, int(rec.ID), time.Unix(rec.Unix, 0)); err != nil {
-		return err
+	_, jspan := s.tracer.Start(ctx, "wal.append")
+	_, err = s.journalizeBatch(recs)
+	jspan.End()
+	if err != nil {
+		return 0, err
 	}
-	skipped, err := s.applyRecord(rec)
-	switch {
-	case err != nil:
-		return err
-	case skipped:
-		s.repl.applySkipped.Add(1)
-	default:
-		s.repl.applied.Add(1)
+	s.batchHist.Observe(float64(len(recs)))
+	_, aspan := s.tracer.Start(ctx, "fleet.apply")
+	defer aspan.End()
+	for _, rec := range recs {
+		skipped, err := s.applyRecord(rec)
+		switch {
+		case err != nil:
+			return applied, err
+		case skipped:
+			s.repl.applySkipped.Add(1)
+		default:
+			s.repl.applied.Add(1)
+		}
+		applied++
 	}
-	return nil
+	return applied, nil
 }
 
 // maxSnapshotFetch caps a resync download; a fleet archive is a few
@@ -1000,6 +1099,10 @@ func (s *Server) handleReplFence(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// batchRecordBuckets grades prorp_repl_batch_records: 1 is a replica keeping
+// up write by write, the powers of two above it how much one fsync covered.
+var batchRecordBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384}
+
 // registerReplMetrics puts the replication surface on /metrics: role,
 // epoch, fencing, both lag gauges, and the stream counters on each side.
 func (s *Server) registerReplMetrics() {
@@ -1046,6 +1149,13 @@ func (s *Server) registerReplMetrics() {
 		v := c.v
 		reg.CounterFunc(c.name, c.help, func() uint64 { return v.Load() })
 	}
+	const persistsHelp = "Repl-state persists by kind: sync rewrites the file (temp, fsync, rename), progress overwrites the cursor line in place."
+	reg.CounterFunc("prorp_repl_cursor_persists_total", persistsHelp,
+		func() uint64 { return s.repl.syncPersists.Load() }, obs.L("kind", "sync"))
+	reg.CounterFunc("prorp_repl_cursor_persists_total", persistsHelp,
+		func() uint64 { return s.repl.progressPersists.Load() }, obs.L("kind", "progress"))
+	s.batchHist = reg.Histogram("prorp_repl_batch_records",
+		"Records per streamed batch applied on this replica (one journal write and one fsync each).", batchRecordBuckets)
 
 	// Follower counters sample through the atomic pointer: failover creates
 	// followers after registration (an ex-primary auto-demoting), so they

@@ -67,13 +67,7 @@ func assertAcked(t *testing.T, s *Server, acked []ackedWrite) {
 //
 // Runs under -race in CI (make repl-chaos).
 func TestChaosReplFailover(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosReplFailover(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosReplFailover)
 }
 
 func chaosReplFailover(t *testing.T, seed int64) {

@@ -258,6 +258,7 @@ type Server struct {
 	logf    func(string, ...any)
 	mux     *http.ServeMux
 	wakes   *wakeScheduler
+	wakeMu  sync.Mutex     // serializes wake delivery (see deliverDueWakes)
 	store   *snapshotStore // nil when persistence is disabled
 	wal     *wal.Journal   // nil when the event journal is disabled
 	started time.Time
@@ -278,7 +279,13 @@ type Server struct {
 	// incomparable). Set at promotion (own reign) or learned from the
 	// stream's X-Repl-Reign header; guarded by replMu.
 	replLineage uint64
-	repl        replCounters
+	// replFile is the repl-state file open for progress writes (nil until a
+	// rewrite has put one in place), replProgressAt the offset of its
+	// progress line, replHead what its line one says; guarded by replMu.
+	replFile       faults.File
+	replProgressAt int64
+	replHead       replHead
+	repl           replCounters
 
 	// parkTick is the pending stream-park deadline, nil when no poll has
 	// asked for one since the last fired (see parkDeadline).
@@ -330,6 +337,9 @@ type Server struct {
 	// quorumHist is the replication wait of one quorum-acked write; nil
 	// (no-op) outside quorum-acked mode.
 	quorumHist *obs.Histogram
+	// batchHist is the size, in records, of each streamed batch a replica
+	// applied.
+	batchHist *obs.Histogram
 
 	// walGate orders mutations against snapshot boundaries: handlers hold
 	// it shared around the journal-append + fleet-apply pair, and the
@@ -714,6 +724,9 @@ func (s *Server) Close() error {
 				s.closeErr = fmt.Errorf("server: sealing wal: %w", err)
 			}
 		}
+		s.replMu.Lock()
+		s.closeReplStateLocked()
+		s.replMu.Unlock()
 	})
 	return s.closeErr
 }
@@ -738,6 +751,9 @@ func (s *Server) Kill() {
 		if s.wal != nil {
 			s.wal.Kill()
 		}
+		s.replMu.Lock()
+		s.closeReplStateLocked()
+		s.replMu.Unlock()
 	})
 }
 
@@ -811,10 +827,15 @@ func (s *Server) journalize(typ wal.RecordType, id int, t time.Time) (wal.Cursor
 	if s.wal == nil {
 		return wal.Cursor{}, nil
 	}
-	rec := wal.Record{Type: typ, ID: int64(id), Unix: t.Unix()}
+	return s.journalizeBatch([]wal.Record{{Type: typ, ID: int64(id), Unix: t.Unix()}})
+}
+
+// journalizeBatch is journalize for a run of records: one journal write and
+// one fsync cover all of them, and an error means none may be acknowledged.
+func (s *Server) journalizeBatch(recs []wal.Record) (wal.Cursor, error) {
 	var end wal.Cursor
 	_, err := faults.Retry(s.clock, s.cfg.Backoff, func() error {
-		cur, aerr := s.wal.Append(rec)
+		cur, aerr := s.wal.AppendBatch(recs)
 		if aerr == nil {
 			end = cur
 		}
@@ -822,7 +843,7 @@ func (s *Server) journalize(typ wal.RecordType, id int, t time.Time) (wal.Cursor
 	})
 	if err != nil {
 		s.ops.walAppendFailures.Add(1)
-		s.logf("wal append %s(%d) failed: %v", typ, id, err)
+		s.logf("wal append of %d record(s) from %s(%d) failed: %v", len(recs), recs[0].Type, recs[0].ID, err)
 		return wal.Cursor{}, fmt.Errorf("%w: %v", errJournalUnavailable, err)
 	}
 	return end, nil
@@ -864,7 +885,14 @@ var errJournalUnavailable = errors.New("event journal unavailable")
 // swaps the whole runtime out from under concurrent readers.
 func (s *Server) Fleet() *prorp.ShardedFleet { return s.fleetP.Load() }
 
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP delivers the wakes that are due on the injected clock, then
+// routes the request: a handler never reads or mutates fleet state or KPIs
+// ahead of a wake its own clock says has already happened. When nothing is
+// due that is one uncontended lock and a look at the top of the wake heap.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.deliverDueWakes(s.now())
+	s.mux.ServeHTTP(w, r)
+}
 
 // ----- background control loops ------------------------------------------
 
@@ -895,8 +923,11 @@ func (s *Server) resumeLoop() {
 	}
 }
 
-// wakeLoop delivers the per-database wake-ups the policy schedules, at
-// their requested times.
+// wakeLoop is the idle trigger for the per-database wake-ups the policy
+// schedules: it delivers them when no request does. Which wakes are due is
+// decided by the injected clock inside deliverDueWakes, never by which real
+// timer fired — every request delivers what is due before it runs (see
+// ServeHTTP), so the timer only matters to a server nobody is talking to.
 func (s *Server) wakeLoop() {
 	defer s.bg.Done()
 	for {
@@ -971,6 +1002,10 @@ func (s *Server) deliverDueWakes(now time.Time) int {
 		// the scheduler and start firing the moment this node is promoted.
 		return 0
 	}
+	// One delivery at a time: a request arriving while the timer goroutine is
+	// mid-delivery waits for it, so it sees every due wake applied or none.
+	s.wakeMu.Lock()
+	defer s.wakeMu.Unlock()
 	delivered := 0
 	for _, e := range s.wakes.due(now) {
 		if s.cfg.OnWake != nil {

@@ -96,13 +96,16 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 
 	// Three days of 09:00–17:00 activity: the third idle has enough matching
 	// days (3/28 >= 0.1) to predict tomorrow's login and physically pause.
+	// Until then each logical pause runs out at 18:00 — the wake is delivered
+	// on the server's clock, ahead of the next request — so the mornings are
+	// cold.
 	day := 24 * time.Hour
 	for d := 0; d < 3; d++ {
 		if d > 0 {
 			clock.Set(t0.Add(time.Duration(d)*day + 9*time.Hour))
 			code, out = call(t, srv, "POST", "/v1/db/1/login", "")
 			wantStatus(t, code, http.StatusOK, out)
-			if out["event"] != "resume-warm" {
+			if out["event"] != "resume-cold" {
 				t.Fatalf("day %d login = %v", d, out)
 			}
 		}
@@ -132,17 +135,10 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 		t.Fatalf("windows scan empty: %v", out)
 	}
 
-	// A second database idles before any pattern exists: logical pause with
-	// a pending wake — it rides into the snapshot as the restart's timer.
+	// A second database with no pattern yet.
 	clock.Set(t0.Add(3*day + 8*time.Hour))
 	code, out = call(t, srv, "POST", "/v1/db", `{"id":2}`)
 	wantStatus(t, code, http.StatusCreated, out)
-	clock.Set(t0.Add(3*day + 8*time.Hour + 30*time.Minute))
-	code, out = call(t, srv, "POST", "/v1/db/2/logout", "")
-	wantStatus(t, code, http.StatusOK, out)
-	if out["event"] != "logical-pause" || out["wake_at"] == nil {
-		t.Fatalf("db 2 logout = %v", out)
-	}
 
 	// Minutes ahead of the predicted login, one control-plane beat prewarms
 	// database 1.
@@ -168,9 +164,8 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 
 	code, out = call(t, srv, "GET", "/v1/kpi", "")
 	wantStatus(t, code, http.StatusOK, out)
-	if out["databases"] != float64(2) || out["cold_resumes"] != float64(0) ||
-		out["prewarms"] != float64(1) || out["prewarms_used"] != float64(1) ||
-		out["qos_percent"] != float64(100) {
+	if out["databases"] != float64(2) || out["cold_resumes"] != float64(2) || out["warm_resumes"] != float64(1) ||
+		out["prewarms"] != float64(1) || out["prewarms_used"] != float64(1) {
 		t.Fatalf("kpi = %v", out)
 	}
 	code, out = call(t, srv, "GET", "/healthz", "")
@@ -186,6 +181,15 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 	}
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatal(err)
+	}
+
+	// Database 2 idles before any pattern exists: logical pause with a
+	// pending wake — it rides into the snapshot as the restart's timer.
+	clock.Set(t0.Add(3*day + 16*time.Hour + 30*time.Minute))
+	code, out = call(t, srv, "POST", "/v1/db/2/logout", "")
+	wantStatus(t, code, http.StatusOK, out)
+	if out["event"] != "logical-pause" || out["wake_at"] == nil {
+		t.Fatalf("db 2 logout = %v", out)
 	}
 
 	// End the day and shut down: Close drains the fleet and writes the
@@ -226,20 +230,13 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 		t.Fatalf("restored db 1 = %v", out)
 	}
 
-	// Database 2's restored wake (09:30 on day 3) is already overdue: the
-	// wake loop delivers it right after boot, and without a prediction the
-	// wake physically pauses it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, out = call(t, srv2, "GET", "/v1/db/2", "")
-		wantStatus(t, code, http.StatusOK, out)
-		if out["state"] == "physically-paused" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restored db 2 never woke: %v", out)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Database 2's restored wake (17:30 on day 3) is already overdue: it is
+	// delivered ahead of the first request that could see it, and without a
+	// prediction the wake physically pauses the database.
+	code, out = call(t, srv2, "GET", "/v1/db/2", "")
+	wantStatus(t, code, http.StatusOK, out)
+	if out["state"] != "physically-paused" {
+		t.Fatalf("restored db 2 did not wake: %v", out)
 	}
 
 	// The restored fleet is live: next morning's beat prewarms database 1

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"prorp/internal/obs"
 	"prorp/internal/repl"
 	"prorp/internal/wal"
 )
@@ -260,6 +263,12 @@ func TestStreamParkReleasedByDisconnectAndShutdown(t *testing.T) {
 // is left at its default (250 ms) on purpose.
 func quorumPair(t *testing.T, replicaSleep func(time.Duration)) (p, r *Server, clock *stepClock) {
 	t.Helper()
+	return quorumPairWith(t, func(rcfg *Config) { rcfg.Sleep = replicaSleep })
+}
+
+// quorumPairWith is quorumPair with the replica's config open to the test.
+func quorumPairWith(t *testing.T, mutateReplica func(*Config)) (p, r *Server, clock *stepClock) {
+	t.Helper()
 	clock = &stepClock{t: t0}
 	net := &mapDoer{}
 	pcfg := replConfig(t.TempDir(), clock)
@@ -277,7 +286,7 @@ func quorumPair(t *testing.T, replicaSleep func(time.Duration)) (p, r *Server, c
 	rcfg.PrimaryAddr = "http://a"
 	rcfg.ReplDoer = net
 	rcfg.NodeID = "r1"
-	rcfg.Sleep = replicaSleep
+	mutateReplica(&rcfg)
 	r, err = New(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +339,37 @@ func TestQuorumAckedWritesNeverSleepOnTheFollower(t *testing.T) {
 	if out["replication_lag_records"] != float64(0) || out["replication_lag_seconds"] != float64(0) {
 		t.Fatalf("caught-up replica with its poll parked reports lag: %v", out)
 	}
+
+	// The replica's half of each wait is on ITS /v1/traces and /metrics: one
+	// repl.apply_batch span per batch with the journal write and the fleet
+	// apply under it, and the batch sizes.
+	var apply *obs.TraceRecord
+	for _, tr := range r.tracer.Slowest() {
+		if tr.Root == "repl.apply_batch" {
+			apply = &tr
+			break
+		}
+	}
+	if apply == nil {
+		t.Fatal("no repl.apply_batch trace on the replica")
+	}
+	children := map[string]bool{}
+	for _, sp := range apply.Spans {
+		if sp.ParentID != "" {
+			children[sp.Name] = true
+		}
+	}
+	if !children["wal.append"] || !children["fleet.apply"] || len(apply.Spans) != 3 {
+		t.Fatalf("repl.apply_batch spans %+v, want wal.append and fleet.apply under the root", apply.Spans)
+	}
+	samples = scrape(t, r)
+	st := r.followerRef().Stats()
+	if n := sampleValue(t, samples, "prorp_repl_batch_records_count", nil); n != float64(st.Batches) {
+		t.Fatalf("prorp_repl_batch_records holds %v batches, the follower applied %d", n, st.Batches)
+	}
+	if n := sampleValue(t, samples, "prorp_repl_batch_records_sum", nil); n != 201 {
+		t.Fatalf("prorp_repl_batch_records sums to %v records, want 201", n)
+	}
 }
 
 // TestStreamRotationDoesNotStrandCaughtUpFollower: each snapshot rotates
@@ -378,9 +418,19 @@ func TestStreamRotationDoesNotStrandCaughtUpFollower(t *testing.T) {
 // BenchmarkQuorumAckedLogin is the replica cycle in one number: a primary
 // and a replica on loopback listeners, temp-dir journals fsynced on every
 // append, one replica ack per write, the poll interval left at its default.
-// Each op is one decision write (logins and logouts alternate to keep the
-// stream legal); polls/op is how many stream polls the follower spent on it.
+// Each op is one decision write; every writer owns one database and
+// alternates its logouts and logins, to keep the stream legal. writers=1 is
+// the cycle itself — polls/op is how many stream polls the follower spent on
+// a write, one when the re-poll is the ack — and writers=8 is where batching
+// shows: records/batch is how many records one streamed batch (one replica
+// journal write) carried, fsyncs/batch how many replica fsyncs it cost.
 func BenchmarkQuorumAckedLogin(b *testing.B) {
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) { benchQuorumAckedLogin(b, writers) })
+	}
+}
+
+func benchQuorumAckedLogin(b *testing.B, writers int) {
 	clock := &stepClock{t: t0}
 	pcfg := replConfig(b.TempDir(), clock)
 	pcfg.WALSegmentBytes = 0 // default: rotation is not what is being timed
@@ -407,29 +457,53 @@ func BenchmarkQuorumAckedLogin(b *testing.B) {
 	}
 	defer r.Close() // before pts.Close: the parked poll must be cancelled first
 
-	post := func(path, body string) {
-		resp, err := http.Post(pts.URL+path, "application/json", strings.NewReader(body))
+	// One kept-alive connection per writer: the default transport keeps two.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: writers}}
+	defer client.CloseIdleConnections()
+	post := func(path, body string) error {
+		resp, err := client.Post(pts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
-			b.Fatalf("POST %s = %d", path, resp.StatusCode)
+			return fmt.Errorf("POST %s = %d", path, resp.StatusCode)
+		}
+		return nil
+	}
+	for w := 0; w < writers; w++ {
+		if err := post("/v1/db", fmt.Sprintf(`{"id":%d}`, w+1)); err != nil {
+			b.Fatal(err)
 		}
 	}
-	post("/v1/db", `{"id":1}`)
-	polls := func() uint64 { st := r.followerRef().Stats(); return st.Batches + st.CaughtUpPolls }
 
-	before := polls()
+	before, fsyncsBefore := r.followerRef().Stats(), r.wal.Metrics().Fsyncs
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clock.Step()
-		if i%2 == 0 {
-			post("/v1/db/1/logout", "")
-		} else {
-			post("/v1/db/1/login", "")
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, verb := w, "logout"; i < b.N; i += writers {
+				clock.Step()
+				if err := post(fmt.Sprintf("/v1/db/%d/%s", w+1, verb), ""); err != nil {
+					b.Error(err)
+					return
+				}
+				if verb == "logout" {
+					verb = "login"
+				} else {
+					verb = "logout"
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
 	b.StopTimer()
-	b.ReportMetric(float64(polls()-before)/float64(b.N), "polls/op")
+	after, fsyncs := r.followerRef().Stats(), r.wal.Metrics().Fsyncs-fsyncsBefore
+	batches := float64(after.Batches - before.Batches)
+	b.ReportMetric(float64(after.Batches+after.CaughtUpPolls-before.Batches-before.CaughtUpPolls)/float64(b.N), "polls/op")
+	b.ReportMetric(float64(after.Records-before.Records)/batches, "records/batch")
+	b.ReportMetric(float64(fsyncs)/batches, "fsyncs/batch")
 }

@@ -62,13 +62,7 @@ type ackedEvent struct {
 // unacknowledged state, never acknowledged state. Runs under -race in CI
 // (make wal-chaos).
 func TestChaosWALKillReplay(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosWALKillReplay(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosWALKillReplay)
 }
 
 func chaosWALKillReplay(t *testing.T, seed int64) {

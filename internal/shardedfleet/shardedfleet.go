@@ -443,8 +443,8 @@ func (rt *Runtime) DueForResume(now int64) []int {
 
 // PrewarmIDs runs phase two of Algorithm 5 over an explicit id set (the
 // caller has already applied whatever cap it wants): each id is re-checked
-// under its shard lock and pre-warmed if it is still physically paused.
-// Results are sorted by database id.
+// under its shard lock and pre-warmed if it is still physically paused and
+// still due. Results are sorted by database id.
 func (rt *Runtime) PrewarmIDs(now int64, ids []int) []Prewarmed {
 	if rt.cfg.Policy.Mode != policy.Proactive {
 		return nil
@@ -475,11 +475,12 @@ func (rt *Runtime) scanDue(now int64) []int {
 // prewarmIDs pre-warms the given databases one by one, each under its
 // shard's lock, and reports them in the order given.
 func (rt *Runtime) prewarmIDs(now int64, ids []int) []Prewarmed {
+	lead, period := rt.cfg.Control.PrewarmLeadSec, rt.cfg.Control.OpPeriodSec
 	var out []Prewarmed
 	for _, id := range ids {
 		s := rt.shardFor(id)
 		s.mu.Lock()
-		if eff, ok := s.prewarm(id, now); ok {
+		if eff, ok := s.prewarm(id, now, lead, period); ok {
 			out = append(out, Prewarmed{ID: id, Effects: eff})
 		}
 		s.mu.Unlock()
@@ -487,13 +488,15 @@ func (rt *Runtime) prewarmIDs(now int64, ids []int) []Prewarmed {
 	return out
 }
 
-// prewarm pre-warms one database if it is still physically paused: it may
-// have resumed, been deleted, or been pre-warmed since the scan phase.
-// Caller holds s.mu.
-func (s *shard) prewarm(id int, now int64) (policy.Effects, bool) {
-	if !s.meta.ClearPaused(id) {
+// prewarm pre-warms one database if it is still physically paused and its
+// stored prediction is still due: since the scan phase it may have resumed,
+// been deleted or been pre-warmed — or resumed and paused again under a
+// later prediction, which is the next beat's business. Caller holds s.mu.
+func (s *shard) prewarm(id int, now, lead, period int64) (policy.Effects, bool) {
+	if start, ok := s.meta.PredictedStart(id); !ok || !controlplane.Due(start, now, lead, period) {
 		return policy.Effects{}, false
 	}
+	s.meta.ClearPaused(id)
 	s.publish()
 	m, ok := s.dbs[id]
 	if !ok {

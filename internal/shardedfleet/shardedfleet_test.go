@@ -221,6 +221,51 @@ func TestResumeOpFleetWideCap(t *testing.T) {
 	}
 }
 
+// TestPrewarmRechecksDueNotJustPaused is the interleaving a virtual clock
+// can stage between a beat's two phases: the scan finds a database due, the
+// database then logs in, idles and pauses again under TOMORROW's prediction,
+// and only then does the pre-warm phase reach it. It is paused — but no
+// longer due, and pre-warming it would hold resources a day early.
+func TestPrewarmRechecksDueNotJustPaused(t *testing.T) {
+	rt := mustNew(t, testCfg(4))
+	driveDailyPattern(t, rt, 0, 2)
+	driveDailyPattern(t, rt, 1, 2) // the control: nothing happens to it in between
+	beat := t0 + 2*day + 9*3600 - 120
+	due := rt.DueForResume(beat)
+	if !slices.Equal(due, []int{0, 1}) {
+		t.Fatalf("scan found %v due, want both databases", due)
+	}
+
+	if _, err := rt.Login(0, beat); err != nil {
+		t.Fatal(err)
+	}
+	if eff, err := rt.Logout(0, beat+2*3600); err != nil || eff.Transition != policy.TransPhysicalPause {
+		t.Fatalf("second idle = %+v, %v; want a physical pause under a new prediction", eff, err)
+	}
+	lead, period := rt.cfg.Control.PrewarmLeadSec, rt.cfg.Control.OpPeriodSec
+	start, _ := rt.shardFor(0).meta.PredictedStart(0)
+	if controlplane.Due(start, beat, lead, period) {
+		t.Fatalf("the new prediction (%d) is due at the beat (%d): the test stages nothing", start, beat)
+	}
+
+	pws := rt.PrewarmIDs(beat, due)
+	if len(pws) != 1 || pws[0].ID != 1 {
+		t.Fatalf("pre-warm phase warmed %+v, want database 1 only: 0 is paused again but not due", pws)
+	}
+	if got, ok := rt.shardFor(0).meta.PredictedStart(0); !ok || got != start {
+		t.Fatalf("database 0's stored prediction = %d, %v after the beat; want %d untouched", got, ok, start)
+	}
+	for _, s := range rt.shards {
+		if s.nextStart.Load() != s.meta.NextStart() {
+			t.Fatalf("published next start %d, store says %d", s.nextStart.Load(), s.meta.NextStart())
+		}
+	}
+	// Tomorrow's beat finds it.
+	if pws := rt.RunResumeOp(start - lead); len(pws) != 1 || pws[0].ID != 0 {
+		t.Fatalf("the beat ahead of the new prediction warmed %+v, want database 0", pws)
+	}
+}
+
 func TestConcurrentHammer(t *testing.T) {
 	// Run with -race: drivers on disjoint databases, the resume op,
 	// snapshots, and KPI reads all at once.

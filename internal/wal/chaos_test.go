@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,6 +12,21 @@ import (
 	"prorp/internal/faults"
 )
 
+// chaosSeeds is how many seeds (0..n-1) every chaos suite in this package
+// runs: `go test -chaos.seeds=3` for a quick look, the full sweep by default
+// and from `make chaos` / CI.
+var chaosSeeds = flag.Int("chaos.seeds", 50, "seeds each chaos suite runs (0..n-1)")
+
+// eachChaosSeed runs iteration once per seed, as parallel subtests seedNN.
+func eachChaosSeed(t *testing.T, iteration func(t *testing.T, seed int64)) {
+	for seed := int64(0); seed < int64(*chaosSeeds); seed++ {
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			iteration(t, seed)
+		})
+	}
+}
+
 // TestChaosWALTornTail is the journal-level half of the kill-replay chaos
 // gate: 50 seeded iterations of concurrent appends under an abusive disk
 // (transient errors, partial writes, failed fsyncs), then Kill, then
@@ -19,13 +35,7 @@ import (
 // reopen never fails — a torn tail is truncated, not fatal. Runs under
 // -race in CI (make wal-chaos).
 func TestChaosWALTornTail(t *testing.T) {
-	const iterations = 50
-	for seed := int64(0); seed < iterations; seed++ {
-		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
-			t.Parallel()
-			chaosWALIteration(t, seed)
-		})
-	}
+	eachChaosSeed(t, chaosWALIteration)
 }
 
 func chaosWALIteration(t *testing.T, seed int64) {

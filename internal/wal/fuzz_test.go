@@ -14,7 +14,7 @@ func FuzzScanFrames(f *testing.F) {
 	// Seed with valid record areas, a torn tail, and assorted damage.
 	var valid []byte
 	for i, typ := range []RecordType{RecordCreate, RecordLogin, RecordLogout, RecordDelete} {
-		valid = append(valid, encodeFrame(Record{Type: typ, ID: int64(i), Unix: int64(1700000000 + i)})...)
+		valid = appendFrame(valid, Record{Type: typ, ID: int64(i), Unix: int64(1700000000 + i)})
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-7]) // torn mid-frame
@@ -43,7 +43,7 @@ func FuzzScanFrames(f *testing.F) {
 			if !rec.Type.valid() {
 				t.Fatalf("decoder yielded invalid record %+v", rec)
 			}
-			re.Write(encodeFrame(rec))
+			re.Write(appendFrame(nil, rec))
 		}
 		if !bytes.Equal(re.Bytes(), data[:consumed]) {
 			t.Fatalf("re-encoded %d records != consumed prefix (%d bytes)", len(records), consumed)

@@ -11,17 +11,17 @@ import (
 	"prorp/internal/faults"
 )
 
-// encodeFrame serializes one record as a length-prefixed, CRC-32C-guarded
-// frame.
-func encodeFrame(rec Record) []byte {
-	buf := make([]byte, frameOverhead+recordPayload)
-	payload := buf[frameOverhead:]
+// appendFrame appends one record to dst as a length-prefixed,
+// CRC-32C-guarded frame.
+func appendFrame(dst []byte, rec Record) []byte {
+	var frame [frameOverhead + recordPayload]byte
+	payload := frame[frameOverhead:]
 	payload[0] = byte(rec.Type)
 	putU64(payload[1:9], uint64(rec.ID))
 	putU64(payload[9:17], uint64(rec.Unix))
-	putU32(buf[0:4], recordPayload)
-	putU32(buf[4:8], crc32.Checksum(payload, crcTable))
-	return buf
+	putU32(frame[0:4], recordPayload)
+	putU32(frame[4:8], crc32.Checksum(payload, crcTable))
+	return append(dst, frame[:]...)
 }
 
 // decodeRecord parses a verified frame payload. It rejects payloads whose

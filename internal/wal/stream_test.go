@@ -537,10 +537,10 @@ func TestReadAfterCursorAhead(t *testing.T) {
 func TestScanStreamStopsAtDamageAndApplyError(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		buf = append(buf, encodeFrame(Record{Type: RecordLogin, ID: int64(i), Unix: int64(i)})...)
+		buf = appendFrame(buf, Record{Type: RecordLogin, ID: int64(i), Unix: int64(i)})
 	}
 	// Torn tail: half a frame.
-	torn := append(append([]byte{}, buf...), encodeFrame(Record{Type: RecordLogin, ID: 9, Unix: 9})[:10]...)
+	torn := append(append([]byte{}, buf...), appendFrame(nil, Record{Type: RecordLogin, ID: 9, Unix: 9})[:10]...)
 	var n int
 	consumed, isTorn, err := ScanStream(torn, func(Record) error { n++; return nil })
 	if err != nil || !isTorn || n != 3 || consumed != 3*FrameSize {

@@ -126,8 +126,9 @@ type Record struct {
 type Config struct {
 	// Dir is the journal directory, created if missing.
 	Dir string
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB, minimum 4 KiB).
+	// SegmentBytes rotates the active segment once it has reached this size
+	// (default 4 MiB, minimum 4 KiB). The check runs before an append, never
+	// inside one, so a segment exceeds it by at most one AppendBatch.
 	SegmentBytes int64
 	// Fsync is the durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
@@ -405,22 +406,36 @@ func (j *Journal) poisonLocked(seg *segment, offset int64, err error) {
 	j.wakeLocked()
 }
 
-// Append journals one record and blocks until it is durable per the fsync
-// policy, returning the cursor addressing the byte after the record — the
-// stream position a follower must reach to have replicated it (the input
-// to Coverage.WaitCovered in quorum-acked mode). On any write or fsync
-// failure the active segment is rotated before the next append, so a torn
-// frame is always the last thing in its segment; the failed record is NOT
-// durable and the caller must not acknowledge the event (retry Append —
-// the retry lands in a fresh segment).
+// Append journals one record: AppendBatch of one.
 func (j *Journal) Append(rec Record) (Cursor, error) {
-	if !rec.Type.valid() {
-		return Cursor{}, fmt.Errorf("wal: invalid record type %d", rec.Type)
+	return j.AppendBatch([]Record{rec})
+}
+
+// AppendBatch journals recs as consecutive frames in one segment — one
+// write — and blocks until all of them are durable per the fsync policy — one
+// durability wait — returning the cursor addressing the byte after the last
+// record: the stream position a follower must reach to have replicated them
+// (the input to Coverage.WaitCovered in quorum-acked mode). Rotation of a
+// full or poisoned segment happens before the batch, never inside it. On any
+// write or fsync failure the segment is poisoned at the batch's first byte
+// and rotated before the next append, so a torn frame is always the last
+// thing in its segment; NONE of the batch is durable and the caller must not
+// acknowledge any of it (retry — the retry lands in a fresh segment). An
+// empty batch is a no-op returning the zero cursor.
+func (j *Journal) AppendBatch(recs []Record) (Cursor, error) {
+	if len(recs) == 0 {
+		return Cursor{}, nil
 	}
 	if j.appendHist != nil {
 		defer j.appendHist.ObserveSince(time.Now())
 	}
-	frame := encodeFrame(rec)
+	frames := make([]byte, 0, len(recs)*int(FrameSize))
+	for _, rec := range recs {
+		if !rec.Type.valid() {
+			return Cursor{}, fmt.Errorf("wal: invalid record type %d", rec.Type)
+		}
+		frames = appendFrame(frames, rec)
+	}
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -436,44 +451,42 @@ func (j *Journal) Append(rec Record) (Cursor, error) {
 		seg = j.active
 	}
 	off := seg.size
-	n, err := seg.f.Write(frame)
-	if err != nil || n < len(frame) {
+	n, err := seg.f.Write(frames)
+	if err != nil || n < len(frames) {
 		seg.size = off + int64(n)
 		if err == nil {
-			err = fmt.Errorf("wal: short write (%d of %d bytes)", n, len(frame))
+			err = fmt.Errorf("wal: short write (%d of %d bytes)", n, len(frames))
 		}
 		j.poisonLocked(seg, off, err)
 		return Cursor{}, err
 	}
-	seg.size = off + int64(len(frame))
+	seg.size = off + int64(len(frames))
 	end := seg.size
 	cur := Cursor{Seg: seg.seq, Off: end}
 
 	if j.cfg.Fsync == FsyncOff {
-		j.appends.Add(1)
-		j.bytesAppended.Add(uint64(len(frame)))
 		j.wakeLocked() // written is shippable here: no fsync will announce it
-		return cur, nil
+	} else {
+		// Wait until an fsync covers the batch, leading one when nobody is.
+		for seg.syncedTo < end {
+			if seg.poisoned && end > seg.poisonedAt {
+				return Cursor{}, seg.poisonErr
+			}
+			if seg.sealed {
+				// Sealed without covering us and without poisoning: only
+				// possible if the seal's fsync failed, which poisons. Guard
+				// anyway.
+				return Cursor{}, errors.New("wal: segment sealed before record was durable")
+			}
+			if !seg.syncing {
+				j.leadSyncLocked(seg)
+				continue
+			}
+			j.cond.Wait()
+		}
 	}
-	// Wait until an fsync covers this record, leading one when nobody is.
-	for seg.syncedTo < end {
-		if seg.poisoned && end > seg.poisonedAt {
-			return Cursor{}, seg.poisonErr
-		}
-		if seg.sealed {
-			// Sealed without covering us and without poisoning: only
-			// possible if the seal's fsync failed, which poisons. Guard
-			// anyway.
-			return Cursor{}, errors.New("wal: segment sealed before record was durable")
-		}
-		if !seg.syncing {
-			j.leadSyncLocked(seg)
-			continue
-		}
-		j.cond.Wait()
-	}
-	j.appends.Add(1)
-	j.bytesAppended.Add(uint64(len(frame)))
+	j.appends.Add(uint64(len(recs)))
+	j.bytesAppended.Add(uint64(len(frames)))
 	return cur, nil
 }
 
