@@ -151,11 +151,12 @@ loadgen-check:
 	$(GO) test -run TestServingBenchDrift -count 1 -v ./internal/loadgen/harness
 
 # One pass over the fleet-concurrency benchmark, the Algorithm 5 beat
-# benchmark, the predictor benchmarks and the quorum-acked replica cycle,
-# as a smoke test: they cannot rot unnoticed.
+# benchmark, the predictor benchmarks (Predict on the sweep, Explain on the
+# grid: sparse fleet history and the dense 2,000 / 4,500-tuple ones) and the
+# quorum-acked replica cycle, as a smoke test: they cannot rot unnoticed.
 bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedFleetStripes|BenchmarkFleetResumeOp' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Typical|WorstCase)History' -benchtime 1x ./internal/predictor
+	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Typical|WorstCase|Fleet)History|BenchmarkExplainFleetHistory' -benchtime 1x ./internal/predictor
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumAckedLogin' -benchtime 1x ./internal/server
 
 # benchmark/ is its own module, invisible to the root `./...`: vet and

@@ -9,8 +9,8 @@ import (
 	"prorp/internal/workload"
 )
 
-// checkAgainstReference asserts that the shipped sweep and the literal
-// Algorithm 4 scan agree exactly — no tolerances — on the prediction and on
+// checkAgainstReference asserts that both shipped executions — Predict's
+// sweep and Explain's grid — and the literal Algorithm 4 scan agree exactly — no tolerances — on the prediction and on
 // every field of every window.
 func checkAgainstReference(t testing.TB, st *historystore.Store, p Params, now int64) {
 	t.Helper()
@@ -38,8 +38,8 @@ func checkAgainstReference(t testing.TB, st *historystore.Store, p Params, now i
 }
 
 // differentialParams are the shapes the differential test cycles through.
-// Beyond the Table 1 default they cover what the sweep handles differently
-// from a per-window query: look-back ranges that overlap (horizon longer
+// Beyond the Table 1 default they cover what the sweep and the grid handle
+// differently from a per-window query: look-back ranges that overlap (horizon longer
 // than the period), more look-backs than the on-stack scratch holds, a
 // window that does not fit the horizon, and w, s that share no factor, so
 // window edges fall anywhere relative to each other.
@@ -152,12 +152,13 @@ func TestPredictMatchesReference(t *testing.T) {
 
 // TestSweepBoundaries pins the inclusivity of the window edges — both ends
 // closed, as in the range query — at the instants where an off-by-one in
-// the cursors would show, and checks each case against the reference too.
+// the sweep's cursors or the grid's window arithmetic would show, and checks
+// each case against the reference too.
 func TestSweepBoundaries(t *testing.T) {
 	const now = 1000 * day
-	p := Default() // w = 7 h, s = 5 min, 205 windows, last one starts at 17 h
-	w, s := p.WindowSec, p.SlideSec
-	last := p.WindowCount() - 1
+	def := Default() // w = 7 h, s = 5 min, 205 windows, last one starts at 17 h
+	w, s := def.WindowSec, def.SlideSec
+	last := def.WindowCount() - 1
 
 	type want struct {
 		window int
@@ -166,9 +167,11 @@ func TestSweepBoundaries(t *testing.T) {
 		lastTo int64 // LastLoginOffset
 	}
 	cases := []struct {
-		name   string
-		logins []int64
-		want   []want
+		name    string
+		params  func(*Params) // edits Default(); nil keeps it
+		windows int           // how many windows Explain reports under the edited params
+		logins  []int64
+		want    []want
 	}{
 		{
 			name:   "login exactly at winStartPrev",
@@ -189,6 +192,26 @@ func TestSweepBoundaries(t *testing.T) {
 			},
 		},
 		{
+			// off − w is positive and not a multiple of s: the first window
+			// to reach the login is ceil((off − w)/s), and a division that
+			// rounds down puts it in a window that ends a slide short.
+			name:   "login one second past winStartPrev + w",
+			logins: []int64{now - 3*day + 10*s + w + 1},
+			want: []want{
+				{window: 10, hits: 0},
+				{window: 11, hits: 1, first: w - s + 1, lastTo: w - s + 1},
+			},
+		},
+		{
+			// off < w, so off − w is negative: window 0 already reaches it.
+			name:   "login less than w after the look-back start",
+			logins: []int64{now - 3*day + 100},
+			want: []want{
+				{window: 0, hits: 1, first: 100, lastTo: 100},
+				{window: 1, hits: 0},
+			},
+		},
+		{
 			// now − 3·period is offset 0 of look-back 3 and, the horizon
 			// being one period long, the closing instant of look-back 4's
 			// last window: both count it.
@@ -199,6 +222,18 @@ func TestSweepBoundaries(t *testing.T) {
 				{window: 1, hits: 0},
 				{window: last - 1, hits: 0},
 				{window: last, hits: 1, first: w, lastTo: w},
+			},
+		},
+		{
+			// 20 h is past the start of the last window (17 h) but inside
+			// its reach (24 h): it is the earliest login at or after the
+			// start of every window up to the last, not of none.
+			name:   "login past the last window start but inside its reach",
+			logins: []int64{now - 3*day + 20*hour},
+			want: []want{
+				{window: int(13*hour/s) - 1, hits: 0},
+				{window: int(13 * hour / s), hits: 1, first: w, lastTo: w},
+				{window: last, hits: 1, first: 3 * hour, lastTo: 3 * hour},
 			},
 		},
 		{
@@ -219,6 +254,10 @@ func TestSweepBoundaries(t *testing.T) {
 			want:   []want{{window: 0, hits: 1, first: 0, lastTo: 0}},
 		},
 		{
+			// A day counts once per window (window 0 holds two logins of
+			// day 2), and the first login of a window is the earliest at or
+			// after its start, not the earliest seen so far (window 13 has
+			// left day 2's 1 h login behind).
 			name:   "two logins of one day and one of another in a window",
 			logins: []int64{now - 2*day + hour, now - 2*day + 3*hour, now - 5*day + 2*hour},
 			want: []want{
@@ -227,9 +266,79 @@ func TestSweepBoundaries(t *testing.T) {
 				{window: int(2*hour/s) + 1, hits: 1, first: hour - s, lastTo: hour - s},
 			},
 		},
+		{
+			name:    "w not a multiple of s",
+			params:  func(p *Params) { p.HistoryDays = 7; p.WindowSec = 3777; p.SlideSec = 431; p.Confidence = 0.3 },
+			windows: 192,
+			logins:  []int64{now - 2*day + 5000},
+			want: []want{
+				{window: 2, hits: 0}, // [862, 4639]
+				{window: 3, hits: 1, first: 5000 - 1293, lastTo: 5000 - 1293}, // [1293, 5070]
+				{window: 11, hits: 1, first: 5000 - 4741, lastTo: 5000 - 4741},
+				{window: 12, hits: 0}, // starts at 5172
+			},
+		},
+		{
+			// s > w leaves gaps between windows: a login in one lies in no
+			// window at all.
+			name:    "slide longer than the window",
+			params:  func(p *Params) { p.WindowSec = 600; p.SlideSec = 3600 },
+			windows: 24,
+			logins:  []int64{now - 2*day + 700, now - 4*day + 3600 + 600},
+			want: []want{
+				{window: 0, hits: 0},
+				{window: 1, hits: 1, first: 600, lastTo: 600},
+				{window: 2, hits: 0},
+			},
+		},
+		{
+			// Horizon longer than the period: look-back ranges overlap, and
+			// one login is 30 h into look-back 2 and 6 h into look-back 1.
+			name:    "horizon longer than the period",
+			params:  func(p *Params) { p.HorizonHours = 36; p.SlideSec = 600 },
+			windows: 175,
+			logins:  []int64{now - 2*day + 30*hour},
+			want: []want{
+				{window: 0, hits: 1, first: 6 * hour, lastTo: 6 * hour},
+				{window: 36, hits: 1, first: 0, lastTo: 0},
+				{window: 37, hits: 0},
+				{window: 137, hits: 0},
+				{window: 138, hits: 1, first: w, lastTo: w},
+				{window: 174, hits: 1, first: hour, lastTo: hour},
+			},
+		},
+		{
+			// 1,021 windows: more than the grid keeps on the stack.
+			name:    "more windows than the on-stack grid",
+			params:  func(p *Params) { p.SlideSec = 60 },
+			windows: 1021,
+			logins:  []int64{now - 3*day + 600, now - 3*day + 20*hour},
+			want: []want{
+				{window: 0, hits: 1, first: 600, lastTo: 600},
+				{window: 10, hits: 1, first: 0, lastTo: 0},
+				{window: 11, hits: 0},
+				{window: 1020, hits: 1, first: 3 * hour, lastTo: 3 * hour},
+			},
+		},
+		{
+			name:   "window wider than the horizon",
+			params: func(p *Params) { p.HorizonHours = 6 },
+			logins: []int64{now - 3*day + hour},
+		},
+		{
+			name:   "weekly seasonality with no look-backs",
+			params: func(p *Params) { p.Seasonality = Weekly; p.HistoryDays = 6 },
+			logins: []int64{now - 3*day + hour},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			p := def
+			if tc.params != nil {
+				tc.params(&p)
+			} else {
+				tc.windows = last + 1
+			}
 			st := historystore.New()
 			for _, l := range tc.logins {
 				st.Insert(l, historystore.EventStart)
@@ -237,10 +346,13 @@ func TestSweepBoundaries(t *testing.T) {
 			}
 			st.DeleteOld(p.HistoryDays, now)
 			stats, _, _ := Explain(st, p, now)
+			if len(stats) != tc.windows || (tc.windows == 0 && stats != nil) {
+				t.Fatalf("Explain returned %d windows (nil=%v), want %d", len(stats), stats == nil, tc.windows)
+			}
 			for _, w := range tc.want {
 				got := stats[w.window]
 				wantStat := WindowStat{
-					WinStart:         now + int64(w.window)*s,
+					WinStart:         now + int64(w.window)*p.SlideSec,
 					Probability:      float64(w.hits) / float64(p.HistoryDays),
 					FirstLoginOffset: w.first,
 					LastLoginOffset:  w.lastTo,
@@ -256,8 +368,8 @@ func TestSweepBoundaries(t *testing.T) {
 	}
 }
 
-// TestPredictDoesNotAllocate holds the sweep's scratch on the stack for the
-// Table 1 parameters: a later edit that lets it escape, or brings back a
+// TestPredictDoesNotAllocate holds the sweep's and the grid's scratch on the
+// stack for the Table 1 parameters: a later edit that lets it escape, or brings back a
 // per-window allocation, fails here rather than in a benchmark nobody reads.
 func TestPredictDoesNotAllocate(t *testing.T) {
 	st := historystore.New()
@@ -286,6 +398,9 @@ func TestPredictDoesNotAllocate(t *testing.T) {
 // gap in units of 64 s and the event type) so that mutations move single
 // logins; the parameters are clamped to shapes Validate accepts and to a
 // scan the reference finishes in milliseconds.
+// testdata/fuzz holds further seeds, replayed by plain go test: logins less
+// than w into a look-back (the grid's negative ceil numerator), more windows
+// than the grid keeps on the stack, and a weekly scan with w, s coprime.
 func FuzzPredictMatchesReference(f *testing.F) {
 	f.Add([]byte{}, uint8(28), uint8(24), uint32(7*3600), uint16(300), uint8(10), false, uint32(0))
 	f.Add([]byte{1, 0, 0, 0x80, 5, 0, 0x80, 5, 1, 0x80, 5, 0}, uint8(28), uint8(24), uint32(7*3600), uint16(300), uint8(10), false, uint32(3600))

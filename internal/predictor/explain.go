@@ -29,8 +29,8 @@ type WindowStat struct {
 
 // Explain scans every candidate window over the horizon (no early break,
 // unlike Predict) and reports per-window statistics plus the prediction
-// Predict would make. It costs a full horizon sweep; use it for debugging
-// and tooling, not on the hot path.
+// Predict would make. It reads the look-back logins once (see grid): the
+// serving tier runs it behind every GET /v1/db/{id}?windows=.
 func Explain(st *historystore.Store, p Params, now int64) ([]WindowStat, Activity, bool) {
 	var stats []WindowStat
 	pred, ok := ExplainEach(st, p, now, func(ws WindowStat) {
@@ -46,25 +46,37 @@ func Explain(st *historystore.Store, p Params, now int64) ([]WindowStat, Activit
 // order, instead of collecting them: a caller that converts them to a type
 // of its own allocates that slice only.
 func ExplainEach(st *historystore.Store, p Params, now int64, yield func(WindowStat)) (Activity, bool) {
-	var scratch [stackDays]dayScan
-	sw := newSweep(st, p, now, scratch[:0])
-	lookbacks := len(sw.days)
-	if lookbacks == 0 {
-		return Activity{}, false
+	var scratch [stackWindows]gridWin
+	g := newGrid(st, p, now, scratch[:0])
+
+	// Predict's choice first, so that the pass below can mark it: the rule
+	// of sweep.predict over the same triples, up to the window that scan
+	// breaks at. Without look-backs the grid is empty: no prediction, no
+	// statistics.
+	var (
+		pred     Activity
+		prevProb float64
+	)
+	for k := range g.wins {
+		hits, first, last := g.window(k)
+		prob := float64(hits) / float64(g.lookbacks)
+		if p.Confidence <= prob && (prevProb < prob || pred.IsZero()) {
+			prevProb = prob
+			winStart := now + int64(k)*p.SlideSec
+			pred = Activity{Start: winStart + first, End: winStart + last}
+		} else if !pred.IsZero() {
+			break
+		}
 	}
-	pred, ok := sw.predict(p, now)
-	// The statistics cover every window, not only those before Predict's
-	// early break: rewind the cursors (h more B-tree descents).
-	sw = newSweep(st, p, now, sw.days[:0])
+	ok := !pred.IsZero()
 
 	selected := false
 	winStart := now
-	predEnd := now + int64(p.HorizonHours)*3600
-	for winStart+p.WindowSec <= predEnd {
-		hits, first, last := sw.window()
+	for k := range g.wins {
+		hits, first, last := g.window(k)
 		ws := WindowStat{
 			WinStart:         winStart,
-			Probability:      float64(hits) / float64(lookbacks),
+			Probability:      float64(hits) / float64(g.lookbacks),
 			FirstLoginOffset: first,
 			LastLoginOffset:  last,
 		}

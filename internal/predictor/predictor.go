@@ -13,9 +13,14 @@
 // the highest confidence" rule, Figure 5).
 //
 // The paper writes the scan as one range query per window per look-back;
-// this package executes it as one pass (see sweep) that returns the same
-// Activity for every history and parameter set. The literal scan lives on
-// in the package's tests as the oracle the pass is compared against.
+// this package executes it two ways, both returning the same Activity as the
+// literal scan for every history and parameter set. Predict, which breaks at
+// the first non-improving window, slides a pair of cursors per look-back day
+// and reads only as far as the scan gets (see sweep). Explain, which reports
+// every window and so never breaks, reads the look-back logins once into a
+// per-window grid (see grid). Which one runs follows from what the caller
+// can observe, not from an option. The literal scan lives on in the
+// package's tests as the oracle both are compared against.
 package predictor
 
 import (

@@ -293,14 +293,21 @@ func TestQuickConfidenceMonotone(t *testing.T) {
 	}
 }
 
-func BenchmarkPredictTypicalHistory(b *testing.B) {
+// denseHistory is n uniformly random tuples over the 28 look-back days:
+// 2,000 is the Figure 10(a) average (~500 tuples/week x 4 weeks), 4,500 its
+// worst case.
+func denseHistory(n int) (*historystore.Store, int64) {
 	st := historystore.New()
 	now := 1000 * day
-	// ~500 tuples/week x 4 weeks (Figure 10(a) average).
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < n; i++ {
 		st.Insert(now-rng.Int63n(28*day), byte(rng.Intn(2)))
 	}
+	return st, now
+}
+
+func BenchmarkPredictTypicalHistory(b *testing.B) {
+	st, now := denseHistory(2000)
 	p := Default()
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -310,13 +317,7 @@ func BenchmarkPredictTypicalHistory(b *testing.B) {
 }
 
 func BenchmarkPredictWorstCaseHistory(b *testing.B) {
-	st := historystore.New()
-	now := 1000 * day
-	// >4K tuples (Figure 10(a) worst case).
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 4500; i++ {
-		st.Insert(now-rng.Int63n(28*day), byte(rng.Intn(2)))
-	}
+	st, now := denseHistory(4500)
 	p := Default()
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -359,12 +360,27 @@ func BenchmarkPredictFleetHistory(b *testing.B) {
 	b.ReportMetric(float64(st.Len()), "tuples")
 }
 
+// BenchmarkExplainFleetHistory puts the scan's two terms side by side: the
+// sparse fleet history is all O(p/s), the dense ones add the O(m) read.
 func BenchmarkExplainFleetHistory(b *testing.B) {
-	st, now := fleetHistory(b)
-	p := Default()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Explain(st, p, now)
+	histories := []struct {
+		name  string
+		build func() (*historystore.Store, int64)
+	}{
+		{"fleet", func() (*historystore.Store, int64) { return fleetHistory(b) }},
+		{"dense2000", func() (*historystore.Store, int64) { return denseHistory(2000) }},
+		{"dense4500", func() (*historystore.Store, int64) { return denseHistory(4500) }},
+	}
+	for _, h := range histories {
+		b.Run(h.name, func(b *testing.B) {
+			st, now := h.build()
+			p := Default()
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Explain(st, p, now)
+			}
+			b.ReportMetric(float64(st.Len()), "tuples")
+		})
 	}
 }

@@ -9,9 +9,9 @@ import (
 // noLogin is the offset of an exhausted cursor: later than any window.
 const noLogin = math.MaxInt64
 
-// stackDays is how many look-back days of scan state Predict and Explain
-// keep on their own stack frame; the Table 1 default (h = 28) fits, so the
-// hot path does not allocate. Longer histories take one heap slice.
+// stackDays is how many look-back days of scan state Predict keeps on its
+// own stack frame; the Table 1 default (h = 28) fits, so the hot path does
+// not allocate. Longer histories take one heap slice.
 const stackDays = 32
 
 // dayScan is what the sweep keeps per look-back day. Times are offsets on
@@ -41,14 +41,17 @@ func (d *dayScan) offset(c historystore.LoginCursor) int64 {
 	return t - d.base
 }
 
-// sweep evaluates the candidate windows of one Algorithm 4 scan in order.
-// The paper states the scan as p/s windows × h range queries; the windows
-// of one look-back day are the same interval sliding right, so instead of
+// sweep evaluates the candidate windows of one Algorithm 4 scan in order,
+// reading only as far as the scan gets: Predict's execution, which breaks at
+// the first non-improving window — on a dense history after a handful — and
+// must not pay for the logins behind the rest of the horizon. The paper
+// states the scan as p/s windows × h range queries; the windows of one
+// look-back day are the same interval sliding right, so instead of
 // re-querying, each day holds two cursors on the history's leaf chain and
-// every login is stepped over at most twice per scan. Every window looks
-// at every day, so a scan costs the same h comparisons per window whatever
-// the history holds: O(h·log n + m + p/s·h) for m logins in the look-back
-// ranges, against O(p/s · h · (log n + m)) as written.
+// every login is stepped over at most twice per scan. Every window looks at
+// every day: O(h·log n + m' + k·h) for a scan that breaks after k windows
+// having passed m' logins, against O(k · h · (log n + m)) as written. Explain
+// visits all p/s windows and runs on the grid instead.
 type sweep struct {
 	days []dayScan
 	w, s int64

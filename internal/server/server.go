@@ -333,7 +333,7 @@ type Server struct {
 	// counters, the tracer a bounded buffer.
 	reg      *obs.Registry
 	tracer   *obs.Tracer
-	predHist *obs.Histogram // ExplainPrediction latency (Algorithm 4 scan)
+	predHist *obs.Histogram // Algorithm 4 latency behind GET /v1/db/{id}
 	// quorumHist is the replication wait of one quorum-acked write; nil
 	// (no-op) outside quorum-acked mode.
 	quorumHist *obs.Histogram
@@ -673,7 +673,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s.predHist = reg.Histogram("prorp_prediction_duration_seconds",
-		"Algorithm 4 prediction-scan latency (GET /v1/db ExplainPrediction).", obs.LatencyBuckets)
+		"Algorithm 4 latency behind GET /v1/db/{id}: one prediction, or the full per-window scan under ?windows=.", obs.LatencyBuckets)
 	fleet.InstrumentObs(reg)
 	s.registerServerMetrics()
 	s.buildMux()
@@ -1510,20 +1510,19 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if s.routeDB(w, r, id, nil, false) {
 		return
 	}
-	st, err := s.Fleet().State(id)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
+	// State and prediction come from one view of the database: a login
+	// landing mid-request cannot pair the state before it with the
+	// prediction after it. The per-window scan runs only when asked for.
+	withWindows := r.URL.Query().Get("windows") != ""
 	_, pspan := s.tracer.Start(r.Context(), "fleet.explain_prediction")
 	t0 := time.Now()
-	windows, start, end, ok, err := s.Fleet().ExplainPrediction(id, s.now())
-	s.predHist.ObserveSince(t0)
+	st, windows, start, end, ok, err := s.Fleet().Inspect(id, s.now(), withWindows)
 	pspan.End()
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
+	s.predHist.ObserveSince(t0)
 	out := dbJSON{
 		ID:                 id,
 		State:              st.String(),
@@ -1532,7 +1531,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		out.Prediction = &predictionJSON{Start: start, End: end}
 	}
-	if r.URL.Query().Get("windows") != "" {
+	if withWindows {
 		out.Windows = make([]windowJSON, len(windows))
 		for i, win := range windows {
 			out.Windows[i] = windowJSON{

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -292,5 +294,52 @@ func TestServerErrorPaths(t *testing.T) {
 	wantStatus(t, code, http.StatusOK, out)
 	if out["databases"] != float64(0) || out["pending_wakes"] != float64(0) {
 		t.Fatalf("kpi after delete = %v", out)
+	}
+}
+
+// TestGetDBGolden pins the bytes of GET /v1/db/{id}, with and without
+// ?windows=, over a fixed history (three 09:00–17:00 days, asked at 08:00 on
+// the fourth) to what the handler sent at 065ed2d, when it ran the full
+// per-window scan for either form and read the state under a lock of its own.
+func TestGetDBGolden(t *testing.T) {
+	const (
+		goldenPlain = `{"id":1,"state":"physically-paused","resources_available":false,` +
+			`"prediction":{"start":"2023-09-04T09:00:00Z","end":"2023-09-04T09:00:00Z"}}` + "\n"
+		goldenWindowsLen = 17592
+		goldenWindows    = "bfd94955d77c71116324cd182cda29299b2de1a8a1af288606c8e3d1717f9d20"
+	)
+	clock := &fakeClock{t: t0.Add(9 * time.Hour)}
+	srv, err := New(Config{Options: testOptions(), Shards: 4, Now: clock.Now, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	code, out := call(t, srv, "POST", "/v1/db", `{"id":1}`)
+	wantStatus(t, code, http.StatusCreated, out)
+	const day = 24 * time.Hour
+	for d := 0; d < 3; d++ {
+		if d > 0 {
+			clock.Set(t0.Add(time.Duration(d)*day + 9*time.Hour))
+			call(t, srv, "POST", "/v1/db/1/login", "")
+		}
+		clock.Set(t0.Add(time.Duration(d)*day + 17*time.Hour))
+		call(t, srv, "POST", "/v1/db/1/logout", "")
+	}
+	clock.Set(t0.Add(3*day + 8*time.Hour))
+
+	if got := get("/v1/db/1"); got != goldenPlain {
+		t.Errorf("GET /v1/db/1 =\n%q, want\n%q", got, goldenPlain)
+	}
+	got := get("/v1/db/1?windows=1")
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(got))); len(got) != goldenWindowsLen || sum != goldenWindows {
+		t.Errorf("GET /v1/db/1?windows=1: %d bytes hashing to %s, want %d bytes, %s", len(got), sum, goldenWindowsLen, goldenWindows)
 	}
 }

@@ -280,24 +280,30 @@ type PredictionWindow struct {
 // ExplainPrediction scans every candidate window as of now and returns
 // per-window statistics plus the prediction the scan yields (ok reports
 // whether any window qualified). Unlike the policy's own prediction it
-// scans the full horizon, so it is for debugging and tooling, not the hot
-// path.
+// scans the full horizon, in one read of the look-back logins.
 func (d *Database) ExplainPrediction(now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool) {
-	return explainPrediction(d.machine, d.opts.policyConfig().Predictor, now)
+	return predictionAt(d.machine, d.opts.policyConfig().Predictor, now, true)
 }
 
-// explainPrediction is ExplainPrediction over one machine's history, shared
-// by the facades. The windows slice is the scan's only allocation.
-func explainPrediction(m *policy.Machine, p predictor.Params, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool) {
-	windows = make([]PredictionWindow, 0, p.WindowCount())
-	pred, ok := predictor.ExplainEach(m.History(), p, now.Unix(), func(s predictor.WindowStat) {
-		windows = append(windows, PredictionWindow{
-			Start:       time.Unix(s.WinStart, 0).UTC(),
-			Probability: s.Probability,
-			Qualifies:   s.Qualifies,
-			Selected:    s.Selected,
+// predictionAt is the prediction Algorithm 4 makes over one machine's
+// history as of now, shared by the facades: with withWindows the full scan
+// and its per-window statistics (the windows slice is its only allocation),
+// without it a plain Predict and nil windows.
+func predictionAt(m *policy.Machine, p predictor.Params, now time.Time, withWindows bool) (windows []PredictionWindow, start, end time.Time, ok bool) {
+	var pred predictor.Activity
+	if withWindows {
+		windows = make([]PredictionWindow, 0, p.WindowCount())
+		pred, ok = predictor.ExplainEach(m.History(), p, now.Unix(), func(s predictor.WindowStat) {
+			windows = append(windows, PredictionWindow{
+				Start:       time.Unix(s.WinStart, 0).UTC(),
+				Probability: s.Probability,
+				Qualifies:   s.Qualifies,
+				Selected:    s.Selected,
+			})
 		})
-	})
+	} else {
+		pred, ok = predictor.Predict(m.History(), p, now.Unix())
+	}
 	if !ok {
 		return windows, time.Time{}, time.Time{}, false
 	}

@@ -147,13 +147,23 @@ func (s *ShardedFleet) NextPredictedActivity(id int) (start, end time.Time, ok b
 }
 
 // ExplainPrediction scans every candidate window for one database as of
-// now (see Database.ExplainPrediction). The scan runs under the owning
-// shard's lock; it is for debugging and tooling, not the hot path.
+// now (see Database.ExplainPrediction), under the owning shard's lock.
 func (s *ShardedFleet) ExplainPrediction(id int, now time.Time) (windows []PredictionWindow, start, end time.Time, ok bool, err error) {
-	err = s.rt.View(id, func(m *policy.Machine) {
-		windows, start, end, ok = explainPrediction(m, s.opts.policyConfig().Predictor, now)
-	})
+	_, windows, start, end, ok, err = s.Inspect(id, now, true)
 	return windows, start, end, ok, err
+}
+
+// Inspect reports a database's lifecycle state together with the prediction
+// Algorithm 4 makes for it as of now, both read under one hold of the owning
+// shard's lock, so they describe the same instant whatever lands around the
+// call. withWindows adds ExplainPrediction's per-window statistics; without
+// it windows is nil and the call does not allocate.
+func (s *ShardedFleet) Inspect(id int, now time.Time, withWindows bool) (st State, windows []PredictionWindow, start, end time.Time, ok bool, err error) {
+	err = s.rt.View(id, func(m *policy.Machine) {
+		st = State(m.State())
+		windows, start, end, ok = predictionAt(m, s.opts.policyConfig().Predictor, now, withWindows)
+	})
+	return st, windows, start, end, ok, err
 }
 
 // PlanMaintenance schedules a maintenance operation for one database (see

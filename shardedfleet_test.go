@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -740,5 +741,155 @@ func TestShardedFleetStartsNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("beats grew the goroutine count from %d to %d", before, after)
+	}
+}
+
+// inspection is what one Inspect call reports.
+type inspection struct {
+	st         State
+	start, end time.Time
+	ok         bool
+}
+
+// officeFleet is a one-database ShardedFleet with three 09:00–17:00 days
+// behind it, and the midnight the fourth day starts at.
+func officeFleet(t *testing.T) (*ShardedFleet, time.Time) {
+	t.Helper()
+	sh, err := NewShardedFleetShards(DefaultOptions(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Create(0, t0.Add(9*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	const day = 24 * time.Hour
+	for d := 0; d < 3; d++ {
+		if d > 0 {
+			sh.Login(0, t0.Add(time.Duration(d)*day+9*time.Hour))
+		}
+		sh.Idle(0, t0.Add(time.Duration(d)*day+17*time.Hour))
+	}
+	return sh, t0.Add(3 * day)
+}
+
+// TestInspectMatchesStateAndExplain: Inspect is State plus
+// ExplainPrediction's prediction, with the windows only on request, and the
+// form behind a plain GET allocates nothing.
+func TestInspectMatchesStateAndExplain(t *testing.T) {
+	sh, day3 := officeFleet(t)
+	at := day3.Add(8 * time.Hour)
+
+	wantSt, err := sh.State(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWindows, wantStart, wantEnd, wantOK, err := sh.ExplainPrediction(0, at)
+	if err != nil || !wantOK {
+		t.Fatalf("ExplainPrediction = ok=%v, %v", wantOK, err)
+	}
+	for _, withWindows := range []bool{false, true} {
+		st, windows, start, end, ok, err := sh.Inspect(0, at, withWindows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != wantSt || !start.Equal(wantStart) || !end.Equal(wantEnd) || ok != wantOK {
+			t.Errorf("Inspect(windows=%v) = %v %v–%v ok=%v, want %v %v–%v ok=%v",
+				withWindows, st, start, end, ok, wantSt, wantStart, wantEnd, wantOK)
+		}
+		if !withWindows && windows != nil {
+			t.Errorf("Inspect without windows returned %d of them", len(windows))
+		}
+		if withWindows && fmt.Sprint(windows) != fmt.Sprint(wantWindows) {
+			t.Errorf("Inspect windows differ from ExplainPrediction's")
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { sh.Inspect(0, at, false) }); allocs > 0 {
+		t.Errorf("Inspect without windows allocates %v times per call, want 0", allocs)
+	}
+	if _, _, _, _, _, err := sh.Inspect(9, at, false); !errors.Is(err, ErrUnknownDatabase) {
+		t.Errorf("Inspect(9) = %v, want ErrUnknownDatabase", err)
+	}
+}
+
+// TestInspectReadsOneInstant toggles a database while a reader inspects it:
+// every login moves both the state and the predicted end, so a state from
+// before a write paired with a prediction from after it is an instant the
+// database was never in. Run under -race (make test does).
+func TestInspectReadsOneInstant(t *testing.T) {
+	sh, day3 := officeFleet(t)
+	at := day3.Add(24*time.Hour + 8*time.Hour) // the toggled day is look-back 1
+	inspect := func() inspection {
+		st, _, start, end, ok, err := sh.Inspect(0, at, false)
+		if err != nil {
+			t.Error(err)
+		}
+		return inspection{st, start, end, ok}
+	}
+
+	// The writer stops once enough reads have overlapped one of its writes,
+	// or at maxOps (the toggled seconds must stay inside the first window).
+	const (
+		maxOps      = 5000
+		wantOverlap = 200
+	)
+	var (
+		seq      atomic.Int64              // 2·completed ops, +1 while one is in flight
+		instants = []inspection{inspect()} // instants[k]: the database after k ops
+		enough   atomic.Bool
+		done     = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		for k := 0; k < maxOps && !enough.Load(); k++ {
+			ts := day3.Add(9*time.Hour + time.Duration(k)*time.Second)
+			seq.Add(1)
+			if k%2 == 0 {
+				sh.Login(0, ts)
+			} else {
+				sh.Idle(0, ts)
+			}
+			instants = append(instants, inspect())
+			seq.Add(1)
+		}
+	}()
+
+	type observed struct {
+		inspection
+		before, after int64
+	}
+	var seen []observed // the reads a write overlapped
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		before := seq.Load()
+		got := inspect()
+		after := seq.Load()
+		if after != before {
+			seen = append(seen, observed{got, before, after})
+			enough.Store(len(seen) >= wantOverlap)
+		}
+	}
+	t.Logf("%d ops, %d reads overlapped a write", len(instants)-1, len(seen))
+
+	for k := 1; k < len(instants); k++ {
+		if instants[k] == instants[k-1] {
+			t.Fatalf("op %d changed neither state nor prediction (%+v): the test cannot tell instants apart", k, instants[k])
+		}
+	}
+	for _, o := range seen {
+		// The call began with before/2 ops complete and ended with at most
+		// (after+1)/2 begun: it saw one of the instants in between.
+		lo, hi := o.before/2, (o.after+1)/2
+		matched := false
+		for k := lo; k <= hi && !matched; k++ {
+			matched = instants[k] == o.inspection
+		}
+		if !matched {
+			t.Fatalf("Inspect returned %v until %v, which is none of instants %d..%d (%v until %v .. %v until %v)",
+				o.st, o.end, lo, hi, instants[lo].st, instants[lo].end, instants[hi].st, instants[hi].end)
+		}
 	}
 }
