@@ -16,7 +16,12 @@ GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.3
 # 82.3; the gap absorbs run-to-run variance from timing-dependent tests.)
 COVER_BASELINE := 82.0
 
-.PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-record bench-check bench-short benchmark-build bench loadgen-smoke loadgen-bench loadgen-check clean
+# Maximum count of non-test functions that no cmd/ or examples/ binary
+# links, as `make reach` measures it. `make reach` fails if the tree grows
+# past it; ratchet it down as dead code goes.
+REACH_BASELINE := 109
+
+.PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-short benchmark-build bench loadgen-smoke reach clean
 
 ci: fmt-check vet staticcheck govulncheck build test cover obs bench-short benchmark-build
 
@@ -115,19 +120,6 @@ lease-chaos:
 overload-chaos:
 	$(GO) test -race -run TestChaosOverload -count 1 ./internal/server -chaos.seeds=50
 
-# Refresh BENCH_router.json, the committed router-overhead record
-# (acceptance: router_overhead_pct <= 5 over the unrouted baseline).
-bench-record:
-	PRORP_BENCH_RECORD=$(CURDIR)/BENCH_router.json $(GO) test -run TestRecordRouterBench -count 1 ./internal/server
-
-# The benchmark-drift gate: re-measure and fail if any BENCH_router.json
-# key regressed more than 10% against the committed baseline. Also writes
-# the fresh numbers to BENCH_router.fresh.json for CI to attach.
-bench-check:
-	PRORP_BENCH_BASELINE=$(CURDIR)/BENCH_router.json \
-	PRORP_BENCH_RECORD=$(CURDIR)/BENCH_router.fresh.json \
-	$(GO) test -run TestBenchDrift -count 1 ./internal/server
-
 # End-to-end serving smoke: spawn real prorp-serve binaries (single node
 # and a 3-group routed cluster), drive a short seeded open-loop load with
 # internal/loadgen, and assert the report invariants (zero client-side
@@ -135,20 +127,6 @@ bench-check:
 # samples, fleet-wide KPI merge).
 loadgen-smoke:
 	$(GO) test -run 'TestSmokeSingleNode|TestSmokeThreeGroupCluster' -count 1 -v ./internal/loadgen/harness
-
-# Refresh BENCH_serving.json, the committed serving-tier trajectory:
-# open-loop login/history latency quantiles, throughput, QoS and COGS for
-# a seeded load against a single node and a 3-group cluster.
-loadgen-bench:
-	PRORP_SERVING_BENCH_RECORD=$(CURDIR)/BENCH_serving.json $(GO) test -run TestRecordServingBench -count 1 -v ./internal/loadgen/harness
-
-# The serving-drift gate: re-run the seeded load and compare against the
-# committed BENCH_serving.json (direction-aware: _ms/_pct lower-or-band,
-# _rps higher). Also writes BENCH_serving.fresh.json for CI to attach.
-loadgen-check:
-	PRORP_SERVING_BENCH_BASELINE=$(CURDIR)/BENCH_serving.json \
-	PRORP_SERVING_BENCH_RECORD=$(CURDIR)/BENCH_serving.fresh.json \
-	$(GO) test -run TestServingBenchDrift -count 1 -v ./internal/loadgen/harness
 
 # One pass over the fleet-concurrency benchmark, the Algorithm 5 beat
 # benchmark, the predictor benchmarks (Predict on the sweep, Explain on the
@@ -158,6 +136,13 @@ bench-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedFleetStripes|BenchmarkFleetResumeOp' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict(Typical|WorstCase|Fleet)History|BenchmarkExplainFleetHistory' -benchtime 1x ./internal/predictor
 	$(GO) test -run '^$$' -bench 'BenchmarkQuorumAckedLogin' -benchtime 1x ./internal/server
+
+# The reachability ratchet: tools/reach.go builds every cmd/ and examples/
+# binary with inlining off and diffs `go tool nm` against the functions the
+# non-test files declare (`go run tools/reach.go -v` lists them). Eleven
+# builds are too slow for `ci`; CI runs it as its own job.
+reach:
+	$(GO) run tools/reach.go -max $(REACH_BASELINE)
 
 # benchmark/ is its own module, invisible to the root `./...`: vet and
 # unit-test it here so an API deletion cannot break it unnoticed.
@@ -170,4 +155,4 @@ bench:
 
 clean:
 	$(GO) clean ./...
-	rm -f coverprofile BENCH_router.fresh.json BENCH_serving.fresh.json
+	rm -f coverprofile

@@ -180,75 +180,66 @@ func BenchmarkFig12PauseWorkflows(b *testing.B) {
 func BenchmarkFleetResumeOp(b *testing.B) {
 	opts := DefaultOptions()
 	opts.History = 7 * 24 * time.Hour // one matching day clears c = 0.1
-	facades := []struct {
-		name string
-		mk   func() (fleetDriver, error)
-	}{
-		{"sharded", func() (fleetDriver, error) { return NewShardedFleet(opts) }},
-		{"fleet", func() (fleetDriver, error) { f, err := NewFleet(opts); return fleetRef{f}, err }},
-	}
 	const day = 24 * time.Hour
-	for _, fc := range facades {
-		for _, dbs := range []int{10_000, 100_000} {
-			perDay := time.Duration(dbs)
-			modes := []struct {
-				name        string
-				start, step time.Duration
-			}{
-				{"steady", -opts.PrewarmLead - opts.ResumeOpPeriod, day / perDay},
-				{"backlog", day * 5_000 / perDay, day * time.Duration(opts.MaxPrewarmsPerOp) / perDay},
-			}
-			for _, mode := range modes {
-				b.Run(fmt.Sprintf("%s/dbs=%d/%s", fc.name, dbs, mode.name), func(b *testing.B) {
-					f, err := fc.mk()
-					if err != nil {
-						b.Fatal(err)
+	for _, dbs := range []int{10_000, 100_000} {
+		perDay := time.Duration(dbs)
+		modes := []struct {
+			name        string
+			start, step time.Duration
+		}{
+			{"steady", -opts.PrewarmLead - opts.ResumeOpPeriod, day / perDay},
+			{"backlog", day * 5_000 / perDay, day * time.Duration(opts.MaxPrewarmsPerOp) / perDay},
+		}
+		for _, mode := range modes {
+			b.Run(fmt.Sprintf("sharded/dbs=%d/%s", dbs, mode.name), func(b *testing.B) {
+				f, err := NewShardedFleet(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// Database id is active for the first hour after
+				// base + id*day/dbs on two consecutive days; next[id] is
+				// its login on the third. The second idle predicts it,
+				// every database's start the same interval ahead of its
+				// login, so the clock is set against database 0's.
+				base := time.Unix(1_700_000_000, 0)
+				next := make([]time.Time, dbs)
+				for id := range next {
+					at := base.Add(day * time.Duration(id) / perDay)
+					f.Create(id, at)
+					f.Idle(id, at.Add(time.Hour))
+					f.Login(id, at.Add(day))
+					f.Idle(id, at.Add(day+time.Hour))
+					next[id] = at.Add(2 * day)
+				}
+				if got := f.PausedCount(); got != dbs {
+					b.Fatalf("%d of %d databases physically paused", got, dbs)
+				}
+				_, start0, _, ok, err := f.ExplainPrediction(0, base.Add(day+time.Hour))
+				if err != nil || !ok {
+					b.Fatalf("database 0 has no prediction: %v", err)
+				}
+				now := start0.Add(mode.start)
+				var beat time.Duration
+				prewarms := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					now = now.Add(mode.step)
+					t := time.Now()
+					pws := f.RunResumeOp(now)
+					beat += time.Since(t)
+					prewarms += len(pws)
+					for _, pw := range pws {
+						f.Login(pw.ID, next[pw.ID])
+						f.Idle(pw.ID, next[pw.ID].Add(time.Hour))
+						next[pw.ID] = next[pw.ID].Add(day)
 					}
-					// Database id is active for the first hour after
-					// base + id*day/dbs on two consecutive days; next[id] is
-					// its login on the third. The second idle predicts it,
-					// every database's start the same interval ahead of its
-					// login, so the clock is set against database 0's.
-					base := time.Unix(1_700_000_000, 0)
-					next := make([]time.Time, dbs)
-					for id := range next {
-						at := base.Add(day * time.Duration(id) / perDay)
-						f.Create(id, at)
-						f.Idle(id, at.Add(time.Hour))
-						f.Login(id, at.Add(day))
-						f.Idle(id, at.Add(day+time.Hour))
-						next[id] = at.Add(2 * day)
-					}
-					if got := f.PausedCount(); got != dbs {
-						b.Fatalf("%d of %d databases physically paused", got, dbs)
-					}
-					_, start0, _, ok, err := f.ExplainPrediction(0, base.Add(day+time.Hour))
-					if err != nil || !ok {
-						b.Fatalf("database 0 has no prediction: %v", err)
-					}
-					now := start0.Add(mode.start)
-					var beat time.Duration
-					prewarms := 0
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						now = now.Add(mode.step)
-						t := time.Now()
-						pws := f.RunResumeOp(now)
-						beat += time.Since(t)
-						prewarms += len(pws)
-						for _, pw := range pws {
-							f.Login(pw.ID, next[pw.ID])
-							f.Idle(pw.ID, next[pw.ID].Add(time.Hour))
-							next[pw.ID] = next[pw.ID].Add(day)
-						}
-					}
-					b.ReportMetric(float64(beat.Nanoseconds())/float64(b.N), "ns/op")
-					b.ReportMetric(float64(prewarms)/float64(b.N), "prewarms/op")
-					if got := f.PausedCount(); got != dbs {
-						b.Fatalf("%d of %d databases physically paused after %d beats", got, dbs, b.N)
-					}
-				})
-			}
+				}
+				b.ReportMetric(float64(beat.Nanoseconds())/float64(b.N), "ns/op")
+				b.ReportMetric(float64(prewarms)/float64(b.N), "prewarms/op")
+				if got := f.PausedCount(); got != dbs {
+					b.Fatalf("%d of %d databases physically paused after %d beats", got, dbs, b.N)
+				}
+			})
 		}
 	}
 }

@@ -4,9 +4,8 @@ import (
 	"prorp/internal/shardedfleet"
 )
 
-// The typed sentinel errors of the public API. Both fleet flavors (Fleet,
-// ShardedFleet) return errors that wrap these, so hosts classify failures
-// with errors.Is regardless of which runtime they chose:
+// The typed sentinel errors of the public API. ShardedFleet returns errors
+// that wrap these, so hosts classify failures with errors.Is:
 //
 //	ErrUnknownDatabase    the id does not exist (HTTP 404)
 //	ErrDuplicateDatabase  create/restore of an existing id (HTTP 409)

@@ -22,18 +22,18 @@ func main() {
 	opts := prorp.DefaultOptions()
 	opts.History = 7 * 24 * time.Hour // learn from one week of history
 
-	fleet, err := prorp.NewFleet(opts)
+	fleet, err := prorp.NewShardedFleet(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	start := time.Date(2023, 9, 1, 9, 0, 0, 0, time.UTC)
-	db, err := fleet.Create(1, start)
-	if err != nil {
+	if err := fleet.Create(1, start); err != nil {
 		log.Fatal(err)
 	}
+	state, _ := fleet.State(1)
 	fmt.Printf("day 0: database created at %s, state %s\n",
-		start.Format("15:04"), db.State())
+		start.Format("15:04"), state)
 
 	// Replay ten days of a daily routine: work 9:00-12:00 and 15:00-17:00.
 	// Each morning the control plane's proactive resume operation runs
@@ -52,7 +52,7 @@ func main() {
 		fleet.Login(1, base.Add(15*time.Hour))
 		decision, _ := fleet.Idle(1, base.Add(17*time.Hour))
 		fmt.Printf("day %d: 17:00 logout -> %-14s", d, decision.Event)
-		if start2, _, ok := db.NextPredictedActivity(); ok {
+		if start2, _, ok, _ := fleet.NextPredictedActivity(1); ok {
 			fmt.Printf(" next activity predicted %s", start2.Format("Mon 15:04"))
 		}
 		fmt.Println()
@@ -61,8 +61,10 @@ func main() {
 	// Overnight the database is physically paused; the control plane's
 	// resume operation (run here once a minute, as in production) pre-warms
 	// it ahead of the predicted 9:00 login.
-	fmt.Printf("\nstate overnight: %s (history: %d tuples, %d bytes)\n",
-		db.State(), db.HistoryTuples(), db.HistoryBytes())
+	state, _ = fleet.State(1)
+	history, _ := fleet.History(1)
+	fmt.Printf("\nstate overnight: %s (history: %d login/logout events)\n",
+		state, len(history))
 
 	day10 := start.Add(10 * 24 * time.Hour).Truncate(24 * time.Hour)
 	for t := day10.Add(8 * time.Hour); t.Before(day10.Add(10 * time.Hour)); t = t.Add(time.Minute) {

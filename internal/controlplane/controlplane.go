@@ -89,9 +89,6 @@ func (s *MetadataStore) ClearPaused(db int) bool {
 	return true
 }
 
-// PausedCount reports how many databases are physically paused.
-func (s *MetadataStore) PausedCount() int { return len(s.paused) }
-
 // PredictedStart returns the recorded prediction for db.
 func (s *MetadataStore) PredictedStart(db int) (int64, bool) {
 	p, ok := s.paused[db]

@@ -11,13 +11,13 @@ import (
 
 func TestMetadataStoreBasics(t *testing.T) {
 	s := NewMetadataStore()
-	if s.PausedCount() != 0 {
+	if len(s.paused) != 0 {
 		t.Fatal("fresh store not empty")
 	}
 	s.SetPaused(1, 1000)
 	s.SetPaused(2, 0)
-	if s.PausedCount() != 2 {
-		t.Fatalf("PausedCount = %d", s.PausedCount())
+	if len(s.paused) != 2 {
+		t.Fatalf("%d paused entries", len(s.paused))
 	}
 	if v, ok := s.PredictedStart(1); !ok || v != 1000 {
 		t.Fatalf("PredictedStart(1) = %d,%v", v, ok)
@@ -86,8 +86,8 @@ func TestResumeOpRespectsCap(t *testing.T) {
 	if len(second) != 100 || len(third) != 50 {
 		t.Fatalf("drain = %d,%d, want 100,50", len(second), len(third))
 	}
-	if s.PausedCount() != 0 {
-		t.Fatalf("%d entries left after drain", s.PausedCount())
+	if len(s.paused) != 0 {
+		t.Fatalf("%d entries left after drain", len(s.paused))
 	}
 }
 
@@ -337,8 +337,8 @@ func runStoreOps(t *testing.T, data []byte) {
 		if err := checkIndex(s); err != nil {
 			t.Fatalf("%s: %v", desc, err)
 		}
-		if s.PausedCount() != len(model) {
-			t.Fatalf("%s: PausedCount = %d, model %d", desc, s.PausedCount(), len(model))
+		if len(s.paused) != len(model) {
+			t.Fatalf("%s: %d paused entries, model %d", desc, len(s.paused), len(model))
 		}
 		var next int64
 		for id := 0; id < 64+8; id++ {

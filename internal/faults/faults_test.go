@@ -279,3 +279,47 @@ func TestRetryHealsAndGivesUp(t *testing.T) {
 		t.Fatalf("exhausted retry = (%d, %v)", retries, err)
 	}
 }
+
+// TestWriteFileAtomic: the replace rotates the old file to bak, a failed
+// rotation is reported apart and does not stop the replace, a failed
+// directory fsync fails the write, and no attempt leaves a temp file.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path, bak := filepath.Join(dir, "f"), filepath.Join(dir, "f.bak")
+	in := NewInjector(1)
+	ffs := NewFaultFS(OS, in, nil)
+	read := func(p string) string {
+		data, _ := os.ReadFile(p)
+		return string(data)
+	}
+
+	if rerr, err := WriteFileAtomic(ffs, path, []byte("one"), bak); rerr != nil || err != nil {
+		t.Fatalf("first write: %v, %v", rerr, err)
+	}
+	if rerr, err := WriteFileAtomic(ffs, path, []byte("two"), bak); rerr != nil || err != nil {
+		t.Fatalf("second write: %v, %v", rerr, err)
+	}
+	if read(path) != "two" || read(bak) != "one" {
+		t.Fatalf("after two writes: %q, bak %q", read(path), read(bak))
+	}
+
+	in.TripN("fs.rename", 1, nil) // the rotation's rename
+	if rerr, err := WriteFileAtomic(ffs, path, []byte("three"), bak); !errors.Is(rerr, ErrInjected) || err != nil {
+		t.Fatalf("failed rotation: %v, %v", rerr, err)
+	}
+	if read(path) != "three" || read(bak) != "one" {
+		t.Fatalf("after a failed rotation: %q, bak %q", read(path), read(bak))
+	}
+
+	in.TripN("fs.syncdir", 1, nil)
+	if _, err := WriteFileAtomic(ffs, path, []byte("four"), ""); !errors.Is(err, ErrInjected) {
+		t.Fatalf("failed directory fsync: err = %v", err)
+	}
+	in.TripN("fs.sync", 1, nil)
+	if _, err := WriteFileAtomic(ffs, path, []byte("five"), ""); !errors.Is(err, ErrInjected) || read(path) != "four" {
+		t.Fatalf("failed file fsync: err = %v, file %q", err, read(path))
+	}
+	if litter, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(litter) != 0 {
+		t.Fatalf("temp litter: %v", litter)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 )
 
@@ -33,8 +34,8 @@ type File interface {
 
 // FS is the filesystem seam of the durable stores (snapshot store and WAL
 // journal): enough surface to implement write-temp-fsync-rename
-// persistence with rotation plus append-mode segment files and directory
-// scans.
+// persistence with rotation (WriteFileAtomic) plus append-mode segment files
+// and directory scans.
 type FS interface {
 	Open(name string) (File, error)
 	// OpenFile opens with explicit flags (os.O_CREATE|os.O_EXCL|os.O_RDWR
@@ -46,6 +47,9 @@ type FS interface {
 	Stat(name string) (fs.FileInfo, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
 	MkdirAll(path string, perm fs.FileMode) error
+	// SyncDir fsyncs a directory, making the entries created, renamed or
+	// removed in it durable: a file's own fsync does not (fsync(2)).
+	SyncDir(name string) error
 }
 
 // OS is the real filesystem.
@@ -67,11 +71,58 @@ func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name
 func (osFS) MkdirAll(path string, perm fs.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
+func (osFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err == nil {
+		err = d.Sync()
+		d.Close() // opened only to sync: the Sync error is the one that counts
+	}
+	return err
+}
+
+// WriteFileAtomic durably replaces path with data, the one way the durable
+// stores write a whole file: a temp file in the same directory, write,
+// fsync, close, then — when bak is not empty and path exists — a rotation
+// of the current file to bak, the rename over path, and an fsync of the
+// directory so the new entry survives a power loss, not only a process
+// kill. A failed attempt removes its temp file and leaves path as it was
+// (or, after a failed directory sync, replaced but perhaps not durably).
+// A failed rotation is not fatal: the replace stays atomic and only the
+// fallback goes stale, so it is reported apart, as rotateErr.
+func WriteFileAtomic(fsys FS, path string, data []byte, bak string) (rotateErr, err error) {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return nil, err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return nil, err
+	}
+	if bak != "" {
+		if _, serr := fsys.Stat(path); serr == nil {
+			rotateErr = fsys.Rename(path, bak)
+		}
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return rotateErr, err
+	}
+	return rotateErr, fsys.SyncDir(dir)
+}
 
 // FaultFS wraps an FS with an Injector. Each operation consults one site:
 //
 //	fs.open  fs.openfile  fs.createtemp  fs.rename  fs.remove  fs.stat
-//	fs.readdir  fs.mkdirall  fs.read  fs.write  fs.sync  fs.close
+//	fs.readdir  fs.mkdirall  fs.syncdir  fs.read  fs.write  fs.sync  fs.close
 //
 // Write faults additionally support partial writes (a prefix lands, then
 // an error) and silent corruption (one bit of the written data flips).
@@ -165,6 +216,13 @@ func (f *FaultFS) MkdirAll(path string, perm fs.FileMode) error {
 		return &fs.PathError{Op: "mkdirall", Path: path, Err: err}
 	}
 	return f.Inner.MkdirAll(path, perm)
+}
+
+func (f *FaultFS) SyncDir(name string) error {
+	if err := f.check("fs.syncdir"); err != nil {
+		return &fs.PathError{Op: "syncdir", Path: name, Err: err}
+	}
+	return f.Inner.SyncDir(name)
 }
 
 // faultFile threads per-call faults through reads, writes, syncs, closes.

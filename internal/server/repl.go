@@ -249,24 +249,7 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 		fenced = 1
 	}
 	line := fmt.Sprintf("PRR1 %d %d %s %d %d\n", epoch, fenced, c, leaseMs, s.replLineage)
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	f, err := s.cfg.FS.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write([]byte(line))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = s.cfg.FS.Rename(tmp, path)
-	}
-	if err != nil {
-		s.cfg.FS.Remove(tmp)
+	if _, err := faults.WriteFileAtomic(s.cfg.FS, path, []byte(line), ""); err != nil {
 		return err
 	}
 	s.repl.syncPersists.Add(1)

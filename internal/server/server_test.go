@@ -251,6 +251,42 @@ func TestServerLifecycleAndRestart(t *testing.T) {
 	}
 }
 
+// TestHealthzPausedMatchesKPIReactive: /healthz "paused", /v1/kpi
+// "physically_paused" and the prorp_fleet_physically_paused gauge count the
+// same databases in reactive mode too, where no pause enters the Algorithm 5
+// index.
+func TestHealthzPausedMatchesKPIReactive(t *testing.T) {
+	opts := testOptions()
+	opts.Mode = prorp.Reactive
+	clock := &fakeClock{t: t0.Add(9 * time.Hour)}
+	srv, err := New(Config{Options: opts, Shards: 4, Now: clock.Now, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	for id := 1; id <= 4; id++ {
+		code, out := call(t, srv, "POST", "/v1/db", fmt.Sprintf(`{"id":%d}`, id))
+		wantStatus(t, code, http.StatusCreated, out)
+	}
+	clock.Set(t0.Add(10 * time.Hour))
+	for id := 1; id <= 3; id++ {
+		code, out := call(t, srv, "POST", fmt.Sprintf("/v1/db/%d/logout", id), "")
+		wantStatus(t, code, http.StatusOK, out)
+	}
+	// The logical pauses run out; the next request delivers their wakes.
+	clock.Set(t0.Add(12 * time.Hour))
+	code, kpi := call(t, srv, "GET", "/v1/kpi", "")
+	wantStatus(t, code, http.StatusOK, kpi)
+	code, health := call(t, srv, "GET", "/healthz", "")
+	wantStatus(t, code, http.StatusOK, health)
+	gauge := sampleValue(t, scrape(t, srv), "prorp_fleet_physically_paused", nil)
+	if kpi["physically_paused"] != float64(3) || health["paused"] != float64(3) || gauge != 3 {
+		t.Fatalf("physically paused: kpi %v, healthz %v, gauge %v; want 3 each",
+			kpi["physically_paused"], health["paused"], gauge)
+	}
+}
+
 func TestServerErrorPaths(t *testing.T) {
 	clock := &fakeClock{t: t0}
 	srv, err := New(Config{Options: testOptions(), Now: clock.Now})

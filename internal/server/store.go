@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"path/filepath"
 	"time"
 
 	"prorp/internal/faults"
@@ -110,39 +109,16 @@ func (st *snapshotStore) savePayload(frame []byte, walSeq uint64) (n int64, retr
 	return int64(len(frame)), retries, nil
 }
 
-// writeOnce is one atomic write attempt.
+// writeOnce is one atomic write attempt. The current snapshot rotates to
+// .bak, last-known-good, before the replace. A failed rotation is not fatal
+// — the replace is still atomic, only the fallback lineage goes stale — and
+// a crash between the two renames is covered: loads fall back to the .bak.
 func (st *snapshotStore) writeOnce(frame []byte) error {
-	dir, base := filepath.Dir(st.path), filepath.Base(st.path)
-	f, err := st.fs.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return err
+	rerr, err := faults.WriteFileAtomic(st.fs, st.path, frame, st.bakPath())
+	if rerr != nil {
+		st.logf("snapshot rotation failed (continuing): %v", rerr)
 	}
-	tmp := f.Name()
-	_, err = f.Write(frame)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		st.fs.Remove(tmp)
-		return err
-	}
-	// Keep the current snapshot as last-known-good before replacing it. A
-	// failed rotation is not fatal — the replace below is still atomic,
-	// only the fallback lineage goes stale — but a crash between the two
-	// renames is covered: loads fall back to the .bak.
-	if _, serr := st.fs.Stat(st.path); serr == nil {
-		if rerr := st.fs.Rename(st.path, st.bakPath()); rerr != nil {
-			st.logf("snapshot rotation failed (continuing): %v", rerr)
-		}
-	}
-	if err := st.fs.Rename(tmp, st.path); err != nil {
-		st.fs.Remove(tmp)
-		return err
-	}
-	return nil
+	return err
 }
 
 // Load reads, verifies, and decodes the snapshot chain: the primary first,

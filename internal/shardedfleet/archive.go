@@ -12,10 +12,9 @@ import (
 	"prorp/internal/policy"
 )
 
-// The PRF1 fleet archive is the one wire format every fleet flavor writes
-// and reads (the root package's Fleet goes through WriteArchive and
-// ReadArchive too), so archives move freely between a ShardedFleet and a
-// plain Fleet:
+// The PRF1 fleet archive is the one wire format a fleet writes and reads
+// (the root package's reference Fleet, a test oracle, goes through
+// WriteArchive and ReadArchive too, so its archives are byte-identical):
 //
 //	magic  uint32 'PRF1'
 //	count  uint32

@@ -360,16 +360,12 @@ func (rt *Runtime) IDs() []int {
 	return ids
 }
 
-// PausedCount reports how many databases are physically paused according to
-// the control-plane metadata.
+// PausedCount reports how many databases are physically paused. It reads
+// the lifecycle states, the one source the KPI gauges read too: the
+// metadata store indexes proactive-mode pauses only.
 func (rt *Runtime) PausedCount() int {
-	n := 0
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		n += s.meta.PausedCount()
-		s.mu.Unlock()
-	}
-	return n
+	_, _, physical := rt.StateCounts()
+	return physical
 }
 
 // StateCounts tallies databases by lifecycle state.

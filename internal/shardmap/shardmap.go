@@ -11,8 +11,7 @@
 // On disk the map uses the PRM1 format: a little-endian binary image with a
 // leading magic and a CRC-32C over everything after the checksum field, so
 // torn or bit-flipped files are detected on load. Persistence is atomic
-// (temp file, fsync, rename) via the faults.FS seam used by the snapshot
-// store.
+// and durable (faults.WriteFileAtomic), the write the snapshot store uses.
 package shardmap
 
 import (
@@ -317,35 +316,17 @@ func (m *Map) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Save atomically persists the map: temp file in the same directory,
-// fsync, rename over the target (the snapshot-store idiom).
+// Save durably persists the map (faults.WriteFileAtomic: temp file in the
+// same directory, fsync, rename over the target, directory fsync).
 func Save(fsys faults.FS, path string, m *Map) error {
 	if fsys == nil {
 		fsys = faults.OS
 	}
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("shardmap: mkdir: %w", err)
 	}
-	f, err := fsys.CreateTemp(dir, base+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("shardmap: create temp: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(m.Encode())
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("shardmap: write temp: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("shardmap: rename: %w", err)
+	if _, err := faults.WriteFileAtomic(fsys, path, m.Encode(), ""); err != nil {
+		return fmt.Errorf("shardmap: save: %w", err)
 	}
 	return nil
 }

@@ -306,7 +306,8 @@ func segPath(dir string, seq uint64) string {
 }
 
 // openSegmentLocked creates and headers a fresh segment at seq (bumping
-// past leftover files from interrupted rotations) and makes it active.
+// past leftover files from interrupted rotations), makes its directory entry
+// durable unless fsync is off, and makes it active.
 func (j *Journal) openSegmentLocked(seq uint64) error {
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt, seq = attempt+1, seq+1 {
@@ -323,12 +324,18 @@ func (j *Journal) openSegmentLocked(seq uint64) error {
 		putU32(hdr[0:4], segMagic)
 		putU64(hdr[4:12], seq)
 		n, err := f.Write(hdr)
-		if err != nil || n < len(hdr) {
+		if err == nil && n < len(hdr) {
+			err = fmt.Errorf("wal: short header write (%d of %d bytes)", n, len(hdr))
+		}
+		// A record's fsync does not make the segment's directory entry
+		// durable; one directory fsync here does, before the segment's
+		// first ack, and no append pays it.
+		if err == nil && j.cfg.Fsync != FsyncOff {
+			err = j.cfg.FS.SyncDir(j.cfg.Dir)
+		}
+		if err != nil {
 			f.Close()
 			j.cfg.FS.Remove(path)
-			if err == nil {
-				err = fmt.Errorf("wal: short header write (%d of %d bytes)", n, len(hdr))
-			}
 			lastErr = err
 			continue
 		}

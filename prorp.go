@@ -13,17 +13,16 @@
 //
 // Two entry points:
 //
-//   - Database and Fleet embed the per-database lifecycle controller
-//     (Algorithm 1 of the paper) and the region control plane (Algorithm 5)
-//     into an application: feed Login/Idle/Wake events with real
-//     timestamps and apply the returned Decisions.
+//   - Database embeds the per-database lifecycle controller (Algorithm 1
+//     of the paper) and ShardedFleet the region control plane over many of
+//     them (Algorithm 5) into an application: feed Login/Idle/Wake events
+//     with real timestamps and apply the returned Decisions.
 //   - Simulate replays a synthetic region workload through the full stack
 //     and reports the paper's KPI metrics; the examples and the benchmark
 //     harness build on it.
 package prorp
 
 import (
-	"fmt"
 	"time"
 
 	"prorp/internal/controlplane"
@@ -325,138 +324,8 @@ func (d *Database) Wake(t time.Time) Decision {
 	return decisionFrom(d.machine.OnTimer(t.Unix()))
 }
 
-// prewarm is invoked by the Fleet's resume operation.
-func (d *Database) prewarm(t time.Time) Decision {
-	return decisionFrom(d.machine.OnPrewarm(t.Unix()))
-}
-
-// Fleet is the region control plane over a set of databases: it tracks
-// physically paused databases with their predicted next activity and runs
-// the proactive resume operation of Algorithm 5. Not safe for concurrent
-// use.
-type Fleet struct {
-	opts Options
-	meta *controlplane.MetadataStore
-	dbs  map[int]*Database
-}
-
-// NewFleet builds an empty fleet.
-func NewFleet(opts Options) (*Fleet, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return &Fleet{
-		opts: opts,
-		meta: controlplane.NewMetadataStore(),
-		dbs:  make(map[int]*Database),
-	}, nil
-}
-
-// Create adds a new database to the fleet, created at createdAt.
-func (f *Fleet) Create(id int, createdAt time.Time) (*Database, error) {
-	if _, exists := f.dbs[id]; exists {
-		return nil, fmt.Errorf("prorp: %w: %d", ErrDuplicateDatabase, id)
-	}
-	db, err := NewDatabase(f.opts, id, createdAt)
-	if err != nil {
-		return nil, err
-	}
-	f.dbs[id] = db
-	return db, nil
-}
-
-// Database returns a fleet member.
-func (f *Fleet) Database(id int) (*Database, bool) {
-	db, ok := f.dbs[id]
-	return db, ok
-}
-
-// Delete drops a database from the fleet and clears its control-plane
-// metadata, so a pending proactive resume for it cannot fire.
-func (f *Fleet) Delete(id int) error {
-	if _, ok := f.dbs[id]; !ok {
-		return fmt.Errorf("prorp: %w: %d", ErrUnknownDatabase, id)
-	}
-	delete(f.dbs, id)
-	f.meta.ClearPaused(id)
-	return nil
-}
-
-// Size reports the number of databases in the fleet.
-func (f *Fleet) Size() int { return len(f.dbs) }
-
-// PausedCount reports how many databases are physically paused.
-func (f *Fleet) PausedCount() int { return f.meta.PausedCount() }
-
-// apply performs the fleet-level bookkeeping of a Decision.
-func (f *Fleet) apply(id int, d Decision, t time.Time) Decision {
-	switch d.Event {
-	case EventPhysicalPause:
-		db := f.dbs[id]
-		var predStart int64
-		if start, _, ok := db.NextPredictedActivity(); ok && db.opts.Mode == Proactive {
-			predStart = start.Unix()
-		}
-		f.meta.SetPaused(id, predStart)
-	case EventResumeCold:
-		f.meta.ClearPaused(id)
-	}
-	return d
-}
-
-// Login routes a login to the database and maintains fleet metadata.
-func (f *Fleet) Login(id int, t time.Time) (Decision, error) {
-	db, ok := f.dbs[id]
-	if !ok {
-		return Decision{}, fmt.Errorf("prorp: %w: %d", ErrUnknownDatabase, id)
-	}
-	return f.apply(id, db.Login(t), t), nil
-}
-
-// Idle routes an end-of-activity to the database.
-func (f *Fleet) Idle(id int, t time.Time) (Decision, error) {
-	db, ok := f.dbs[id]
-	if !ok {
-		return Decision{}, fmt.Errorf("prorp: %w: %d", ErrUnknownDatabase, id)
-	}
-	return f.apply(id, db.Idle(t), t), nil
-}
-
-// Wake routes a wake-up to the database.
-func (f *Fleet) Wake(id int, t time.Time) (Decision, error) {
-	db, ok := f.dbs[id]
-	if !ok {
-		return Decision{}, fmt.Errorf("prorp: %w: %d", ErrUnknownDatabase, id)
-	}
-	return f.apply(id, db.Wake(t), t), nil
-}
-
 // Prewarmed pairs a pre-warmed database with its Decision.
 type Prewarmed struct {
 	ID       int
 	Decision Decision
-}
-
-// RunResumeOp runs one iteration of the proactive resume operation
-// (Algorithm 5): it selects every physically paused database whose
-// predicted activity starts within the pre-warm lead of now (bounded by
-// the per-iteration cap) and pre-warms it. Call it every ResumeOpPeriod.
-func (f *Fleet) RunResumeOp(now time.Time) []Prewarmed {
-	if f.opts.Mode != Proactive {
-		return nil
-	}
-	due := f.meta.ResumeOp(f.opts.controlPlaneConfig(), now.Unix())
-	var out []Prewarmed
-	for _, id := range due {
-		db, ok := f.dbs[id]
-		if !ok {
-			continue
-		}
-		d := db.prewarm(now)
-		if d.Event != EventPrewarm {
-			continue // stale entry
-		}
-		out = append(out, Prewarmed{ID: id, Decision: d})
-	}
-	return out
 }

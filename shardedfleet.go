@@ -130,7 +130,8 @@ func (s *ShardedFleet) State(id int) (State, error) {
 // Size reports the number of databases.
 func (s *ShardedFleet) Size() int { return s.rt.Size() }
 
-// PausedCount reports how many databases are physically paused.
+// PausedCount reports how many databases are physically paused, read off
+// their lifecycle states in either mode.
 func (s *ShardedFleet) PausedCount() int { return s.rt.PausedCount() }
 
 // NextPredictedActivity returns a database's current prediction, if any
@@ -228,8 +229,9 @@ func (s *ShardedFleet) Snapshot(id int, w io.Writer) error {
 	return err
 }
 
-// Restore adds a snapshotted database (see Fleet.Restore). The returned
-// wakeAt is non-zero when the host must schedule a Wake.
+// Restore adds a snapshotted database (see Database.WriteTo), re-registering
+// a physically paused one for proactive resume. The returned wakeAt is
+// non-zero when the host must schedule a Wake.
 func (s *ShardedFleet) Restore(id int, r io.Reader) (wakeAt time.Time, err error) {
 	ts, err := s.rt.RestoreDB(id, r)
 	if err != nil {
@@ -241,15 +243,25 @@ func (s *ShardedFleet) Restore(id int, r io.Reader) (wakeAt time.Time, err error
 	return wakeAt, nil
 }
 
-// WriteTo archives the whole fleet under a consistent quiesce, in the same
-// wire format as Fleet.WriteTo — archives move freely between the two. It
-// implements io.WriterTo.
+// WriteTo archives the whole fleet under a consistent quiesce, databases in
+// id order, as one PRF1 stream: lifecycle states, histories and
+// predictions, from which a restore rebuilds the paused-database metadata,
+// so a control-plane restart (or a wholesale node migration) restores the
+// complete region state. It implements io.WriterTo.
 func (s *ShardedFleet) WriteTo(w io.Writer) (int64, error) { return s.rt.WriteTo(w) }
 
+// PendingWake pairs a restored database with the wake-up its host must
+// schedule.
+type PendingWake struct {
+	ID     int
+	WakeAt time.Time
+}
+
 // RestoreShardedFleet reconstructs a sharded fleet (0 shards = default
-// stripe count) from an archive written by Fleet.WriteTo or
-// ShardedFleet.WriteTo, under possibly re-trained options. It returns the
-// wake-ups the host must schedule for logically paused databases.
+// stripe count) from an archive written by WriteTo, under possibly
+// re-trained options. It returns the wake-ups the host must schedule for
+// logically paused databases. Undecodable input — truncated, bit-flipped,
+// wrong format — yields an error wrapping ErrCorruptArchive, never a panic.
 func RestoreShardedFleet(opts Options, shards int, r io.Reader) (*ShardedFleet, []PendingWake, error) {
 	sf, err := NewShardedFleetShards(opts, shards)
 	if err != nil {

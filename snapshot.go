@@ -1,7 +1,6 @@
 package prorp
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -29,28 +28,6 @@ func RestoreDatabase(opts Options, id int, r io.Reader) (db *Database, wakeAt ti
 	db = &Database{id: id, machine: m, opts: opts}
 	if ts := m.RestoredTimer(); ts > 0 {
 		wakeAt = time.Unix(ts, 0).UTC()
-	}
-	return db, wakeAt, nil
-}
-
-// Restore adds a snapshotted database to the fleet, re-registering its
-// control-plane metadata: a physically paused database becomes eligible
-// for proactive resume again without waiting for its next pause.
-func (f *Fleet) Restore(id int, r io.Reader) (db *Database, wakeAt time.Time, err error) {
-	if _, exists := f.dbs[id]; exists {
-		return nil, time.Time{}, fmt.Errorf("prorp: database %d already exists", id)
-	}
-	db, wakeAt, err = RestoreDatabase(f.opts, id, r)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	f.dbs[id] = db
-	if db.State() == PhysicallyPaused && f.opts.Mode == Proactive {
-		var predStart int64
-		if start, _, ok := db.NextPredictedActivity(); ok {
-			predStart = start.Unix()
-		}
-		f.meta.SetPaused(id, predStart)
 	}
 	return db, wakeAt, nil
 }
