@@ -19,7 +19,7 @@ COVER_BASELINE := 82.0
 # Maximum count of non-test functions that no cmd/ or examples/ binary
 # links, as `make reach` measures it. `make reach` fails if the tree grows
 # past it; ratchet it down as dead code goes.
-REACH_BASELINE := 109
+REACH_BASELINE := 108
 
 .PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-short benchmark-build bench loadgen-smoke reach clean
 
@@ -108,8 +108,10 @@ shard-chaos:
 # the rebooted old primary — asserting zero acked-write loss and exactly
 # one unfenced primary at quiesce. On failure the surviving node's
 # on-disk debris is copied to $$PRORP_CHAOS_DEBRIS for the CI artifact.
+# Then the election model checker, two actions deeper than tier-1 runs it.
 lease-chaos:
 	$(GO) test -race -run TestChaosLeaseElection -count 1 ./internal/server -chaos.seeds=50
+	$(GO) test -run TestElectionModel -count 1 ./internal/repl -elect.depth=13
 
 # The overload half: 50 seeded open-loop floods of a 3-node cluster with
 # hung and partitioned peers, asserting that login (Decision-class) p99

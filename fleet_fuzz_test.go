@@ -21,7 +21,9 @@ var fuzzSteps = [16]time.Duration{
 }
 
 // The operations a fuzz input is decoded into. Each takes two bytes: the
-// first is kind + 8·id (ids 0..3), the second indexes fuzzSteps.
+// first is kind + 8·id (ids 0..3), the second indexes fuzzSteps with its low
+// nibble, and with fuzzRetry set repeats a login or idle at once — a client
+// retrying a request whose first copy was applied.
 const (
 	fuzzCreate = iota
 	fuzzLogin
@@ -34,7 +36,10 @@ const (
 	fuzzKinds
 )
 
-const fuzzIDs = 4
+const (
+	fuzzIDs   = 4
+	fuzzRetry = 0x10
+)
 
 // fuzzOp encodes one operation for the seed corpus.
 func fuzzOp(kind, id, step int) []byte { return []byte{byte(kind + fuzzKinds*id), byte(step)} }
@@ -75,7 +80,10 @@ func fleetFuzzSeeds() [][]byte {
 // and requires the two to agree after every step: the same Decisions,
 // states, prewarm sets, pending wakes and archive bytes, the same errors
 // under errors.Is, and on each side a PausedCount equal to the number of
-// databases in PhysicallyPaused.
+// databases in PhysicallyPaused. It also models a host's wake timers — a
+// map reconciled from every Decision's WakeAt, as the server's is — and
+// requires it to equal ShardedFleet.PendingWakes after every step: a
+// Decision's WakeAt is the complete timer state, duplicates included.
 func FuzzFleetMatchesReference(f *testing.F) {
 	for _, seed := range fleetFuzzSeeds() {
 		f.Add(seed)
@@ -127,6 +135,9 @@ func runFleetPair(t *testing.T, mode Mode, shards int, data []byte) {
 		kind, id := int(data[i])%fuzzKinds, int(data[i])/fuzzKinds%fuzzIDs
 		p.now = p.now.Add(fuzzSteps[data[i+1]%16])
 		p.step(i/2, kind, id)
+		if data[i+1]&fuzzRetry != 0 && (kind == fuzzLogin || kind == fuzzIdle) {
+			p.step(i/2, kind, id)
+		}
 		p.check(i / 2)
 	}
 }
@@ -294,5 +305,13 @@ func (p *fleetPair) check(op int) {
 	}
 	if rp, sp := p.ref.PausedCount(), p.sh.PausedCount(); rp != paused || sp != paused {
 		p.fatalf(op, "PausedCount: reference %d, sharded %d, physically paused %d", rp, sp, paused)
+	}
+	pending := p.sh.PendingWakes()
+	same := len(pending) == len(p.wakes)
+	for _, w := range pending {
+		same = same && p.wakes[w.ID].Equal(w.WakeAt)
+	}
+	if !same {
+		p.fatalf(op, "the wakes reconciled from Decisions %v are not the fleet's pending %v", p.wakes, pending)
 	}
 }

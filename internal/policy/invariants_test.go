@@ -11,9 +11,10 @@ import (
 // timers and prewarms at any point, time strictly increasing) and checks
 // the state-machine invariants after every step.
 type machineDriver struct {
-	t   *testing.T
-	m   *Machine
-	now int64
+	t       *testing.T
+	m       *Machine
+	now     int64
+	pending int64 // the timer the effects so far leave pending
 }
 
 func (d *machineDriver) step(rng *rand.Rand) bool {
@@ -52,11 +53,19 @@ func (d *machineDriver) check(op string, before State, wasActive bool, eff Effec
 	t, m, now := d.t, d.m, d.now
 	after := m.State()
 
-	// Timer sanity: never scheduled in the past.
-	if eff.TimerAt != 0 && eff.TimerAt < now {
+	// Timer sanity: never scheduled in the past, and TimerAt is always the
+	// complete timer state — a no-op reports the pending timer unchanged
+	// (overdue, if nobody delivered it), so a caller reconciling on every
+	// effect never cancels a wake-up it still owes.
+	if eff.Transition == TransNone && eff.TimerAt != d.pending {
+		t.Errorf("%s at %d: no-op reports timer %d, pending %d", op, now, eff.TimerAt, d.pending)
+		return false
+	}
+	if eff.Transition != TransNone && eff.TimerAt != 0 && eff.TimerAt < now {
 		t.Errorf("%s at %d: timer in the past (%d)", op, now, eff.TimerAt)
 		return false
 	}
+	d.pending = eff.TimerAt
 	// Active databases are always in the Resumed state with resources.
 	if m.Active() && after != Resumed {
 		t.Errorf("%s at %d: active in state %v", op, now, after)

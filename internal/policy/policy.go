@@ -156,7 +156,8 @@ func (c Config) Validate() error {
 // Effects is what the environment must do after an event. TimerAt is the
 // complete desired timer state: > 0 means exactly one pending wake-up at
 // that time, 0 means none; the caller reconciles (cancels any previous
-// timer).
+// timer). That holds for TransNone too, which carries the pending timer
+// unchanged: a duplicate or stale event cancels nothing.
 type Effects struct {
 	// Allocate requests that resources be (re)allocated.
 	Allocate bool
@@ -190,6 +191,8 @@ type Machine struct {
 	next       predictor.Activity
 	pauseStart int64
 	prewarmed  bool
+	// timer is the wake-up the last effects left pending (0 for none).
+	timer int64
 
 	// predictions counts Predict invocations, for overhead accounting.
 	predictions int
@@ -247,8 +250,22 @@ func (m *Machine) predict(now int64) {
 	m.predictions++
 }
 
+// Timer reports the wake-up the machine has pending, 0 for none.
+func (m *Machine) Timer() int64 { return m.timer }
+
+// settle keeps the pending timer: an effect that changes something sets
+// it, and TransNone reports it unchanged.
+func (m *Machine) settle(eff *Effects) {
+	if eff.Transition == TransNone {
+		eff.TimerAt = m.timer
+	} else {
+		m.timer = eff.TimerAt
+	}
+}
+
 // OnActivityStart handles a customer login at time now.
-func (m *Machine) OnActivityStart(now int64) Effects {
+func (m *Machine) OnActivityStart(now int64) (eff Effects) {
+	defer m.settle(&eff)
 	if m.active {
 		return Effects{Transition: TransNone}
 	}
@@ -275,7 +292,8 @@ func (m *Machine) OnActivityStart(now int64) Effects {
 
 // OnActivityEnd handles the end of customer activity: Algorithm 1 lines
 // 6-12.
-func (m *Machine) OnActivityEnd(now int64) Effects {
+func (m *Machine) OnActivityEnd(now int64) (eff Effects) {
+	defer m.settle(&eff)
 	if !m.active {
 		return Effects{Transition: TransNone}
 	}
@@ -359,7 +377,8 @@ func (m *Machine) wakeTime(now int64) int64 {
 
 // OnTimer handles the wake-up scheduled by logicalPause: Algorithm 1 lines
 // 24-29 (plus the baseline's pause-expiry check).
-func (m *Machine) OnTimer(now int64) Effects {
+func (m *Machine) OnTimer(now int64) (eff Effects) {
+	defer m.settle(&eff)
 	if m.state != LogicallyPaused || m.active {
 		return Effects{Transition: TransNone}
 	}
@@ -424,7 +443,8 @@ func (m *Machine) physicalPause() Effects {
 // moves a physically paused database into logical pause ahead of its
 // predicted activity. Stale pre-warms (the database already resumed or was
 // never paused) are ignored — the diagnostics runner drains such entries.
-func (m *Machine) OnPrewarm(now int64) Effects {
+func (m *Machine) OnPrewarm(now int64) (eff Effects) {
+	defer m.settle(&eff)
 	if m.state != PhysicallyPaused || m.cfg.Mode != Proactive {
 		return Effects{Transition: TransNone}
 	}

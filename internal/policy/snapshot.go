@@ -98,6 +98,7 @@ func Restore(cfg Config, r io.Reader) (*Machine, error) {
 	if _, err := m.hist.ReadFrom(br); err != nil {
 		return nil, err
 	}
+	m.timer = m.RestoredTimer()
 	return m, nil
 }
 

@@ -1,419 +1,352 @@
 package repl
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 	"time"
 
-	"prorp/internal/faults"
 	"prorp/internal/wal"
 )
 
-// Replica-initiated election. When a follower's lease lapses it waits a
-// randomized election timeout (so candidates desynchronize), then stands:
-// it proposes epoch+1, casts a durable self-vote by adopting the proposed
-// epoch, and solicits votes from every peer. A voter grants at most one
-// vote per epoch — the grant and the adoption are ONE atomic step
-// (ObserveEpoch adopts only if the epoch is still beyond everything this
-// node has seen, and a grant is issued only when this very call adopted),
-// durable before the reply leaves — and only to a candidate whose
-// replicated cursor is at or past its own IN THE SAME LINEAGE, so the
-// winner provably holds every record any granting voter holds. Cursors
-// are offsets into one primary's journal; a voter whose cursor came from
-// a different reign abstains rather than comparing incomparable offsets.
-// A majority of the cluster (self + peers) promotes the candidate to
-// exactly the proposed epoch; the epoch bump fences the old primary
-// through the PR 5 machinery the moment any message from the new lineage
-// reaches it.
+// The election state machine: every rule about epochs, votes, fences and
+// reign announces in one pure function, Step — no goroutine, clock, HTTP
+// or file. The Driver is its one production caller, the model checker in
+// the tests the other. DESIGN.md §11 states the protocol: a pre-vote round
+// before any candidacy, one vote per epoch that resets the voter's own
+// deadline, and positions ordered by (lineage, cursor).
 
-// VoteRequest is a candidate's solicitation, POSTed to /v1/repl/vote.
-type VoteRequest struct {
-	// Epoch is the proposed epoch (the candidate's epoch + 1 at stand time).
+// Kind says what an Input is.
+type Kind int
+
+const (
+	KindTick          Kind = iota // the driver's timer: lease lapse, deadlines, announces
+	KindVote                      // a candidate asks for a vote (or pre-vote)
+	KindVoteReply                 // a voter's verdict on our request
+	KindAnnounce                  // a primary broadcasts its reign
+	KindAnnounceReply             // a peer's answer to our announce
+	KindEpoch                     // a peer epoch seen on a stream poll or answer
+	KindFence                     // operator: adopt Msg.Epoch, fencing a primary
+	KindPromote                   // operator: become the primary of a new epoch
+)
+
+// Position is a node's replicated position: Cursor is an offset into the
+// journal of the primary that reigned from epoch Lineage (0 = unknown).
+// Positions order lexicographically, lineage first.
+type Position struct {
+	Lineage uint64     `json:"lineage"`
+	Cursor  wal.Cursor `json:"cursor"`
+}
+
+// Less reports whether p is strictly behind q.
+func (p Position) Less(q Position) bool {
+	if p.Lineage != q.Lineage {
+		return p.Lineage < q.Lineage
+	}
+	return p.Cursor.Before(q.Cursor)
+}
+
+func (p Position) String() string { return fmt.Sprintf("%s@%d", p.Cursor, p.Lineage) }
+
+// Message is every election message on the wire: vote requests and their
+// verdicts on /v1/repl/vote, reign announces and their answers on
+// /v1/repl/announce.
+type Message struct {
+	Kind Kind   `json:"-"`
+	To   string `json:"-"` // outbound: the peer to send to
+	// From names the sender; Epoch is its epoch (on a reply, after handling
+	// the request).
+	From  string `json:"from"`
 	Epoch uint64 `json:"epoch"`
-	// Cursor is the candidate's durable replicated stream position;
-	// CursorEpoch is its lineage — the reign epoch of the primary whose
-	// journal the cursor is an offset into (0 = unknown).
-	Cursor      string `json:"cursor"`
-	CursorEpoch uint64 `json:"cursor_epoch,omitempty"`
-	// Candidate is the candidate's node id, Addr its base URL (what peers
-	// should follow if it wins).
-	Candidate string `json:"candidate"`
-	Addr      string `json:"addr"`
+	// Round is the epoch a vote request proposes, and a verdict answers.
+	Round   uint64 `json:"round,omitempty"`
+	PreVote bool   `json:"pre_vote,omitempty"`
+	Granted bool   `json:"granted,omitempty"`
+	// Pos is a candidate's replicated position.
+	Pos Position `json:"pos"`
+	// Addr is a candidate's or announcer's base URL; on a refusal, the
+	// voter's own URL when it is the primary.
+	Addr   string `json:"addr,omitempty"`
+	Reason string `json:"reason,omitempty"`
 }
 
-// VoteResponse is the voter's verdict. Epoch is the voter's epoch AFTER
-// handling the request — a refused candidate folds it in so its next stand
-// proposes past every live competitor. LeaderAddr, when non-empty, names
-// the primary the voter currently follows: a candidate refused because a
-// newer primary exists learns where to point its follower.
-type VoteResponse struct {
-	Granted    bool   `json:"granted"`
-	Epoch      uint64 `json:"epoch"`
-	Reason     string `json:"reason,omitempty"`
-	LeaderAddr string `json:"leader_addr,omitempty"`
+// Input is one event for Step. The driver fills Lease, Pos and Jitter on
+// every input, so Step never reads a clock, a lock or a random source.
+type Input struct {
+	Kind Kind
+	Msg  Message // the message; for KindEpoch and KindFence only Msg.Epoch
+	// Lease is when this node's lease from the primary runs out, Pos its
+	// replicated position, Jitter a fresh randomized election timeout.
+	Lease  time.Time
+	Pos    Position
+	Jitter time.Duration
 }
 
-// HandleVote is the voter side of an election, shared by the server's
-// /v1/repl/vote handler and the unit tests. local is this node's durable
-// replicated cursor (a follower's stream cursor; a primary's own journal
-// end) and lineage its reign epoch — the reign of the primary whose
-// journal local is an offset into (0 = unknown). leaderAddr is the
-// primary this node currently follows (may be empty), and persist must
-// durably record the node's state — a vote that could evaporate in a
-// crash could be recast for a different candidate.
-func HandleVote(n *Node, local wal.Cursor, lineage uint64, leaderAddr string, persist func() error, req VoteRequest) VoteResponse {
-	resp := VoteResponse{Epoch: n.Epoch(), LeaderAddr: leaderAddr}
-	if req.Epoch <= resp.Epoch {
-		resp.Reason = fmt.Sprintf("epoch %d not beyond %d", req.Epoch, resp.Epoch)
-		return resp
-	}
-	cand, err := wal.ParseCursor(req.Cursor)
-	if err != nil {
-		resp.Reason = "bad cursor: " + err.Error()
-		return resp
-	}
-	// The cursor rules apply only when this voter holds records at all: a
-	// zero cursor protects nothing, so it grants on epoch alone. Neither
-	// refusal below adopts the epoch — this voter may still grant it to an
-	// acceptable candidate this round.
-	if !local.IsZero() {
-		if req.CursorEpoch != lineage {
-			// Cursors are offsets into one primary's journal; across reigns
-			// the offsets are unrelated, so "at or past" is meaningless. A
-			// voter that cannot compare abstains — wrongly granting could
-			// elect a candidate missing quorum-acked records, and wrongly
-			// refusing could be forced by an incomparable-but-large cursor.
-			resp.Reason = fmt.Sprintf("candidate cursor lineage %d incomparable with ours (%d): abstaining",
-				req.CursorEpoch, lineage)
-			return resp
-		}
-		if cand.Before(local) {
-			resp.Reason = fmt.Sprintf("candidate cursor %s behind ours (%s)", cand, local)
-			return resp
+// Config is the fixed part of one node's state machine.
+type Config struct {
+	ID   string // this node's name in votes
+	Addr string // the base URL peers follow when this node leads
+	// Peers names every OTHER member, sorted; self + peers is the
+	// electorate. Empty disables elections and announces.
+	Peers []string
+}
+
+func (c Config) majority() int { return (1+len(c.Peers))/2 + 1 }
+
+func (c Config) peerBit(name string) uint64 {
+	for i, p := range c.Peers {
+		if p == name {
+			return 1 << i
 		}
 	}
-	// The grant IS the adoption, in one atomic step: ObserveEpoch adopts
-	// req.Epoch only while it is still beyond everything this node has
-	// observed, and reports whether THIS call adopted it. A false return
-	// means a concurrent vote — or this node's own candidacy — claimed the
-	// epoch first; granting anyway would hand the same epoch to two
-	// candidates, and two majorities at one epoch is a split brain that
-	// epoch fencing cannot resolve (equal epochs never fence each other).
-	if !n.ObserveEpoch(req.Epoch) {
-		resp.Epoch = n.Epoch()
-		resp.Reason = fmt.Sprintf("epoch %d already granted or superseded (at %d)", req.Epoch, resp.Epoch)
-		return resp
-	}
-	// Persist before the grant leaves the node. A failed persist refuses
-	// with the epoch already adopted in memory — conservative: nobody gets
-	// this voter's grant for the epoch, which can stall but never split.
-	if err := persist(); err != nil {
-		resp.Epoch = n.Epoch()
-		resp.Reason = "vote not durable: " + err.Error()
-		return resp
-	}
-	resp.Granted = true
-	resp.Epoch = n.Epoch()
-	return resp
+	return 0
 }
 
-// ElectorConfig assembles an Elector.
-type ElectorConfig struct {
-	// NodeID names this node in vote requests; SelfAddr is the base URL
-	// peers should follow if it wins.
-	NodeID   string
-	SelfAddr string
-	// Peers maps every OTHER cluster member's name to its base URL. The
-	// electorate is self + peers; a majority of it wins.
-	Peers map[string]string
-	// Node is the local role/epoch state machine, Lease the primary-liveness
-	// lease whose lapse licenses a candidacy.
-	Node  *Node
-	Lease *Lease
-	// Clock drives deadlines, Doer the vote round trips.
-	Clock faults.Clock
-	Doer  faults.Doer
-	// Timeout is the base election timeout: after the lease lapses a
-	// candidate waits Timeout + rand(0, Timeout) before standing, so
-	// competing candidates desynchronize instead of splitting votes forever.
-	Timeout time.Duration
-	// Seed seeds the jitter (0 = time-seeded); chaos tests pin it.
-	Seed int64
-	// Eligible gates candidacy beyond the lease: the host returns false
-	// while the node is already an unfenced primary, or has no follower
-	// whose cursor would be comparable with the electorate's.
-	Eligible func() bool
-	// Cursor is the node's durable replicated stream position and its
-	// lineage (the reign epoch of the primary whose journal the cursor
-	// indexes) — together the vote comparison key.
-	Cursor func() (wal.Cursor, uint64)
-	// Persist durably records the node state; called for the self-vote and
-	// every epoch fold.
-	Persist func() error
-	// Promote is the win path: make the host the primary of exactly epoch e
-	// (stop the follower, persist, announce). An error means the win was
-	// overtaken and the elector keeps following.
-	Promote func(e uint64) error
-	// OnLeader, when non-nil, is called when a refusal reveals a live
-	// primary: the host repoints its follower there.
-	OnLeader func(addr string, e uint64)
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
+// State is one node's election state. Role, Epoch, Fenced and Vote are
+// durable; the rest is rebuilt at boot. State is a comparable value.
+type State struct {
+	Role   Role
+	Epoch  uint64
+	Fenced bool
+	// Vote names the candidate this node voted for at Epoch ("" for none;
+	// its own ID once it stood or leads).
+	Vote string
+	// Leader is the base URL of the primary this node follows: its own Addr
+	// while it leads, empty while it follows nobody (a fenced ex-primary
+	// not yet re-attached).
+	Leader string
+	// ElectAt is when a lapsed lease licenses the next pre-vote round (zero
+	// while disarmed); Round is the candidacy in flight.
+	ElectAt time.Time
+	Round   Round
 }
 
-// ElectorStats is a point-in-time snapshot of the elector's counters.
-type ElectorStats struct {
-	Campaigns uint64 // candidacies stood
-	Wins      uint64 // elections won (promoted)
-	Losses    uint64 // candidacies that did not reach a majority
+// Round is a candidacy: the epoch proposed (0 = none), whether it is still
+// collecting pre-votes, and the granting peers as Config.Peers bits (self
+// implied).
+type Round struct {
+	Epoch   uint64
+	PreVote bool
+	Votes   uint64
 }
 
-// Elector watches the lease and runs candidacies when it lapses. Build
-// with NewElector, then Start; Stop is idempotent and waits for exit.
-type Elector struct {
-	cfg ElectorConfig
-	rng *rand.Rand
+// Leads reports whether the state acknowledges writes.
+func (s State) Leads() bool { return s.Role == RolePrimary && !s.Fenced }
 
-	campaigns atomic.Uint64
-	wins      atomic.Uint64
-	losses    atomic.Uint64
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+// Output is what the driver must do after a Step, in this order: persist,
+// install the state, then follow / renew / reply / send.
+type Output struct {
+	// Persist: the durable part of the state changed and must reach the
+	// disk before anything below is visible.
+	Persist bool
+	// Promote: this node just became the unfenced primary.
+	Promote bool
+	// Follow names the primary to stream from, word from which renews the
+	// lease (this node's own Addr when it leads).
+	Follow string
+	Reply  *Message
+	Send   []Message
+	// Campaign, Won and Lost count candidacies for /metrics.
+	Campaign, Won, Lost bool
+	Logs                []string
 }
 
-// defaultElectorClient bounds vote solicitations: a peer that hangs
-// mid-election must cost one timeout, not stall the candidacy forever
-// (http.DefaultClient would wait indefinitely).
-var defaultElectorClient = &http.Client{Timeout: 10 * time.Second}
-
-// NewElector builds an elector; Timeout must be positive.
-func NewElector(cfg ElectorConfig) *Elector {
-	if cfg.Doer == nil {
-		cfg.Doer = defaultElectorClient
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = faults.WallClock{}
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = time.Second
-	}
-	if cfg.Eligible == nil {
-		cfg.Eligible = func() bool { return true }
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	return &Elector{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(seed)),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+func (o *Output) logf(format string, args ...any) {
+	o.Logs = append(o.Logs, fmt.Sprintf(format, args...))
 }
 
-// Start launches the election loop.
-func (e *Elector) Start() {
-	e.startOnce.Do(func() { go e.run() })
-}
-
-// Stop halts the loop and waits for it to exit. Safe to call more than
-// once, and before Start.
-func (e *Elector) Stop() {
-	e.stopOnce.Do(func() { close(e.stop) })
-	e.startOnce.Do(func() { close(e.done) })
-	<-e.done
-}
-
-// Stats snapshots the elector's counters.
-func (e *Elector) Stats() ElectorStats {
-	return ElectorStats{
-		Campaigns: e.campaigns.Load(),
-		Wins:      e.wins.Load(),
-		Losses:    e.losses.Load(),
-	}
-}
-
-func (e *Elector) run() {
-	defer close(e.done)
-	// The pace only bounds how often the logical clock is consulted; every
-	// decision (lapse, deadline) is made against Clock.Now, so manual-clock
-	// tests control election timing exactly.
-	pace := e.cfg.Timeout / 4
-	if pace <= 0 {
-		pace = 50 * time.Millisecond
-	}
-	var deadline time.Time
-	for {
-		select {
-		case <-e.stop:
-			return
-		default:
-		}
-		now := e.cfg.Clock.Now()
-		if !e.cfg.Eligible() || !e.cfg.Lease.Expired(now) {
-			deadline = time.Time{} // primary is alive (or we are it); stand down
-			e.sleep(pace)
-			continue
-		}
-		if deadline.IsZero() {
-			deadline = now.Add(e.jitter())
-			e.cfg.Logf("repl elector %s: lease lapsed; standing at %s unless the primary returns",
-				e.cfg.NodeID, deadline.Format(time.RFC3339Nano))
-			e.sleep(pace)
-			continue
-		}
-		if now.Before(deadline) {
-			e.sleep(pace)
-			continue
-		}
-		deadline = time.Time{}
-		e.campaign()
-		e.sleep(pace)
-	}
-}
-
-// jitter is the randomized election timeout: [Timeout, 2*Timeout).
-func (e *Elector) jitter() time.Duration {
-	return e.cfg.Timeout + time.Duration(e.rng.Int63n(int64(e.cfg.Timeout)))
-}
-
-// sleep pauses the loop, returning early on Stop. The clock's Sleep runs
-// in a goroutine so a manual-clock test can't wedge shutdown.
-func (e *Elector) sleep(d time.Duration) {
-	ch := make(chan struct{})
-	go func() {
-		e.cfg.Clock.Sleep(d)
-		close(ch)
-	}()
-	select {
-	case <-e.stop:
-	case <-ch:
-	}
-}
-
-// campaign stands one candidacy: durable self-vote, parallel solicitation,
-// majority check, promote on win.
-func (e *Elector) campaign() {
-	proposed := e.cfg.Node.Epoch() + 1
-	cur, lineage := e.cfg.Cursor()
-	// The self-vote: adopt the proposed epoch durably BEFORE soliciting, so
-	// this node can never also grant `proposed` to a competitor.
-	if !e.cfg.Node.ObserveEpoch(proposed) {
-		return // the epoch moved since we looked; stand down this round
-	}
-	if e.cfg.Persist != nil {
-		if err := e.cfg.Persist(); err != nil {
-			e.cfg.Logf("repl elector %s: self-vote for epoch %d not durable: %v", e.cfg.NodeID, proposed, err)
-			return
-		}
-	}
-	e.campaigns.Add(1)
-	e.cfg.Logf("repl elector %s: standing for epoch %d at cursor %s", e.cfg.NodeID, proposed, cur)
-
-	req := VoteRequest{Epoch: proposed, Cursor: cur.String(), CursorEpoch: lineage,
-		Candidate: e.cfg.NodeID, Addr: e.cfg.SelfAddr}
-	type outcome struct {
-		peer string
-		resp VoteResponse
-		err  error
-	}
-	results := make(chan outcome, len(e.cfg.Peers))
-	for name, base := range e.cfg.Peers {
-		go func(name, base string) {
-			resp, err := e.solicit(base, req)
-			results <- outcome{peer: name, resp: resp, err: err}
-		}(name, base)
-	}
-
-	votes := 1 // self
-	needed := (1+len(e.cfg.Peers))/2 + 1
-	var leaderAddr string
-	var leaderEpoch uint64
-	for range e.cfg.Peers {
-		out := <-results
-		if out.err != nil {
-			e.cfg.Logf("repl elector %s: vote from %s: %v", e.cfg.NodeID, out.peer, out.err)
-			continue
-		}
-		if out.resp.Granted {
-			votes++
-			continue
-		}
-		// Fold the voter's epoch so the next stand proposes past it, and
-		// learn the leader it follows, if any.
-		if e.cfg.Node.ObserveEpoch(out.resp.Epoch) && e.cfg.Persist != nil {
-			if err := e.cfg.Persist(); err != nil {
-				e.cfg.Logf("repl elector %s: persisting folded epoch %d: %v", e.cfg.NodeID, out.resp.Epoch, err)
+// Step applies one input to s at time now. It is pure.
+func Step(cfg Config, s State, now time.Time, in Input) (State, Output) {
+	n, out := s, Output{}
+	m := in.Msg
+	switch in.Kind {
+	case KindTick:
+		n.tick(cfg, now, in, &out)
+	case KindVote:
+		n.vote(cfg, now, in, &out)
+	case KindVoteReply:
+		n.verdict(cfg, now, in, &out)
+	case KindAnnounce:
+		reply := Message{Kind: KindAnnounceReply, From: cfg.ID}
+		if m.Epoch >= n.Epoch && m.Addr != "" && m.Addr != cfg.Addr {
+			n.observe(m.Epoch, "announced by "+m.Addr, &out)
+			if !n.Leads() {
+				if n.Round.Epoch != 0 {
+					n.endRound(&out)
+				}
+				n.Leader, n.ElectAt = m.Addr, time.Time{}
+				out.Follow = m.Addr
 			}
 		}
-		if out.resp.LeaderAddr != "" && out.resp.Epoch >= leaderEpoch {
-			leaderAddr, leaderEpoch = out.resp.LeaderAddr, out.resp.Epoch
+		reply.Epoch = n.Epoch
+		out.Reply = &reply
+	case KindAnnounceReply:
+		n.observe(m.Epoch, "a peer answered our announce", &out)
+	case KindEpoch:
+		n.observe(m.Epoch, "seen on the stream", &out)
+	case KindFence:
+		n.observe(m.Epoch, "operator fence", &out)
+	case KindPromote:
+		if !n.Leads() {
+			n.lead(cfg, n.Epoch+1, &out)
 		}
-		e.cfg.Logf("repl elector %s: %s refused epoch %d: %s", e.cfg.NodeID, out.peer, proposed, out.resp.Reason)
 	}
-
-	if votes < needed {
-		e.losses.Add(1)
-		e.cfg.Logf("repl elector %s: lost epoch %d (%d of %d votes, needed %d)",
-			e.cfg.NodeID, proposed, votes, 1+len(e.cfg.Peers), needed)
-		if leaderAddr != "" && leaderAddr != e.cfg.SelfAddr && e.cfg.OnLeader != nil {
-			e.cfg.OnLeader(leaderAddr, leaderEpoch)
-		}
-		return
-	}
-	if err := e.cfg.Promote(proposed); err != nil {
-		e.losses.Add(1)
-		e.cfg.Logf("repl elector %s: won epoch %d but promotion refused: %v", e.cfg.NodeID, proposed, err)
-		return
-	}
-	e.wins.Add(1)
-	e.cfg.Logf("repl elector %s: won epoch %d with %d of %d votes", e.cfg.NodeID, proposed, votes, 1+len(e.cfg.Peers))
+	// Persist before visible: a durable field that changed is written
+	// before the driver installs the state or lets any message leave.
+	out.Persist = n.Role != s.Role || n.Epoch != s.Epoch || n.Fenced != s.Fenced || n.Vote != s.Vote
+	return n, out
 }
 
-// solicit performs one vote round trip.
-func (e *Elector) solicit(base string, vreq VoteRequest) (VoteResponse, error) {
-	body, err := json.Marshal(vreq)
-	if err != nil {
-		return VoteResponse{}, err
+// observe adopts an epoch beyond ours: a primary that sees one is fenced
+// for good, and any candidacy at a lower epoch is over.
+func (s *State) observe(e uint64, why string, out *Output) {
+	if e <= s.Epoch {
+		return
 	}
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/repl/vote", bytes.NewReader(body))
-	if err != nil {
-		return VoteResponse{}, err
+	s.Epoch, s.Vote = e, ""
+	if s.Leads() {
+		s.Fenced, s.Leader = true, ""
+		out.logf("fenced at epoch %d (%s); this node no longer accepts writes", e, why)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderEpoch, fmt.Sprint(e.cfg.Node.Epoch()))
-	req.Header.Set(HeaderSum, BodySum(body))
-	resp, err := e.cfg.Doer.Do(req)
-	if err != nil {
-		return VoteResponse{}, err
+	if s.Round.Epoch != 0 {
+		s.endRound(out)
 	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return VoteResponse{}, fmt.Errorf("voter said %d", resp.StatusCode)
+}
+
+// endRound abandons the candidacy in flight; a real one counts as lost.
+func (s *State) endRound(out *Output) {
+	out.Lost = !s.Round.PreVote
+	s.Round = Round{}
+}
+
+func (s *State) tick(cfg Config, now time.Time, in Input, out *Output) {
+	if s.Leads() {
+		// The reign broadcast: the lease heartbeat for peers not streaming
+		// from this node (yet), and how a stale primary learns it is one.
+		s.ElectAt = time.Time{}
+		s.announce(cfg, out)
+		return
 	}
-	rbody, err := VerifiedBody(resp, 1<<16)
-	if err != nil {
-		return VoteResponse{}, fmt.Errorf("vote response: %v", err)
+	if len(cfg.Peers) == 0 || !now.After(in.Lease) {
+		// No electorate, or the primary is alive: stand down.
+		s.ElectAt = time.Time{}
+		return
 	}
-	var out VoteResponse
-	if err := json.Unmarshal(rbody, &out); err != nil {
-		return VoteResponse{}, fmt.Errorf("bad vote response: %v", err)
+	if s.ElectAt.IsZero() {
+		s.ElectAt = now.Add(in.Jitter)
+		out.logf("lease lapsed; pre-vote at %s unless the primary returns", s.ElectAt.Format(time.RFC3339Nano))
+		return
 	}
-	return out, nil
+	if now.Before(s.ElectAt) {
+		return
+	}
+	// The deadline fired: a pre-vote round for epoch+1, which replaces any
+	// round still in flight.
+	if s.Round.Epoch != 0 {
+		s.endRound(out)
+	}
+	s.ElectAt = now.Add(in.Jitter)
+	s.Round = Round{Epoch: s.Epoch + 1, PreVote: true}
+	out.logf("pre-vote for epoch %d at %s", s.Round.Epoch, in.Pos)
+	s.solicit(cfg, in.Pos, out)
+}
+
+func (s *State) solicit(cfg Config, pos Position, out *Output) {
+	for _, p := range cfg.Peers {
+		out.Send = append(out.Send, Message{Kind: KindVote, To: p, From: cfg.ID, Epoch: s.Epoch,
+			Round: s.Round.Epoch, PreVote: s.Round.PreVote, Pos: pos, Addr: cfg.Addr})
+	}
+}
+
+func (s *State) announce(cfg Config, out *Output) {
+	for _, p := range cfg.Peers {
+		out.Send = append(out.Send, Message{Kind: KindAnnounce, To: p, From: cfg.ID, Epoch: s.Epoch, Addr: cfg.Addr})
+	}
+}
+
+// vote is the voter's side.
+func (s *State) vote(cfg Config, now time.Time, in Input, out *Output) {
+	m := in.Msg
+	reply := Message{Kind: KindVoteReply, From: cfg.ID, Round: m.Round, PreVote: m.PreVote}
+	kind := "vote"
+	if m.PreVote {
+		kind = "pre-vote"
+	}
+	switch {
+	case m.Round < s.Epoch || m.Round == s.Epoch && (m.PreVote || s.Leads() || s.Vote != "" && s.Vote != m.From):
+		reply.Reason = fmt.Sprintf("epoch %d not beyond %d", m.Round, s.Epoch)
+	case m.Pos.Less(in.Pos):
+		// Refusing adopts nothing: this voter may still grant the epoch
+		// to a candidate that is up to date.
+		reply.Reason = fmt.Sprintf("candidate position %s behind ours (%s)", m.Pos, in.Pos)
+	case m.PreVote && s.Leads():
+		reply.Reason = "this node is the primary"
+	case m.PreVote && !now.After(in.Lease):
+		reply.Reason = "our lease from the primary is live"
+	case m.PreVote:
+		reply.Granted = true
+	default:
+		// Adopting the epoch fences a primary; the vote is recorded with
+		// it. The grant also resets our own deadline, so we do not stand
+		// against the winner we just elected before its announce lands.
+		s.observe(m.Round, "granted a vote", out)
+		s.Vote = m.From
+		s.ElectAt = now.Add(in.Jitter)
+		reply.Granted = true
+	}
+	if reply.Granted {
+		out.logf("%s granted: %s is our candidate for epoch %d", kind, m.From, m.Round)
+	} else {
+		out.logf("%s refused for %s (epoch %d): %s", kind, m.From, m.Round, reply.Reason)
+	}
+	reply.Epoch = s.Epoch
+	if s.Leads() {
+		reply.Addr = cfg.Addr // a refused candidate learns where the primary is
+	}
+	out.Reply = &reply
+}
+
+// verdict is the candidate's side: fold refusals, count grants.
+func (s *State) verdict(cfg Config, now time.Time, in Input, out *Output) {
+	m := in.Msg
+	if !m.Granted {
+		s.observe(m.Epoch, "a voter is past our round", out)
+		if m.Addr != "" && m.Epoch == s.Epoch && m.Addr != s.Leader && !s.Leads() {
+			// The voter is the primary of our epoch: follow it.
+			if s.Round.Epoch != 0 {
+				s.endRound(out)
+			}
+			s.Leader, out.Follow = m.Addr, m.Addr
+		}
+		return
+	}
+	r := &s.Round
+	if r.Epoch == 0 || m.Round != r.Epoch || m.PreVote != r.PreVote {
+		return // a verdict on a round we no longer run
+	}
+	r.Votes |= cfg.peerBit(m.From)
+	if 1+bits.OnesCount64(r.Votes) < cfg.majority() {
+		return
+	}
+	if r.PreVote {
+		// Licensed: stand for real, with a fresh deadline for the round. The
+		// self-vote adopts the epoch durably before any request leaves.
+		s.Epoch, s.Vote, r.PreVote, r.Votes = r.Epoch, cfg.ID, false, 0
+		s.ElectAt = now.Add(in.Jitter)
+		out.Campaign = true
+		out.logf("standing for epoch %d at %s", s.Epoch, in.Pos)
+		s.solicit(cfg, in.Pos, out)
+		return
+	}
+	out.Won = true
+	out.logf("won epoch %d", r.Epoch)
+	s.lead(cfg, r.Epoch, out)
+}
+
+// lead makes the node the unfenced primary of epoch e and announces it.
+func (s *State) lead(cfg Config, e uint64, out *Output) {
+	s.Role, s.Epoch, s.Fenced, s.Vote, s.Leader = RolePrimary, e, false, cfg.ID, cfg.Addr
+	s.ElectAt, s.Round = time.Time{}, Round{}
+	out.Promote, out.Follow = true, cfg.Addr
+	out.logf("primary of epoch %d", e)
+	s.announce(cfg, out)
 }

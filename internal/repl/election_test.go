@@ -1,9 +1,9 @@
 package repl
 
 import (
-	"encoding/json"
+	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -16,8 +16,7 @@ import (
 
 var et0 = time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
 
-// manualClock is a hand-stepped clock: Now moves only via Step, Sleep is
-// a tiny real pause so loops pace without advancing logical time.
+// manualClock is a hand-stepped clock: Now moves only via Step.
 type manualClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -35,7 +34,7 @@ func (c *manualClock) Step(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func (c *manualClock) Sleep(time.Duration) { time.Sleep(100 * time.Microsecond) }
+func (c *manualClock) Sleep(time.Duration) {}
 
 // TestLeaseEpochBoundaries is the lease state table: expiry is pure
 // clock arithmetic, and epoch boundaries decide whose contact counts.
@@ -70,8 +69,8 @@ func TestLeaseEpochBoundaries(t *testing.T) {
 	// A higher epoch takes the lease over; a lower one is ignored no
 	// matter how generous its grant — a stale primary on the wrong side
 	// of a healed partition cannot extend its own reign.
-	if !l.Renew(3, 0) || l.Epoch() != 3 {
-		t.Fatalf("higher epoch refused: epoch=%d", l.Epoch())
+	if !l.Renew(3, 0) {
+		t.Fatal("higher epoch refused")
 	}
 	if l.Renew(2, time.Hour) {
 		t.Fatal("stale epoch renewed the lease")
@@ -87,8 +86,8 @@ func TestLeaseEpochBoundaries(t *testing.T) {
 	}
 	// A shorter grant at a higher epoch adopts the epoch but never pulls
 	// the expiry backward.
-	if !l.Renew(4, time.Second) || l.Epoch() != 4 {
-		t.Fatalf("higher epoch with short ttl refused: epoch=%d", l.Epoch())
+	if !l.Renew(4, time.Second) || l.Renew(3, time.Hour) {
+		t.Fatal("a higher epoch with a short ttl did not take the lease over")
 	}
 	if got := l.Remaining(clock.Now()); got != 10*time.Second {
 		t.Fatalf("short grant shrank the lease: remaining %v", got)
@@ -101,8 +100,8 @@ func TestLeaseEpochBoundaries(t *testing.T) {
 	// old grant, expired past it, and owned by the persisted epoch.
 	l2 := NewLease(clock, 10*time.Second)
 	l2.RestoreUntil(7, clock.Now().Add(3*time.Second))
-	if l2.Expired(clock.Now()) || l2.Epoch() != 7 {
-		t.Fatalf("restored lease: expired=%v epoch=%d", l2.Expired(clock.Now()), l2.Epoch())
+	if l2.Expired(clock.Now()) {
+		t.Fatal("restored lease expired inside its persisted grant")
 	}
 	if l2.Renew(6, 0) {
 		t.Fatal("restored lease renewed by a pre-restore epoch")
@@ -113,92 +112,112 @@ func TestLeaseEpochBoundaries(t *testing.T) {
 	}
 }
 
-// TestHandleVote is the voter-side table: epoch and cursor rules, one
-// durable grant per epoch, and fencing a primary that votes.
+// vcfg is the voter in the vote tables: v, in a cluster with b and c.
+var vcfg = Config{ID: "v", Addr: "http://v", Peers: []string{"b", "c"}}
+
+// ask hands the voter in state s, at position mine and with its lease
+// lapsed, one vote request.
+func ask(s State, mine Position, m Message) (State, Output) {
+	return Step(vcfg, s, et0, Input{Kind: KindVote, Msg: m, Pos: mine,
+		Lease: et0.Add(-time.Second), Jitter: 5 * time.Second})
+}
+
+func pos(lineage uint64, off int64) Position {
+	return Position{Lineage: lineage, Cursor: wal.Cursor{Seg: 1, Off: off}}
+}
+
+// TestHandleVote is the voter-side table, on Step: epoch and position
+// rules, one durable grant per epoch, pre-votes that change nothing, and
+// fencing a primary that votes.
 func TestHandleVote(t *testing.T) {
-	c5 := wal.Cursor{Seg: 1, Off: 5}
-	c9 := wal.Cursor{Seg: 1, Off: 9}
-	persistOK := func() error { return nil }
+	c5, c9 := pos(1, 5), pos(1, 9)
+	rep := State{Role: RoleReplica, Epoch: 3, Vote: "a", Leader: "http://a"}
 
-	// Epoch not beyond ours: refused, nothing adopted.
-	n := NewNode(RoleReplica, 3)
-	if resp := HandleVote(n, c5, 0, "", persistOK, VoteRequest{Epoch: 3, Cursor: c9.String()}); resp.Granted || resp.Epoch != 3 {
-		t.Fatalf("same-epoch vote: %+v", resp)
+	// Epoch not beyond ours, and our vote in it is spent: refused, nothing
+	// adopted.
+	if n, out := ask(rep, c5, Message{From: "b", Round: 3, Pos: c9}); out.Reply.Granted || n != rep || out.Persist {
+		t.Fatalf("same-epoch vote: %+v", out.Reply)
 	}
-	// Garbage cursor: refused.
-	if resp := HandleVote(n, c5, 0, "", persistOK, VoteRequest{Epoch: 4, Cursor: "nonsense"}); resp.Granted {
-		t.Fatalf("garbage cursor granted: %+v", resp)
+	// A candidate behind our position is refused WITHOUT adopting its
+	// epoch: we may still grant that epoch to a better-placed candidate.
+	if n, out := ask(rep, c9, Message{From: "b", Round: 4, Pos: c5}); out.Reply.Granted || n.Epoch != 3 {
+		t.Fatalf("behind-position refusal adopted the epoch: %+v epoch=%d", out.Reply, n.Epoch)
 	}
-	// A candidate behind our replicated position is refused WITHOUT
-	// adopting its epoch — we may still grant that same epoch to a
-	// better-replicated candidate.
-	if resp := HandleVote(n, c9, 0, "", persistOK, VoteRequest{Epoch: 4, Cursor: c5.String()}); resp.Granted || n.Epoch() != 3 {
-		t.Fatalf("behind-cursor refusal adopted the epoch: %+v epoch=%d", resp, n.Epoch())
+	// An equal position is granted: epoch and vote adopted, durably, and
+	// our own deadline pushed a full timeout out.
+	n, out := ask(rep, c9, Message{From: "b", Round: 4, Pos: c9})
+	if !out.Reply.Granted || out.Reply.Epoch != 4 || n.Vote != "b" || !out.Persist || !n.ElectAt.Equal(et0.Add(5*time.Second)) {
+		t.Fatalf("equal-position candidate: %+v, state %+v", out.Reply, n)
 	}
-	if resp := HandleVote(n, c9, 0, "", persistOK, VoteRequest{Epoch: 4, Cursor: c9.String()}); !resp.Granted || resp.Epoch != 4 {
-		t.Fatalf("equal-cursor candidate refused: %+v", resp)
+	// One grant per epoch: nobody else gets epoch 4 — the same candidate
+	// asking again (a duplicated request) gets the same answer, and
+	// nothing new to persist.
+	if _, out := ask(n, c9, Message{From: "c", Round: 4, Pos: c9}); out.Reply.Granted {
+		t.Fatalf("epoch 4 granted twice: %+v", out.Reply)
 	}
-	// Granting adopted the epoch, so the SAME epoch cannot be granted
-	// twice — not even to the same candidate.
-	if resp := HandleVote(n, c9, 0, "", persistOK, VoteRequest{Epoch: 4, Cursor: c9.String()}); resp.Granted {
-		t.Fatalf("epoch 4 granted twice: %+v", resp)
+	if _, out := ask(n, c9, Message{From: "b", Round: 4, Pos: c9}); !out.Reply.Granted || out.Persist {
+		t.Fatalf("duplicate request: %+v persist=%v", out.Reply, out.Persist)
 	}
-
-	// A refusal names the leader the voter follows, so a losing candidate
-	// can repoint its follower.
-	if resp := HandleVote(n, c9, 0, "http://leader", persistOK, VoteRequest{Epoch: 4, Cursor: c9.String()}); resp.LeaderAddr != "http://leader" {
-		t.Fatalf("refusal hides the leader: %+v", resp)
+	// Learning of an epoch (on the stream, say) is not voting in it.
+	learned, _ := Step(vcfg, rep, et0, Input{Kind: KindEpoch, Msg: Message{Epoch: 4}})
+	if learned.Epoch != 4 || learned.Vote != "" {
+		t.Fatalf("learned epoch: %+v", learned)
 	}
-
-	// A grant that cannot be persisted is not a grant: a vote that could
-	// evaporate in a crash could be recast for a different candidate.
-	bad := NewNode(RoleReplica, 1)
-	boom := func() error { return fmt.Errorf("disk gone") }
-	if resp := HandleVote(bad, c5, 0, "", boom, VoteRequest{Epoch: 2, Cursor: c5.String()}); resp.Granted {
-		t.Fatalf("undurable vote granted: %+v", resp)
+	if _, out := ask(learned, c9, Message{From: "c", Round: 4, Pos: c9}); !out.Reply.Granted {
+		t.Fatalf("an epoch seen on the stream blocked the vote: %+v", out.Reply)
 	}
 
-	// An unfenced primary asked to vote for a valid successor grants —
-	// and the grant fences it.
-	p := NewNode(RolePrimary, 1)
-	if !p.CanAcceptWrites() {
-		t.Fatal("primary not accepting writes")
+	// A refusal from the primary names it, so a refused candidate can
+	// repoint its follower; a replica's refusal names nobody.
+	p := State{Role: RolePrimary, Epoch: 4, Vote: "v", Leader: "http://v"}
+	if _, out := ask(p, c9, Message{From: "b", Round: 4, Pos: c9}); out.Reply.Granted || out.Reply.Addr != "http://v" {
+		t.Fatalf("primary's refusal: %+v", out.Reply)
 	}
-	if resp := HandleVote(p, c5, 0, "", persistOK, VoteRequest{Epoch: 2, Cursor: c5.String()}); !resp.Granted {
-		t.Fatalf("primary refused a valid successor: %+v", resp)
-	}
-	if p.CanAcceptWrites() || !p.Fenced() {
-		t.Fatal("granting primary not fenced")
+	if _, out := ask(rep, c9, Message{From: "b", Round: 3, Pos: c9}); out.Reply.Addr != "" {
+		t.Fatalf("replica's refusal names %q", out.Reply.Addr)
 	}
 
-	// Split vote, resolved by epoch fold: two candidates both self-voted
-	// epoch 2, so each refuses the other; the refusal response carries
-	// epoch 2, the loser folds it, and its next stand proposes 3 — which
-	// the other grants.
-	b, c := NewNode(RoleReplica, 1), NewNode(RoleReplica, 1)
-	b.ObserveEpoch(2) // b's self-vote
-	c.ObserveEpoch(2) // c's simultaneous self-vote
-	if resp := HandleVote(b, c5, 0, "", persistOK, VoteRequest{Epoch: 2, Cursor: c5.String()}); resp.Granted || resp.Epoch != 2 {
-		t.Fatalf("split vote granted: %+v", resp)
+	// An unfenced primary asked to vote for a valid successor grants — and
+	// the grant fences it.
+	p1 := State{Role: RolePrimary, Epoch: 1, Vote: "v", Leader: "http://v"}
+	if n, out := ask(p1, c5, Message{From: "b", Round: 2, Pos: c5}); !out.Reply.Granted || n.Leads() || !n.Fenced || n.Leader != "" {
+		t.Fatalf("primary voting for a successor: %+v, state %+v", out.Reply, n)
 	}
-	if resp := HandleVote(b, c5, 0, "", persistOK, VoteRequest{Epoch: 3, Cursor: c5.String(), Candidate: "c"}); !resp.Granted {
-		t.Fatalf("post-split stand refused: %+v", resp)
+
+	// Pre-votes: granted only while our own lease has lapsed and we are not
+	// the primary, and they change nothing at all.
+	pre := Message{From: "b", Round: 4, PreVote: true, Pos: c9}
+	if n, out := ask(rep, c9, pre); !out.Reply.Granted || n != rep || out.Persist {
+		t.Fatalf("pre-vote with a lapsed lease: %+v, state changed %v", out.Reply, n != rep)
 	}
-	if !c.PromoteTo(3) || !c.CanAcceptWrites() || b.Epoch() != 3 {
-		t.Fatalf("post-split promote: c=%d b=%d", c.Epoch(), b.Epoch())
+	live := Input{Kind: KindVote, Msg: pre, Pos: c9, Lease: et0.Add(time.Second)}
+	if _, out := Step(vcfg, rep, et0, live); out.Reply.Granted {
+		t.Fatalf("pre-vote granted under a live lease: %+v", out.Reply)
+	}
+	if _, out := ask(p1, c9, Message{From: "b", Round: 2, PreVote: true, Pos: c9}); out.Reply.Granted {
+		t.Fatalf("the primary granted a pre-vote: %+v", out.Reply)
+	}
+
+	// A grant that cannot be persisted is not a grant: the driver drops
+	// the step, and the node shows nothing.
+	node := NewNode(RoleReplica, 1)
+	d := NewDriver(DriverConfig{ID: "v", Node: node, Persist: func(State) error { return errors.New("disk gone") }})
+	d.Start()
+	defer d.Stop()
+	_, dout, err := d.Submit(context.Background(), Input{Kind: KindVote, Msg: Message{From: "b", Round: 2, Pos: c5}})
+	if err == nil || dout.Reply != nil || node.Epoch() != 1 {
+		t.Fatalf("undurable vote: err=%v reply=%+v epoch=%d", err, dout.Reply, node.Epoch())
 	}
 }
 
-// TestHandleVoteOneGrantPerEpoch hammers one voter with concurrent vote
-// requests for the same proposed epoch. The sequential double-grant is
-// already caught by the top-of-function epoch check; only concurrency can
-// expose a non-atomic grant (check and adoption under separate locks), so
-// this is the regression test for the split-brain the race enables: two
-// candidates each assembling a majority for the SAME epoch.
+// TestHandleVoteOneGrantPerEpoch hammers one voter's driver with
+// concurrent vote requests from different candidates for the same epoch:
+// the driver serializes them, so at most one is granted — two majorities
+// at one epoch would be a split brain epoch fencing cannot resolve.
 func TestHandleVoteOneGrantPerEpoch(t *testing.T) {
-	cur := wal.Cursor{Seg: 1, Off: 7}
-	for round := 0; round < 200; round++ {
-		n := NewNode(RoleReplica, 1)
+	for round := 0; round < 50; round++ {
+		d := NewDriver(DriverConfig{ID: "v", Node: NewNode(RoleReplica, 1)})
+		d.Start()
 		const voters = 8
 		var wg sync.WaitGroup
 		var grants atomic.Int32
@@ -206,210 +225,97 @@ func TestHandleVoteOneGrantPerEpoch(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				resp := HandleVote(n, cur, 0, "", func() error { return nil },
-					VoteRequest{Epoch: 2, Cursor: cur.String(), Candidate: fmt.Sprintf("cand-%d", i)})
-				if resp.Granted {
+				m := Message{From: fmt.Sprintf("cand-%d", i), Round: 2, Pos: pos(1, 7)}
+				if _, out, err := d.Submit(context.Background(), Input{Kind: KindVote, Msg: m}); err == nil && out.Reply.Granted {
 					grants.Add(1)
 				}
 			}(i)
 		}
 		wg.Wait()
-		if g := grants.Load(); g > 1 {
-			t.Fatalf("round %d: epoch 2 granted %d times; one grant per epoch per voter", round, g)
+		d.Stop()
+		if g := grants.Load(); g != 1 {
+			t.Fatalf("round %d: epoch 2 granted %d times; want exactly one grant per epoch per voter", round, g)
 		}
 	}
 }
 
-// TestHandleVoteLineage pins the cross-lineage rules: a voter whose
-// cursor came from a different reign abstains — refusing WITHOUT adopting
-// the epoch — because offsets into different primaries' journals are
-// incomparable; and a voter with a zero cursor (holding nothing) grants
-// on epoch alone regardless of lineage.
+// TestHandleVoteLineage pins the position order: (lineage, cursor)
+// lexicographically, Raft's up-to-date rule. A newer reign's journal holds
+// every acknowledged record of the reigns before it, so a candidate on a
+// newer lineage is granted whatever its offset, and one on an older
+// lineage refused whatever its offset. (Before the order was total, a
+// voter abstained on any foreign lineage, and two nodes stranded on
+// different reigns could refuse each other forever.)
 func TestHandleVoteLineage(t *testing.T) {
-	c5 := wal.Cursor{Seg: 1, Off: 5}
-	c9 := wal.Cursor{Seg: 1, Off: 9}
-	persistOK := func() error { return nil }
+	rep := State{Role: RoleReplica, Epoch: 1}
 
-	// Same lineage: the ordinary cursor comparison applies.
-	n := NewNode(RoleReplica, 1)
-	if resp := HandleVote(n, c9, 3, "", persistOK, VoteRequest{Epoch: 2, Cursor: c5.String(), CursorEpoch: 3}); resp.Granted {
-		t.Fatalf("same-lineage behind-cursor candidate granted: %+v", resp)
+	// Same lineage: the ordinary cursor comparison.
+	if _, out := ask(rep, pos(3, 9), Message{From: "b", Round: 2, Pos: pos(3, 5)}); out.Reply.Granted {
+		t.Fatalf("same-lineage behind-cursor candidate granted: %+v", out.Reply)
 	}
-	if resp := HandleVote(n, c9, 3, "", persistOK, VoteRequest{Epoch: 2, Cursor: c9.String(), CursorEpoch: 3}); !resp.Granted {
-		t.Fatalf("same-lineage equal-cursor candidate refused: %+v", resp)
+	if _, out := ask(rep, pos(3, 9), Message{From: "b", Round: 2, Pos: pos(3, 9)}); !out.Reply.Granted {
+		t.Fatalf("same-lineage equal-cursor candidate refused: %+v", out.Reply)
 	}
 
-	// Foreign lineage: abstain, even when the candidate's offset LOOKS
-	// ahead of ours — it indexes a different journal, so "ahead" means
-	// nothing and granting could elect a candidate missing acked records.
-	v := NewNode(RoleReplica, 1)
-	if resp := HandleVote(v, c5, 3, "", persistOK, VoteRequest{Epoch: 2, Cursor: c9.String(), CursorEpoch: 7}); resp.Granted {
-		t.Fatalf("foreign-lineage candidate granted: %+v", resp)
+	// A newer lineage wins even with a smaller offset: granted.
+	if _, out := ask(rep, pos(3, 9), Message{From: "b", Round: 2, Pos: pos(7, 5)}); !out.Reply.Granted {
+		t.Fatalf("newer-lineage candidate refused: %+v", out.Reply)
 	}
-	// The abstention did not adopt the epoch: the voter can still grant
-	// epoch 2 to a same-lineage candidate this round.
-	if v.Epoch() != 1 {
-		t.Fatalf("abstention adopted the epoch: %d", v.Epoch())
+	// An older lineage loses even with a larger offset — and the refusal
+	// adopts nothing, so the voter can still grant epoch 2 this round.
+	n, out := ask(rep, pos(3, 5), Message{From: "b", Round: 2, Pos: pos(2, 9)})
+	if out.Reply.Granted || n.Epoch != 1 {
+		t.Fatalf("older-lineage candidate: %+v, epoch %d", out.Reply, n.Epoch)
 	}
-	if resp := HandleVote(v, c5, 3, "", persistOK, VoteRequest{Epoch: 2, Cursor: c5.String(), CursorEpoch: 3}); !resp.Granted {
-		t.Fatalf("same-lineage candidate refused after abstention: %+v", resp)
+	if _, out := ask(n, pos(3, 5), Message{From: "c", Round: 2, Pos: pos(3, 5)}); !out.Reply.Granted {
+		t.Fatalf("same-lineage candidate refused after the older one: %+v", out.Reply)
 	}
 
-	// A zero cursor holds nothing worth protecting: grant on epoch alone,
-	// whatever lineage the candidate claims.
-	z := NewNode(RoleReplica, 1)
-	if resp := HandleVote(z, wal.Cursor{}, 0, "", persistOK, VoteRequest{Epoch: 2, Cursor: c9.String(), CursorEpoch: 7}); !resp.Granted {
-		t.Fatalf("zero-cursor voter refused: %+v", resp)
+	// A voter holding nothing (zero position) grants on epoch alone.
+	if _, out := ask(rep, Position{}, Message{From: "b", Round: 2, Pos: pos(7, 9)}); !out.Reply.Granted {
+		t.Fatalf("zero-position voter refused: %+v", out.Reply)
 	}
 }
 
-// voteHost is one node of the in-memory electorate: the state a real
-// server wires around HandleVote.
-type voteHost struct {
-	name  string
-	node  *Node
-	lease *Lease
-	cur   wal.Cursor
-}
-
-// voteFabric routes vote solicitations to hosts by URL host, mirroring
-// the server's handler: checksum-verified request, durable grant,
-// reset-timer-on-grant, checksum-stamped response.
-type voteFabric struct {
-	mu    sync.Mutex
-	hosts map[string]*voteHost
-}
-
-func (f *voteFabric) add(h *voteHost) {
-	f.mu.Lock()
-	f.hosts[h.name] = h
-	f.mu.Unlock()
-}
-
-func (f *voteFabric) Do(req *http.Request) (*http.Response, error) {
-	f.mu.Lock()
-	h := f.hosts[req.URL.Host]
-	f.mu.Unlock()
-	if h == nil {
-		return nil, fmt.Errorf("%s is unreachable", req.URL.Host)
-	}
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		return nil, err
-	}
-	if want := req.Header.Get(HeaderSum); want != "" && BodySum(body) != want {
-		return nil, fmt.Errorf("request damaged in flight")
-	}
-	var vreq VoteRequest
-	if err := json.Unmarshal(body, &vreq); err != nil {
-		return nil, err
-	}
-	resp := HandleVote(h.node, h.cur, 0, "", func() error { return nil }, vreq)
-	if resp.Granted {
-		// The server's reset-timer-on-grant rule: granting is evidence an
-		// election is already in progress, so the voter stands down.
-		h.lease.Renew(resp.Epoch, 0)
-	}
-	out, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	rec := httptest.NewRecorder()
-	rec.Header().Set(HeaderSum, BodySum(out))
-	rec.Write(out)
-	return rec.Result(), nil
-}
-
-// TestSplitVoteResolution runs two real Electors against a dead primary
-// on a hand-stepped clock. The seeds are chosen so both first election
-// deadlines land in the SAME one-second step window — the worst case, a
-// near-simultaneous stand — while the randomized retry jitter diverges.
-// The cluster must still converge on exactly one unfenced primary.
+// TestSplitVoteResolution: the primary of a three-node cluster dies and
+// both survivors' first election deadlines land on the same tick — the
+// worst case, a simultaneous stand: each pre-votes the other, both stand
+// for epoch 2, each refuses the other. Their next timeouts differ, and
+// the cluster must converge on exactly one primary that the other
+// follows. Step machines on the model's network and clock, no goroutines.
 func TestSplitVoteResolution(t *testing.T) {
-	clock := &manualClock{t: et0}
-	fabric := &voteFabric{hosts: map[string]*voteHost{}}
-
-	mk := func(name string, seed int64) (*voteHost, *Elector) {
-		h := &voteHost{
-			name:  name,
-			node:  NewNode(RoleReplica, 1),
-			lease: NewLease(clock, 10*time.Second),
-			cur:   wal.Cursor{Seg: 1, Off: 42},
+	w := mStarts[0]()
+	w.N[0].Alive = false
+	draws := map[int][]int{1: {3, 3, 3, 5}, 2: {3, 3, 3, 4}}
+	w.jitter = func(i int) int {
+		d := draws[i]
+		if len(d) > 1 {
+			draws[i] = d[1:]
 		}
-		fabric.add(h)
-		peers := map[string]string{"a": "http://a"} // the dead primary stays in the electorate
-		for _, other := range []string{"b", "c"} {
-			if other != name {
-				peers[other] = "http://" + other
-			}
+		return d[0]
+	}
+	split := false
+	for r := 0; !w.settled(); r++ {
+		if r == mSettle {
+			t.Fatalf("no primary after %d ticks: b %+v, c %+v", r, w.N[1].St, w.N[2].St)
 		}
-		e := NewElector(ElectorConfig{
-			NodeID:   name,
-			SelfAddr: "http://" + name,
-			Peers:    peers,
-			Node:     h.node,
-			Lease:    h.lease,
-			Clock:    clock,
-			Doer:     fabric,
-			Timeout:  5 * time.Second,
-			Seed:     seed,
-			Eligible: func() bool { return !h.node.CanAcceptWrites() },
-			Cursor:   func() (wal.Cursor, uint64) { return h.cur, 0 },
-			Promote: func(ep uint64) error {
-				if !h.node.PromoteTo(ep) {
-					return fmt.Errorf("overtaken")
-				}
-				return nil
-			},
-			Logf: t.Logf,
-		})
-		return h, e
-	}
-
-	// Seeds 2 and 3 draw first jitters 9.82s and 9.77s — the same step
-	// window — then 8.99s vs 6.93s on the retry.
-	hb, eb := mk("b", 2)
-	hc, ec := mk("c", 3)
-	eb.Start()
-	ec.Start()
-	defer eb.Stop()
-	defer ec.Stop()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for !hb.node.CanAcceptWrites() && !hc.node.CanAcceptWrites() {
-		if time.Now().After(deadline) {
-			t.Fatalf("no winner: b epoch %d, c epoch %d, stats b=%+v c=%+v",
-				hb.node.Epoch(), hc.node.Epoch(), eb.Stats(), ec.Stats())
+		if v := w.round(); v != "" {
+			t.Fatalf("tick %d: invariant %s broken", r, v)
 		}
-		clock.Step(time.Second)
-		time.Sleep(time.Millisecond)
+		b, c := w.N[1].St, w.N[2].St
+		split = split || b.Vote == "b" && c.Vote == "c" && b.Epoch == c.Epoch
 	}
-	// Freeze logical time (no further deadlines can fire) and let any
-	// in-flight round drain before inspecting.
-	eb.Stop()
-	ec.Stop()
-
-	primaries := 0
-	for _, h := range []*voteHost{hb, hc} {
-		if h.node.CanAcceptWrites() {
-			primaries++
-		}
+	if !split {
+		t.Fatal("the deadlines never collided into a split vote: the test proves nothing")
 	}
-	if primaries != 1 {
-		t.Fatalf("unfenced primaries = %d, want exactly 1 (b: %v epoch %d, c: %v epoch %d)",
-			primaries, hb.node.Role(), hb.node.Epoch(), hc.node.Role(), hc.node.Epoch())
+	winner, loser := w.N[1].St, w.N[2].St
+	if !winner.Leads() {
+		winner, loser = loser, winner
 	}
-	if wins := eb.Stats().Wins + ec.Stats().Wins; wins < 1 {
-		t.Fatalf("wins = %d, want >= 1", wins)
-	}
-	// The loser folded the winner's epoch (via grant or refusal), so a
-	// later stand proposes beyond it instead of re-contesting it.
-	winner, loser := hb, hc
-	if hc.node.CanAcceptWrites() {
-		winner, loser = hc, hb
-	}
-	if loser.node.Epoch() < winner.node.Epoch() {
-		t.Fatalf("loser at epoch %d behind winner at %d", loser.node.Epoch(), winner.node.Epoch())
+	// The split consumed epoch 2; the winner stood past it, and the loser
+	// folded the winner's epoch and follows it.
+	if winner.Epoch < 3 || loser.Epoch != winner.Epoch || loser.Leader != winner.Leader {
+		t.Fatalf("winner %+v, loser %+v", winner, loser)
 	}
 }
 

@@ -62,21 +62,24 @@ type FollowerConfig struct {
 	// cursor advances past exactly those, so with a non-nil error the rest
 	// are re-streamed on the next poll (a journal error applies none).
 	Apply func(recs []wal.Record) (applied int, err error)
-	// Persist, when non-nil, records the follower's epoch and cursor.
-	// sync=true means the write must be fsynced before returning (epoch
-	// changes — fencing must survive a crash). Cursor-only progress need
-	// only survive a process kill: after a machine crash the host may boot
-	// with an older cursor, never a newer one. Re-applying what an older
-	// cursor re-streams is tolerated, not idempotent — creates, deletes and
-	// history tuples dedup, a login or logout re-runs its transition — so the
-	// host persists after every batch and the overlap stays one batch.
-	Persist func(epoch uint64, c wal.Cursor, sync bool) error
-	// Resync, when non-nil, performs a snapshot resync after the primary
-	// reports the cursor unusable (compacted or ahead): fetch the primary's
-	// snapshot, swap the local fleet, and return the cursor to stream from
-	// plus the reign epoch of the journal it indexes (0 if the primary did
-	// not say).
-	Resync func(primaryEpoch uint64) (wal.Cursor, uint64, error)
+	// Persist, when non-nil, records the follower's cursor. sync=true means
+	// the write must be fsynced before returning (a resync's new lineage).
+	// Cursor-only progress need only survive a process kill: after a machine
+	// crash the host may boot with an older cursor, never a newer one.
+	// Re-applying what an older cursor re-streams is tolerated, not
+	// idempotent — creates, deletes and history tuples dedup, a login or
+	// logout re-runs its transition — so the host persists after every batch
+	// and the overlap stays one batch.
+	Persist func(c wal.Cursor, sync bool) error
+	// Adopt, when non-nil, takes in a primary epoch beyond the node's and
+	// returns once it is durable (the election driver's Adopt). It runs
+	// before anything that primary sent is applied.
+	Adopt func(ctx context.Context, epoch uint64) error
+	// Resync, when non-nil, performs a snapshot resync from primary after it
+	// reports the cursor unusable (compacted or ahead): fetch its snapshot,
+	// swap the local fleet, and return the cursor to stream from plus the
+	// reign epoch of the journal it indexes (0 if the primary did not say).
+	Resync func(primary string, primaryEpoch uint64) (wal.Cursor, uint64, error)
 	// ResyncOnStart forces a snapshot resync before the first stream poll.
 	// The host sets it when the node boots with local state but no stream
 	// cursor covering it — a rebooted ex-primary, or a seeded snapshot.
@@ -89,12 +92,9 @@ type FollowerConfig struct {
 	// primary can attribute the poll's cursor to this follower in its
 	// quorum-coverage map.
 	NodeID string
-	// OnPrimaryContact, when non-nil, is called after every authoritative
-	// response from a current-epoch primary (200/204, and the resync
-	// verdicts 410/416) with that primary's epoch and its lease grant (0 if
-	// the response carried none). The host renews its primary-liveness
-	// lease here.
-	OnPrimaryContact func(epoch uint64, ttl time.Duration)
+	// Lease, when non-nil, is renewed by every authoritative response from
+	// a current-epoch primary (200/204, and the resync verdicts 410/416).
+	Lease *Lease
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -300,7 +300,7 @@ func (f *Follower) run() {
 		if forced {
 			// Boot state no cursor covers, or a repoint to a new primary:
 			// adopt its snapshot before streaming (see SetPrimary).
-			d = f.resync(0, 0)
+			d = f.resync(primary, 0, 0)
 		} else {
 			d = f.pollOnce(ctx, primary, cur)
 		}
@@ -380,18 +380,21 @@ func (f *Follower) pollOnce(ctx context.Context, primary string, cur wal.Cursor)
 		// never apply its stream — and never renew the lease off it.
 		return f.fail("ignoring stale primary at epoch %d (ours is %d)", primaryEpoch, f.cfg.Node.Epoch())
 	}
-	if f.cfg.Node.ObserveEpoch(primaryEpoch) && f.cfg.Persist != nil {
-		if err := f.cfg.Persist(f.cfg.Node.Epoch(), cur, true); err != nil {
-			return f.fail("persisting adopted epoch %d: %v", primaryEpoch, err)
+	if primaryEpoch > f.cfg.Node.Epoch() && f.cfg.Adopt != nil {
+		if err := f.cfg.Adopt(ctx, primaryEpoch); err != nil {
+			if ctx.Err() != nil {
+				return 0
+			}
+			return f.fail("adopting epoch %d: %v", primaryEpoch, err)
 		}
 	}
 	// Authoritative contact from a current-epoch primary renews the lease;
 	// that includes the resync verdicts — a primary telling us to resync is
 	// very much alive.
 	renew := func() {
-		if f.cfg.OnPrimaryContact != nil && primaryEpoch > 0 {
+		if f.cfg.Lease != nil && primaryEpoch > 0 {
 			ttlMs, _ := strconv.ParseInt(resp.Header.Get(HeaderLeaseTTL), 10, 64)
-			f.cfg.OnPrimaryContact(primaryEpoch, time.Duration(ttlMs)*time.Millisecond)
+			f.cfg.Lease.Renew(primaryEpoch, time.Duration(ttlMs)*time.Millisecond)
 		}
 	}
 
@@ -411,7 +414,7 @@ func (f *Follower) pollOnce(ctx context.Context, primary string, cur wal.Cursor)
 		// Cursor unusable: compacted below retained history (410) or ahead
 		// of the primary's lineage (416). Both mean snapshot resync.
 		renew()
-		return f.resync(primaryEpoch, resp.StatusCode)
+		return f.resync(primary, primaryEpoch, resp.StatusCode)
 	default:
 		return f.fail("stream %s: primary said %d", cur, resp.StatusCode)
 	}
@@ -447,7 +450,7 @@ func (f *Follower) caughtUpAt(resp *http.Response, cur wal.Cursor, reign uint64)
 	}
 	f.mu.Unlock()
 	if moved && f.cfg.Persist != nil {
-		if err := f.cfg.Persist(f.cfg.Node.Epoch(), cur, false); err != nil {
+		if err := f.cfg.Persist(cur, false); err != nil {
 			return f.fail("persisting cursor %s: %v", cur, err)
 		}
 	}
@@ -533,7 +536,7 @@ func (f *Follower) applyBatch(ctx context.Context, resp *http.Response, reign ui
 	}
 	f.mu.Unlock()
 	if f.cfg.Persist != nil {
-		if err := f.cfg.Persist(f.cfg.Node.Epoch(), newCur, false); err != nil {
+		if err := f.cfg.Persist(newCur, false); err != nil {
 			return f.fail("persisting cursor %s: %v", newCur, err)
 		}
 	}
@@ -553,7 +556,7 @@ func (f *Follower) applyBatch(ctx context.Context, resp *http.Response, reign ui
 	}
 }
 
-func (f *Follower) resync(primaryEpoch uint64, status int) time.Duration {
+func (f *Follower) resync(primary string, primaryEpoch uint64, status int) time.Duration {
 	if f.cfg.Resync == nil {
 		return f.fail("cursor %s unusable (%d) and no resync configured", f.Cursor(), status)
 	}
@@ -562,7 +565,7 @@ func (f *Follower) resync(primaryEpoch uint64, status int) time.Duration {
 	} else {
 		f.cfg.Logf("repl follower: cursor %s unusable (%d); snapshot resync", f.Cursor(), status)
 	}
-	cur, reign, err := f.cfg.Resync(primaryEpoch)
+	cur, reign, err := f.cfg.Resync(primary, primaryEpoch)
 	if err != nil {
 		return f.fail("snapshot resync: %v", err)
 	}
@@ -583,7 +586,7 @@ func (f *Follower) resync(primaryEpoch uint64, status int) time.Duration {
 	f.lastErr = ""
 	f.mu.Unlock()
 	if f.cfg.Persist != nil {
-		if err := f.cfg.Persist(f.cfg.Node.Epoch(), cur, true); err != nil {
+		if err := f.cfg.Persist(cur, true); err != nil {
 			return f.fail("persisting resynced cursor %s: %v", cur, err)
 		}
 	}

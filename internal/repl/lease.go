@@ -96,12 +96,5 @@ func (l *Lease) Until() time.Time {
 	return l.until
 }
 
-// Epoch reports the epoch of the primary that last renewed the lease.
-func (l *Lease) Epoch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epoch
-}
-
 // Renewals counts successful renewals, for /metrics.
 func (l *Lease) Renewals() uint64 { return l.renewals.Load() }

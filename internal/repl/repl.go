@@ -1,28 +1,18 @@
 // Package repl is the primary/replica replication runtime: it ships the
-// event journal (internal/wal) over HTTP from a primary to any number of
-// read replicas, and manages the role/epoch state machine that makes
-// failover safe.
+// event journal (internal/wal) over HTTP from a primary to its replicas,
+// and owns the role/epoch state that makes failover safe.
 //
-// The model, in one paragraph: the primary's WAL already is the
-// authoritative, acknowledged event stream (every mutation is journaled
-// before it is acknowledged), so replication is just shipping that stream.
-// A follower holds a long poll on
-// GET /v1/repl/stream?after=<segment:offset> — the primary answers with a
-// batch of CRC-framed records the moment one is durable, and the
-// follower's next poll acknowledges it — and appends each record to its
-// OWN journal before applying it to its fleet (the same
-// journalize-before-apply discipline the primary uses), so a replica is a
-// crash-restartable node at every instant. Promotion is explicit
-// (POST /v1/repl/promote) and bumps the cursor epoch; a primary that
-// observes a higher epoch fences itself and refuses writes from then on,
-// so a network that heals after a failover cannot yield two acking
-// primaries.
-//
-// What is and is not guaranteed (see DESIGN.md §9): acknowledged writes
-// that reached the replica's durable journal survive promotion; writes
-// acknowledged by the old primary but not yet replicated are LOST on
-// promote — replication is asynchronous, and the lag gauges exist
-// precisely so operators can bound that window.
+// The primary's WAL already is the acknowledged event stream, so
+// replication is shipping it: a follower long-polls
+// GET /v1/repl/stream?after=<segment:offset>, journals each batch before
+// applying it (so a replica is crash-restartable at every instant), and its
+// next poll is the acknowledgment. Epochs are the fencing token, carried on
+// every stream exchange; who holds which epoch — elections, fencing,
+// promotion — is decided by one state machine, Step (election.go), run by
+// one Driver per node (driver.go). Acknowledged writes that reached a
+// replica's journal survive failover; with asynchronous replication, writes
+// not yet replicated are lost, and the lag gauges bound that window
+// (DESIGN.md §9, §11).
 package repl
 
 import (
@@ -62,11 +52,13 @@ func (r Role) String() string {
 	return fmt.Sprintf("Role(%d)", int(r))
 }
 
-// Node is the role/epoch state machine of one process. Epochs are the
-// fencing token: every promotion bumps the epoch, every stream request and
-// response carries it, and a primary that observes a higher epoch than its
-// own fences itself — it keeps serving reads but can never ack another
-// write, even if the network partition that caused the failover heals.
+// Node is the installed role/epoch of one process: what the hot paths read
+// (every write asks CanAcceptWrites). Epochs are the fencing token: every
+// promotion bumps the epoch, every stream request and response carries it,
+// and a primary that observes a higher epoch than its own fences itself —
+// it keeps serving reads but can never ack another write, even if the
+// network partition that caused the failover heals. Only the Driver
+// changes a Node, after the change is durable.
 type Node struct {
 	mu     sync.Mutex
 	role   Role
@@ -122,55 +114,9 @@ func (n *Node) CanAcceptWrites() bool {
 	return n.role == RolePrimary && !n.fenced
 }
 
-// Promote makes the node the primary of a new epoch and returns that
-// epoch. Idempotent on an unfenced primary (no epoch bump — it already
-// owns the current one). A fenced primary or a replica starts a fresh
-// epoch, which is what fences the old primary when the streams reconnect.
-func (n *Node) Promote() uint64 {
+// install publishes a state the driver has made durable: the only writer.
+func (n *Node) install(s State) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role == RolePrimary && !n.fenced {
-		return n.epoch
-	}
-	n.role = RolePrimary
-	n.epoch++
-	n.fenced = false
-	return n.epoch
-}
-
-// PromoteTo makes the node the unfenced primary of exactly epoch e — the
-// election-win path. The winner already owns e: it adopted e via
-// ObserveEpoch when it cast its self-vote, and every granting voter
-// adopted e too, so no other candidate can collect a majority for it.
-// Returns false (and changes nothing) when the node has observed an epoch
-// beyond e — a newer candidacy or primary overtook this one mid-campaign,
-// and promoting under a stale epoch would be split brain.
-func (n *Node) PromoteTo(e uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e < n.epoch {
-		return false
-	}
-	n.role = RolePrimary
-	n.epoch = e
-	n.fenced = false
-	return true
-}
-
-// ObserveEpoch folds in an epoch seen on the wire. Observing a higher
-// epoch adopts it; if the node is an unfenced primary, that observation
-// fences it (someone was promoted past us). Returns true when this call
-// changed the node's state (epoch adopted and/or fence raised) — callers
-// persist the node state when it does.
-func (n *Node) ObserveEpoch(e uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e <= n.epoch {
-		return false
-	}
-	n.epoch = e
-	if n.role == RolePrimary && !n.fenced {
-		n.fenced = true
-	}
-	return true
+	n.role, n.epoch, n.fenced = s.Role, s.Epoch, s.Fenced
 }

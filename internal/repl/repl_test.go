@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -46,8 +47,8 @@ func TestRestoreNode(t *testing.T) {
 	if r.Fenced() || r.CanAcceptWrites() {
 		t.Fatalf("restored replica: fenced=%v canWrite=%v", r.Fenced(), r.CanAcceptWrites())
 	}
-	if e := r.Promote(); e != 5 || !r.CanAcceptWrites() {
-		t.Fatalf("promoting restored replica: epoch=%d canWrite=%v", e, r.CanAcceptWrites())
+	if st := stepNode(t, r, Input{Kind: KindPromote}); st.Epoch != 5 || !r.CanAcceptWrites() {
+		t.Fatalf("promoting restored replica: epoch=%d canWrite=%v", st.Epoch, r.CanAcceptWrites())
 	}
 	// Epoch 0 on disk is a node that never persisted: genesis epoch 1.
 	if n := RestoreNode(RolePrimary, 0, false); n.Epoch() != 1 {
@@ -74,26 +75,42 @@ func TestLagSecondsEdges(t *testing.T) {
 	}
 }
 
+// stepNode runs one input through a driver over n, so the node changes
+// only the way it does in production: durably, then installed.
+func stepNode(t *testing.T, n *Node, in Input) State {
+	t.Helper()
+	d := NewDriver(DriverConfig{ID: "self", Addr: "http://self", Node: n})
+	d.Start()
+	defer d.Stop()
+	st, _, err := d.Submit(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestNodeEpochFencing(t *testing.T) {
 	p := NewNode(RolePrimary, 0)
 	if p.Epoch() != 1 || !p.CanAcceptWrites() || p.Fenced() {
 		t.Fatalf("genesis primary: epoch=%d canWrite=%v fenced=%v", p.Epoch(), p.CanAcceptWrites(), p.Fenced())
 	}
 	// Promote on an unfenced primary is a no-op: it already owns the epoch.
-	if e := p.Promote(); e != 1 {
-		t.Fatalf("idempotent promote bumped epoch to %d", e)
+	if st := stepNode(t, p, Input{Kind: KindPromote}); st.Epoch != 1 {
+		t.Fatalf("idempotent promote bumped epoch to %d", st.Epoch)
 	}
 	// Observing its own or an older epoch changes nothing.
-	if p.ObserveEpoch(1) || p.ObserveEpoch(0) {
-		t.Fatal("observing <= own epoch reported a change")
+	for _, e := range []uint64{0, 1} {
+		if stepNode(t, p, Input{Kind: KindEpoch, Msg: Message{Epoch: e}}); p.Fenced() || p.Epoch() != 1 {
+			t.Fatalf("observing epoch %d changed the node", e)
+		}
 	}
 	// A higher epoch fences the primary, permanently.
-	if !p.ObserveEpoch(3) || !p.Fenced() || p.CanAcceptWrites() || p.Epoch() != 3 {
+	if stepNode(t, p, Input{Kind: KindEpoch, Msg: Message{Epoch: 3}}); !p.Fenced() || p.CanAcceptWrites() || p.Epoch() != 3 {
 		t.Fatalf("after observing epoch 3: fenced=%v canWrite=%v epoch=%d", p.Fenced(), p.CanAcceptWrites(), p.Epoch())
 	}
 	// Promoting a fenced primary starts a fresh epoch and unfences.
-	if e := p.Promote(); e != 4 || !p.CanAcceptWrites() || p.Fenced() {
-		t.Fatalf("promote after fence: epoch=%d canWrite=%v fenced=%v", e, p.CanAcceptWrites(), p.Fenced())
+	if st := stepNode(t, p, Input{Kind: KindPromote}); st.Epoch != 4 || !p.CanAcceptWrites() || p.Fenced() {
+		t.Fatalf("promote after fence: epoch=%d canWrite=%v fenced=%v", st.Epoch, p.CanAcceptWrites(), p.Fenced())
 	}
 
 	r := NewNode(RoleReplica, 1)
@@ -101,11 +118,11 @@ func TestNodeEpochFencing(t *testing.T) {
 		t.Fatal("replica accepts writes")
 	}
 	// A replica adopts higher epochs without raising the fence flag.
-	if !r.ObserveEpoch(9) || r.Fenced() || r.Epoch() != 9 {
+	if stepNode(t, r, Input{Kind: KindFence, Msg: Message{Epoch: 9}}); r.Fenced() || r.Epoch() != 9 {
 		t.Fatalf("replica observe: fenced=%v epoch=%d", r.Fenced(), r.Epoch())
 	}
-	if e := r.Promote(); e != 10 || r.Role() != RolePrimary || !r.CanAcceptWrites() {
-		t.Fatalf("replica promote: epoch=%d role=%v", e, r.Role())
+	if st := stepNode(t, r, Input{Kind: KindPromote}); st.Epoch != 10 || r.Role() != RolePrimary || !r.CanAcceptWrites() {
+		t.Fatalf("replica promote: epoch=%d role=%v", st.Epoch, r.Role())
 	}
 }
 
@@ -298,9 +315,8 @@ func TestFollowerStreamsAndTracksLag(t *testing.T) {
 
 	var got collector
 	var persisted struct {
-		mu    sync.Mutex
-		cur   wal.Cursor
-		epoch uint64
+		mu  sync.Mutex
+		cur wal.Cursor
 	}
 	f := NewFollower(FollowerConfig{
 		PrimaryURL:    "http://primary",
@@ -309,9 +325,9 @@ func TestFollowerStreamsAndTracksLag(t *testing.T) {
 		MaxBatchBytes: int(3 * wal.FrameSize), // force multiple batches
 		Node:          NewNode(RoleReplica, 1),
 		Apply:         got.apply,
-		Persist: func(e uint64, c wal.Cursor, sync bool) error {
+		Persist: func(c wal.Cursor, sync bool) error {
 			persisted.mu.Lock()
-			persisted.epoch, persisted.cur = e, c
+			persisted.cur = c
 			persisted.mu.Unlock()
 			return nil
 		},
@@ -347,8 +363,8 @@ func TestFollowerStreamsAndTracksLag(t *testing.T) {
 	}
 	persisted.mu.Lock()
 	defer persisted.mu.Unlock()
-	if persisted.cur != f.Cursor() || persisted.epoch != 1 {
-		t.Fatalf("persisted %v@%d, follower cursor %v", persisted.cur, persisted.epoch, f.Cursor())
+	if persisted.cur != f.Cursor() {
+		t.Fatalf("persisted %v, follower cursor %v", persisted.cur, f.Cursor())
 	}
 	if f.LagSeconds(time.Unix(100, 0)) != 0 {
 		t.Fatal("caught-up follower reports nonzero lag seconds")
@@ -360,28 +376,28 @@ func TestFollowerAdoptsPrimaryEpoch(t *testing.T) {
 	appendLogins(t, j, 0, 1)
 	primary := &miniPrimary{j: j, epoch: 7}
 	node := NewNode(RoleReplica, 1)
-	syncPersists := 0
+	var persisted []uint64
 	var mu sync.Mutex
+	d := NewDriver(DriverConfig{ID: "r", Node: node, Persist: func(st State) error {
+		mu.Lock()
+		persisted = append(persisted, st.Epoch)
+		mu.Unlock()
+		return nil
+	}})
+	d.Start()
+	defer d.Stop()
 	var got collector
 	f := NewFollower(FollowerConfig{
 		PrimaryURL: "http://primary", Doer: primary, PollInterval: time.Millisecond,
-		Node: node, Apply: got.apply,
-		Persist: func(e uint64, c wal.Cursor, sync bool) error {
-			mu.Lock()
-			if sync {
-				syncPersists++
-			}
-			mu.Unlock()
-			return nil
-		},
+		Node: node, Apply: got.apply, Adopt: d.Adopt,
 	}, wal.Cursor{})
 	f.Start()
 	defer f.Stop()
 	waitFor(t, "epoch adoption", func() bool { return node.Epoch() == 7 && f.Stats().Records == 1 })
 	mu.Lock()
 	defer mu.Unlock()
-	if syncPersists == 0 {
-		t.Fatal("adopted epoch was not durably persisted")
+	if len(persisted) != 1 || persisted[0] != 7 {
+		t.Fatalf("persisted epochs %v, want the adopted 7 once", persisted)
 	}
 }
 
@@ -428,7 +444,7 @@ func TestFollowerResyncsOnCompactedCursor(t *testing.T) {
 	f := NewFollower(FollowerConfig{
 		PrimaryURL: "http://primary", Doer: primary, PollInterval: time.Millisecond,
 		Node: NewNode(RoleReplica, 1), Apply: got.apply,
-		Resync: func(primaryEpoch uint64) (wal.Cursor, uint64, error) {
+		Resync: func(_ string, primaryEpoch uint64) (wal.Cursor, uint64, error) {
 			mu.Lock()
 			resyncs++
 			mu.Unlock()
@@ -478,7 +494,7 @@ func TestFollowerResyncOnStart(t *testing.T) {
 		PrimaryURL: "http://primary", Doer: primary, PollInterval: time.Millisecond,
 		Node: NewNode(RoleReplica, 1), Apply: got.apply,
 		ResyncOnStart: true,
-		Resync: func(primaryEpoch uint64) (wal.Cursor, uint64, error) {
+		Resync: func(_ string, primaryEpoch uint64) (wal.Cursor, uint64, error) {
 			mu.Lock()
 			attempts++
 			n := attempts
@@ -668,7 +684,7 @@ func TestFollowerStopAndSetPrimaryCancelParkedPoll(t *testing.T) {
 	f := NewFollower(FollowerConfig{
 		PrimaryURL: "http://a", Doer: hostDoer{"a": a, "b": b},
 		Node: NewNode(RoleReplica, 1), Apply: got.apply,
-		Resync: func(uint64) (wal.Cursor, uint64, error) {
+		Resync: func(string, uint64) (wal.Cursor, uint64, error) {
 			resyncs.Add(1)
 			return wal.Cursor{Seg: 1, Off: wal.SegmentDataStart}, 1, nil
 		},
@@ -716,13 +732,13 @@ func TestFollowerLeavesSealedSegmentOn204(t *testing.T) {
 	f := NewFollower(FollowerConfig{
 		PrimaryURL: "http://primary", Doer: primary,
 		Node: NewNode(RoleReplica, 1), Apply: got.apply,
-		Persist: func(_ uint64, c wal.Cursor, _ bool) error {
+		Persist: func(c wal.Cursor, _ bool) error {
 			persisted.Lock()
 			persisted.cur = c
 			persisted.Unlock()
 			return nil
 		},
-		Resync: func(uint64) (wal.Cursor, uint64, error) {
+		Resync: func(string, uint64) (wal.Cursor, uint64, error) {
 			return wal.Cursor{}, 0, errors.New("no resync should be needed")
 		},
 	}, wal.Cursor{})

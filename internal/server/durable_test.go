@@ -109,7 +109,7 @@ func TestDurableWritesSyncTheirDirectory(t *testing.T) {
 	rec.synced(t, "snapshot", func(p string) bool { return p == cfg.SnapshotPath })
 	rec.synced(t, "snapshot .bak", func(p string) bool { return p == cfg.SnapshotPath+".bak" })
 
-	if err := s.persistReplState(s.Node().Epoch(), s.loadCursor(), true); err != nil {
+	if err := s.persistReplState(s.loadCursor(), true); err != nil {
 		t.Fatal(err)
 	}
 	rec.synced(t, "repl-state", func(p string) bool { return p == replStatePath(cfg.WALDir) })

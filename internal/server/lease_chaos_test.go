@@ -38,6 +38,7 @@ import (
 //     auto-demotes into a follower (snapshot resync — its journal is a
 //     different lineage), converges byte-identically, and its /healthz
 //     flips from 503 ("fenced" zombie) to 200 with effective_role=replica.
+//   - No epoch moved except by a candidacy that won its pre-vote.
 //
 // Runs under -race in CI (make lease-chaos). On failure, each node's
 // on-disk debris (WAL segments, repl-state, snapshots) is copied to
@@ -308,5 +309,18 @@ func chaosLeaseElection(t *testing.T, seed int64) {
 	}
 	if primaries != 1 {
 		t.Fatalf("unfenced primaries at quiesce = %d, want exactly 1", primaries)
+	}
+
+	// Every epoch step is a real candidacy that first won a pre-vote: a
+	// pre-vote round moves no epoch, so past genesis there are at most as
+	// many epochs as candidacies stood.
+	final, campaigns := uint64(0), uint64(0)
+	for _, s := range []*Server{winner, loser, a2} {
+		final = max(final, s.Node().Epoch())
+		campaigns += s.elect.Stats().Campaigns
+	}
+	t.Logf("final epoch %d after %d candidacies", final, campaigns)
+	if final-1 > campaigns {
+		t.Fatalf("final epoch %d after only %d candidacies: an epoch moved without one", final, campaigns)
 	}
 }

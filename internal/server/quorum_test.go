@@ -125,7 +125,7 @@ func TestReplStateLeaseRoundTrip(t *testing.T) {
 		t.Fatal("fresh boot got a live lease")
 	}
 	s.lease.Renew(1, 0)
-	if err := s.persistReplState(s.Node().Epoch(), s.loadCursor(), true); err != nil {
+	if err := s.persistReplState(s.loadCursor(), true); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -161,8 +161,9 @@ func TestReplStateLeaseRoundTrip(t *testing.T) {
 	s2.Close()
 
 	// Guessing at fencing state is how split brain happens: a malformed
-	// file refuses the boot, and so does one short of the five fields the
-	// writer emits — zeroing a missing lease or lineage would be a guess.
+	// file refuses the boot, and so does one short of the five fields every
+	// build has written — zeroing a missing lease or lineage would be a
+	// guess.
 	for name, content := range map[string]string{
 		"garbage":      "PRR1 what\n",
 		"three fields": "PRR1 7 0 0:0\n",

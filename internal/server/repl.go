@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,7 +62,6 @@ type replCounters struct {
 	progressPersists atomic.Uint64 // repl-state progress lines overwritten in place
 	votesGranted     atomic.Uint64 // election votes this node granted
 	votesRefused     atomic.Uint64 // election votes this node refused
-	announces        atomic.Uint64 // primary announces delivered to peers
 }
 
 // Node exposes the replication state machine, for host wiring and tests.
@@ -72,28 +70,6 @@ func (s *Server) Node() *repl.Node { return s.node }
 // followerRef is the live follower, nil when this node is not following
 // anyone. Atomic because failover creates and drops followers at runtime.
 func (s *Server) followerRef() *repl.Follower { return s.followerP.Load() }
-
-// renewLease is the follower's OnPrimaryContact hook: authoritative
-// contact from the primary of epoch e extends the lease.
-func (s *Server) renewLease(e uint64, ttl time.Duration) {
-	if s.lease != nil {
-		s.lease.Renew(e, ttl)
-	}
-}
-
-// currentPrimary is the primary this node believes in right now; it moves
-// on every failover (Config.PrimaryAddr is only the boot-time value).
-func (s *Server) currentPrimary() string {
-	s.primaryMu.Lock()
-	defer s.primaryMu.Unlock()
-	return s.primaryAddr
-}
-
-func (s *Server) setPrimaryAddr(addr string) {
-	s.primaryMu.Lock()
-	defer s.primaryMu.Unlock()
-	s.primaryAddr = addr
-}
 
 // ReplicationLag reports how far behind the primary this node is: records
 // not yet applied, and the age in seconds of the newest applied record.
@@ -108,21 +84,23 @@ func (s *Server) ReplicationLag() (records int64, seconds float64) {
 
 // ----- repl-state file ----------------------------------------------------
 
-// The repl-state file persists the node's epoch, fencing, stream cursor,
-// lease expiry, and cursor lineage next to the journal. Line one,
-// "PRR1 <epoch> <fenced> <cursor> <leaseUnixMilli> <lineage>", is only ever
-// written whole — temp file, fsync, rename — at the sync events: epoch and
-// fencing changes (a fence that evaporates in a crash is split brain), votes,
-// promotion, resync. Cursor-only progress, one per applied batch and so
-// inside every quorum-acked write, overwrites the fixed-width progress line
-// after it in place, unsynced: "<seg>:<off> <leaseUnixMilli> <lineage> <sum>",
-// zero-padded, the sum a CRC-32C of the rest. It survives a process kill like
-// the rename it replaces; a machine crash may leave it old, torn or absent,
-// and then the node boots with line one's cursor — older, never newer, and
-// never a different epoch or fence. The lease field makes reboots respect an
-// unexpired lease instead of instantly campaigning; the lineage field is the
-// reign epoch of the journal the cursor indexes, so a rebooted node never
-// compares its cursor against another reign's in a vote.
+// The repl-state file persists the node's epoch, fencing, vote, stream
+// cursor, lease expiry, and cursor lineage next to the journal. Line one,
+// "PRR1 <epoch> <fenced> <cursor> <leaseUnixMilli> <lineage> <vote>", is
+// only ever written whole — temp file, fsync, rename — at the sync events:
+// every election state change (a fence or vote that evaporates in a crash is
+// split brain), and resync. The vote is the candidate this node voted for at
+// its epoch, "-" for none; a line without it (an earlier build's) has none.
+// Cursor-only progress, one per applied batch and so inside every
+// quorum-acked write, overwrites the fixed-width progress line after it in
+// place, unsynced: "<seg>:<off> <leaseUnixMilli> <lineage> <sum>",
+// zero-padded, the sum a CRC-32C of the rest. It survives a process kill
+// like the rename it replaces; a machine crash may leave it old, torn or
+// absent, and then the node boots with line one's cursor — older, never
+// newer, and never a different epoch or fence. The lease field makes reboots
+// respect an unexpired lease instead of instantly campaigning; the lineage
+// field is the reign epoch of the journal the cursor indexes, so a rebooted
+// node votes from its true (lineage, cursor) position.
 const replStateFile = "repl-state"
 
 func replStatePath(walDir string) string {
@@ -132,11 +110,12 @@ func replStatePath(walDir string) string {
 	return filepath.Join(walDir, replStateFile)
 }
 
-// replHead is the part of repl-state line one a progress persist must not
-// change.
+// replHead is the part of repl-state line one only the election driver
+// changes; a progress persist never does.
 type replHead struct {
 	epoch  uint64
 	fenced bool
+	vote   string
 }
 
 const (
@@ -168,60 +147,55 @@ func parseProgress(b []byte) (c wal.Cursor, leaseMs int64, lineage uint64, ok bo
 // how split brain happens. The progress line is adopted (cursor, lease,
 // lineage) only when it is whole and not behind line one's cursor; anything
 // else is ignored.
-func loadReplState(fsys faults.FS, path string) (epoch uint64, fenced bool, c wal.Cursor, leaseMs int64, lineage uint64, err error) {
+func loadReplState(fsys faults.FS, path string) (head replHead, c wal.Cursor, leaseMs int64, lineage uint64, err error) {
 	if path == "" {
-		return 0, false, wal.Cursor{}, 0, 0, nil
+		return replHead{}, wal.Cursor{}, 0, 0, nil
 	}
 	f, err := fsys.Open(path)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
-			return 0, false, wal.Cursor{}, 0, 0, nil
+			return replHead{}, wal.Cursor{}, 0, 0, nil
 		}
-		return 0, false, wal.Cursor{}, 0, 0, err
+		return replHead{}, wal.Cursor{}, 0, 0, err
 	}
 	data, err := io.ReadAll(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return 0, false, wal.Cursor{}, 0, 0, err
+		return replHead{}, wal.Cursor{}, 0, 0, err
 	}
 	var fencedInt int
 	var curStr string
-	n, serr := fmt.Sscanf(string(data), "PRR1 %d %d %s %d %d", &epoch, &fencedInt, &curStr, &leaseMs, &lineage)
-	if n != 5 {
-		return 0, false, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state %q: %v", data, serr)
+	n, serr := fmt.Sscanf(string(data), "PRR1 %d %d %s %d %d %s", &head.epoch, &fencedInt, &curStr, &leaseMs, &lineage, &head.vote)
+	if n < 5 {
+		return replHead{}, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state %q: %v", data, serr)
 	}
 	if c, err = wal.ParseCursor(curStr); err != nil {
-		return 0, false, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state cursor: %w", err)
+		return replHead{}, wal.Cursor{}, 0, 0, fmt.Errorf("malformed repl state cursor: %w", err)
+	}
+	head.fenced = fencedInt != 0
+	if head.vote == "-" {
+		head.vote = ""
 	}
 	if _, rest, found := bytes.Cut(data, []byte("\n")); found {
 		if pc, pLease, pLineage, ok := parseProgress(rest); ok && !pc.Before(c) {
 			c, leaseMs, lineage = pc, pLease, pLineage
 		}
 	}
-	return epoch, fencedInt != 0, c, leaseMs, lineage, nil
+	return head, c, leaseMs, lineage, nil
 }
 
-// persistReplState records the node's replication state; it doubles as the
-// follower's Persist hook. doSync rewrites the file (see replStateFile);
-// without it only the progress line is overwritten — unless there is no
-// file open to overwrite, or line one would say a different epoch or fence
-// than the node holds (a sync persist failed earlier), which rewrite too.
-func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error {
-	path := replStatePath(s.cfg.WALDir)
-	if path == "" {
+// persistReplState is the follower's Persist hook: it records the stream
+// cursor under the durable head. doSync rewrites the file (see
+// replStateFile); without it only the progress line is overwritten —
+// unless there is no file open to overwrite, which rewrites too.
+func (s *Server) persistReplState(c wal.Cursor, doSync bool) error {
+	if s.cfg.WALDir == "" {
 		return nil
 	}
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
-	head := replHead{epoch: epoch, fenced: s.node.Fenced()}
-	var leaseMs int64
-	if s.lease != nil {
-		if u := s.lease.Until(); !u.IsZero() {
-			leaseMs = u.UnixMilli()
-		}
-	}
 	// The lineage rides along with every persist: a follower that learned
 	// its stream's reign from the poll headers makes it durable here, so a
 	// reboot still knows which journal its cursor indexes.
@@ -230,10 +204,38 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 			s.replLineage = r
 		}
 	}
+	return s.writeReplStateLocked(s.replHead, c, s.replLineage, doSync)
+}
+
+// persistElection is the election driver's Persist hook: line one takes the
+// state's epoch and fence, rewritten and synced before the driver installs
+// the state. An unfenced primary's journal is its own reign.
+func (s *Server) persistElection(st repl.State) error {
+	if s.cfg.WALDir == "" {
+		return nil
+	}
+	c := s.loadCursor()
+	s.replMu.Lock()
+	defer s.replMu.Unlock()
+	lineage := s.replLineage
+	if st.Leads() {
+		lineage = st.Epoch
+	}
+	return s.writeReplStateLocked(replHead{epoch: st.Epoch, fenced: st.Fenced, vote: st.Vote}, c, lineage, true)
+}
+
+// writeReplStateLocked writes the repl-state file; caller holds replMu.
+func (s *Server) writeReplStateLocked(head replHead, c wal.Cursor, lineage uint64, doSync bool) error {
+	var leaseMs int64
+	if s.lease != nil {
+		if u := s.lease.Until(); !u.IsZero() {
+			leaseMs = u.UnixMilli()
+		}
+	}
 	if !doSync && s.replFile != nil && head == s.replHead {
 		_, err := s.replFile.Seek(s.replProgressAt, io.SeekStart)
 		if err == nil {
-			_, err = s.replFile.Write(formatProgress(c, leaseMs, s.replLineage))
+			_, err = s.replFile.Write(formatProgress(c, leaseMs, lineage))
 		}
 		if err != nil {
 			s.closeReplStateLocked() // whatever the file holds now, the next persist replaces it
@@ -244,16 +246,20 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 		return nil
 	}
 
-	fenced := 0
+	fenced, vote := 0, head.vote
 	if head.fenced {
 		fenced = 1
 	}
-	line := fmt.Sprintf("PRR1 %d %d %s %d %d\n", epoch, fenced, c, leaseMs, s.replLineage)
+	if vote == "" {
+		vote = "-"
+	}
+	path := replStatePath(s.cfg.WALDir)
+	line := fmt.Sprintf("PRR1 %d %d %s %d %d %s\n", head.epoch, fenced, c, leaseMs, lineage, vote)
 	if _, err := faults.WriteFileAtomic(s.cfg.FS, path, []byte(line), ""); err != nil {
 		return err
 	}
 	s.repl.syncPersists.Add(1)
-	s.replCursor = c
+	s.replCursor, s.replHead, s.replLineage = c, head, lineage
 	// Progress goes to the file just renamed into place, not the one it
 	// replaced. A failed open costs the next progress persist a rewrite; a
 	// server shutting down keeps no handle.
@@ -262,7 +268,7 @@ func (s *Server) persistReplState(epoch uint64, c wal.Cursor, doSync bool) error
 	case <-s.stop:
 	default:
 		if f, err := s.cfg.FS.OpenFile(path, os.O_WRONLY, 0); err == nil {
-			s.replFile, s.replProgressAt, s.replHead = f, int64(len(line)), head
+			s.replFile, s.replProgressAt = f, int64(len(line))
 		}
 	}
 	return nil
@@ -354,13 +360,13 @@ const maxSnapshotFetch = 1 << 30
 // adopted state locally, and return the snapshot's journal boundary as
 // the cursor to stream from, plus the reign epoch of the journal it
 // indexes (from the snapshot response's X-Repl-Reign header).
-func (s *Server) replResync(primaryEpoch uint64) (wal.Cursor, uint64, error) {
+func (s *Server) replResync(primary string, primaryEpoch uint64) (wal.Cursor, uint64, error) {
 	if s.store == nil {
 		// Without a local snapshot a crash after the swap would replay the
 		// pre-resync journal against a post-resync cursor and diverge.
 		return wal.Cursor{}, 0, errors.New("snapshot resync requires SnapshotPath on the replica")
 	}
-	req, err := http.NewRequest(http.MethodGet, s.currentPrimary()+"/v1/repl/snapshot", nil)
+	req, err := http.NewRequest(http.MethodGet, primary+"/v1/repl/snapshot", nil)
 	if err != nil {
 		return wal.Cursor{}, 0, err
 	}
@@ -387,11 +393,11 @@ func (s *Server) replResync(primaryEpoch uint64) (wal.Cursor, uint64, error) {
 	if boundary == 0 {
 		return wal.Cursor{}, 0, errors.New("snapshot carries no journal boundary: primary has no WAL to stream")
 	}
-	fleet, pending, err := prorp.RestoreShardedFleet(s.cfg.Options, s.cfg.Shards, bytes.NewReader(payload))
+	fleet, _, err := prorp.RestoreShardedFleet(s.cfg.Options, s.cfg.Shards, bytes.NewReader(payload))
 	if err != nil {
 		return wal.Cursor{}, 0, fmt.Errorf("decoding snapshot: %w", err)
 	}
-	s.swapFleet(fleet, pending)
+	s.swapFleet(fleet)
 	// Make the adoption locally durable before the cursor moves: the local
 	// snapshot re-serializes the adopted state and compacts the local
 	// journal below it, so a crash right now reboots into the new lineage.
@@ -406,12 +412,12 @@ func (s *Server) replResync(primaryEpoch uint64) (wal.Cursor, uint64, error) {
 
 // swapFleet replaces the serving runtime after a snapshot resync: swap
 // the pointer, attach the decision histograms to the new runtime, and
-// rebuild the wake timers from the snapshot's pending set.
-func (s *Server) swapFleet(fleet *prorp.ShardedFleet, pending []prorp.PendingWake) {
+// rebuild the wake timers from the new fleet's pending set.
+func (s *Server) swapFleet(fleet *prorp.ShardedFleet) {
 	s.fleetP.Store(fleet)
 	fleet.InstrumentObs(s.reg)
 	s.wakes.reset()
-	for _, w := range pending {
+	for _, w := range fleet.PendingWakes() {
 		s.wakes.schedule(w.ID, w.WakeAt)
 	}
 }
@@ -425,19 +431,17 @@ const (
 
 // observePeerEpoch folds a peer's epoch header into the node. This is how
 // fencing propagates: the first stream poll a new-epoch follower sends to
-// the old primary demotes it, durably, before the response goes out.
-// Returns the peer's epoch, 0 when it sent none.
+// the old primary demotes it, durably, before the response goes out. Only
+// a higher epoch enters the election driver. Returns the peer's epoch, 0
+// when it sent none.
 func (s *Server) observePeerEpoch(r *http.Request) uint64 {
 	e, err := strconv.ParseUint(r.Header.Get(repl.HeaderEpoch), 10, 64)
 	if err != nil || e == 0 {
 		return 0
 	}
-	if s.node.ObserveEpoch(e) {
-		if perr := s.persistReplState(s.node.Epoch(), s.loadCursor(), true); perr != nil {
-			s.logf("persisting observed epoch %d: %v", e, perr)
-		}
-		if s.node.Fenced() {
-			s.logf("fenced: observed epoch %d from a peer; this node no longer accepts writes", e)
+	if e > s.node.Epoch() {
+		if err := s.elect.Adopt(r.Context(), e); err != nil {
+			s.logf("adopting observed epoch %d: %v", e, err)
 		}
 	}
 	return e
@@ -687,101 +691,45 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(frame)
 }
 
-// handleReplPromote makes this node the primary of a new epoch. On an
-// unfenced primary it is a no-op reporting the current epoch; on a
-// replica or fenced ex-primary it stops the stream loop, bumps the epoch
-// durably, and starts acknowledging writes. The old primary fences itself
-// the moment the new epoch reaches it over the stream (or via
-// POST /v1/repl/fence). Writes acknowledged by the old primary but not
-// yet replicated are lost — replication is asynchronous; the lag gauges
-// bound that window.
-func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
-	if s.node.CanAcceptWrites() {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"role": s.node.Role().String(), "epoch": s.node.Epoch(), "promoted": false,
-		})
-		return
-	}
-	epoch, err := s.promoteTo(0)
+// handleReplPromotion makes this node the primary of a new epoch (a no-op
+// reporting the epoch on an unfenced primary). The old primary fences
+// itself the moment the new epoch reaches it over the stream (or via
+// POST /v1/repl/fence). Writes it acknowledged but had not replicated are
+// lost — replication is asynchronous; the lag gauges bound that window.
+func (s *Server) handleReplPromotion(w http.ResponseWriter, r *http.Request) {
+	st, out, err := s.elect.Submit(r.Context(), repl.Input{Kind: repl.KindPromote})
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"role": s.node.Role().String(), "epoch": epoch, "promoted": true,
+		"role": st.Role.String(), "epoch": st.Epoch, "promoted": out.Promote,
 	})
 }
 
-// promoteTo is the shared promotion path behind POST /v1/repl/promote
-// (to == 0: bump to a fresh epoch) and an election win (to > 0: become the
-// unfenced primary of exactly the epoch the electorate granted). It stops
-// and sheds the follower, promotes durably, re-arms the wake loop, and —
-// in failover mode — announces the new reign to the peers.
-func (s *Server) promoteTo(to uint64) (uint64, error) {
+// stopFollowing is the driver's StopFollowing hook, run before a promotion
+// is persisted: stop and shed the follower, keeping its final position on
+// record.
+func (s *Server) stopFollowing() {
 	s.followMu.Lock()
 	defer s.followMu.Unlock()
 	if f := s.followerP.Load(); f != nil {
 		f.Stop() // drain the in-flight batch, then no more pulls
 		s.replMu.Lock()
-		s.replCursor = f.Cursor() // keep the final stream position on record
+		s.replCursor = f.Cursor()
 		s.replMu.Unlock()
 		s.followerP.Store(nil)
 	}
-	cur := s.loadCursor()
-	var epoch uint64
-	if to == 0 {
-		epoch = s.node.Promote()
-	} else {
-		if !s.node.PromoteTo(to) {
-			return 0, fmt.Errorf("promotion to epoch %d overtaken (node is at %d)", to, s.node.Epoch())
-		}
-		epoch = to
-	}
-	// Promotion starts a new reign: this node's journal is now the lineage
-	// every follower's cursor will be measured against. Set it before the
-	// persist below so it lands in the same durable write.
-	s.replMu.Lock()
-	s.replLineage = epoch
-	s.replMu.Unlock()
-	if err := s.persistReplState(epoch, cur, true); err != nil {
-		// Promoted in memory but not on disk: a crash now boots back into
-		// the old role. Surface it loudly instead of acking.
-		s.logf("promotion to epoch %d not durable: %v", epoch, err)
-		return 0, fmt.Errorf("promoted to epoch %d, but persisting failed: %v", epoch, err)
-	}
-	if s.cfg.SelfAddr != "" {
-		s.setPrimaryAddr(s.cfg.SelfAddr)
-	}
-	s.wakes.kick() // the wake loop may start arming timers now
-	s.logf("promoted: primary of epoch %d (stream cursor was %s)", epoch, cur)
-	if s.elector != nil {
-		go s.announcePeers() // tell the cluster now, not at the next beat
-	}
-	return epoch, nil
 }
 
-// adoptPrimary folds in word of a primary at addr holding epoch e (an
-// announce received, or a vote refusal naming the leader): adopt the
-// epoch — fencing this node if it was an unfenced primary — renew the
-// lease, and point the follower at the new address.
-func (s *Server) adoptPrimary(addr string, e uint64, ttl time.Duration) {
-	if e < s.node.Epoch() || addr == "" || addr == s.cfg.SelfAddr {
-		return
+// follow is the driver's Follow hook: this node leads (the wake loop may
+// arm timers now), or it follows addr.
+func (s *Server) follow(addr string) {
+	if addr == s.cfg.SelfAddr {
+		s.wakes.kick()
+	} else {
+		s.ensureFollowing(addr)
 	}
-	if s.node.ObserveEpoch(e) {
-		if err := s.persistReplState(s.node.Epoch(), s.loadCursor(), true); err != nil {
-			s.logf("persisting adopted epoch %d: %v", e, err)
-		}
-		if s.node.Fenced() {
-			s.logf("fenced: %s announced epoch %d; this node no longer accepts writes", addr, e)
-		}
-	}
-	if s.node.CanAcceptWrites() {
-		return // still the unfenced primary of e: nothing to follow
-	}
-	s.renewLease(e, ttl)
-	s.setPrimaryAddr(addr)
-	s.ensureFollowing(addr)
 }
 
 // ensureFollowing points this node's stream loop at addr, creating the
@@ -791,9 +739,6 @@ func (s *Server) adoptPrimary(addr string, e uint64, ttl time.Duration) {
 // (journal offsets are per-lineage; resuming a cursor against a different
 // primary's stream would double-apply).
 func (s *Server) ensureFollowing(addr string) {
-	if addr == "" || addr == s.cfg.SelfAddr {
-		return
-	}
 	s.followMu.Lock()
 	defer s.followMu.Unlock()
 	if s.closing || s.node.CanAcceptWrites() {
@@ -807,8 +752,18 @@ func (s *Server) ensureFollowing(addr string) {
 		s.logf("cannot auto-follow %s: following requires WALDir and SnapshotPath", addr)
 		return
 	}
-	f := repl.NewFollower(repl.FollowerConfig{
-		PrimaryURL:    addr,
+	// An ex-primary's journal is its own lineage; only the new primary's
+	// snapshot is a safe starting point.
+	f := s.newFollower(addr, wal.Cursor{}, true)
+	s.followerP.Store(f)
+	f.Start()
+	s.logf("following %s (auto-demoted into a replica)", addr)
+}
+
+// newFollower builds the stream loop from primary at cursor.
+func (s *Server) newFollower(primary string, cursor wal.Cursor, resyncFirst bool) *repl.Follower {
+	return repl.NewFollower(repl.FollowerConfig{
+		PrimaryURL:    primary,
 		Doer:          s.replDoer(),
 		Clock:         s.clock,
 		PollInterval:  s.cfg.ReplPollInterval,
@@ -817,39 +772,33 @@ func (s *Server) ensureFollowing(addr string) {
 		NodeID:        s.cfg.NodeID,
 		Apply:         s.applyStreamed,
 		Persist:       s.persistReplState,
+		Adopt:         s.elect.Adopt,
 		Resync:        s.replResync,
-		// An ex-primary's journal is its own lineage; only the new
-		// primary's snapshot is a safe starting point.
-		ResyncOnStart:    true,
-		OnPrimaryContact: s.renewLease,
-		Logf:             s.logf,
-	}, wal.Cursor{})
-	s.followerP.Store(f)
-	f.Start()
-	s.logf("following %s (auto-demoted into a replica)", addr)
+		ResyncOnStart: resyncFirst,
+		Lease:         s.lease,
+		Logf:          s.logf,
+	}, cursor)
 }
 
-// votePosition is this node's position for vote comparisons — cursor plus
-// lineage, because a cursor is only comparable against cursors indexing
-// the same reign's journal. The follower's live position when following,
-// the journal's durable end (under this node's own reign) when this node
-// is or last was the stream's source, the persisted pair otherwise.
-func (s *Server) votePosition() (wal.Cursor, uint64) {
+// votePosition is this node's (lineage, cursor) for votes: the follower's
+// live cursor when following, under its stream's reign (the persisted
+// lineage until the follower learns one — never reign 0 for a possibly
+// non-zero cursor); the journal's durable end under this node's own reign
+// when it is or last was the stream's source; the persisted pair otherwise.
+func (s *Server) votePosition() repl.Position {
 	if f := s.followerRef(); f != nil {
-		if r := f.SourceReign(); r > 0 {
-			return f.Cursor(), r
+		r := f.SourceReign()
+		if r == 0 {
+			r = s.lineage()
 		}
-		// The follower has not learned its stream's reign yet (it may not
-		// have resynced or polled): fall through to the persisted lineage
-		// rather than claiming reign 0 for a possibly non-zero cursor.
-		return f.Cursor(), s.lineage()
+		return repl.Position{Lineage: r, Cursor: f.Cursor()}
 	}
 	if s.wal != nil && s.node.Role() == repl.RolePrimary {
-		return s.wal.DurableCursor(), s.lineage()
+		return repl.Position{Lineage: s.lineage(), Cursor: s.wal.DurableCursor()}
 	}
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
-	return s.replCursor, s.replLineage
+	return repl.Position{Lineage: s.replLineage, Cursor: s.replCursor}
 }
 
 // lineage is the reign epoch of the journal this node's cursor indexes.
@@ -859,8 +808,6 @@ func (s *Server) lineage() uint64 {
 	return s.replLineage
 }
 
-// handleReplVote is the voter side of a replica-initiated election; the
-// verdict logic lives in repl.HandleVote.
 // readControlBody reads a control-plane request body into v, verifying
 // the sender's checksum when one was sent (our own clients always send
 // one; a bare curl may not). A mismatch means the body was damaged in
@@ -894,164 +841,32 @@ func writeSummedJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(body)
 }
 
-func (s *Server) handleReplVote(w http.ResponseWriter, r *http.Request) {
-	var req repl.VoteRequest
-	if err := readControlBody(w, r, 1<<12, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad vote body: " + err.Error()})
-		return
-	}
-	if req.Epoch == 0 {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "vote epoch must be positive"})
-		return
-	}
-	leader := s.currentPrimary()
-	if s.node.CanAcceptWrites() {
-		leader = s.cfg.SelfAddr
-	}
-	cur, lin := s.votePosition()
-	resp := repl.HandleVote(s.node, cur, lin, leader, func() error {
-		return s.persistReplState(s.node.Epoch(), s.loadCursor(), true)
-	}, req)
-	if resp.Granted {
-		s.repl.votesGranted.Add(1)
-		// Granting is evidence an election is already in progress: stand
-		// down for a full TTL (Raft's reset-timer-on-grant), or a voter
-		// whose own deadline fires moments later dethrones the fresh
-		// winner before its first announce can land.
-		if s.lease != nil {
-			s.lease.Renew(resp.Epoch, 0)
-		}
-		s.logf("vote granted: %s is our candidate for epoch %d", req.Candidate, req.Epoch)
-	} else {
-		s.repl.votesRefused.Add(1)
-		s.logf("vote refused for %s (epoch %d): %s", req.Candidate, req.Epoch, resp.Reason)
-	}
-	writeSummedJSON(w, http.StatusOK, resp)
-}
-
-// announceBody is the primary's reign broadcast, POSTed to
-// /v1/repl/announce on every peer each LeaseTTL/2.
-type announceBody struct {
-	Epoch uint64 `json:"epoch"`
-	Addr  string `json:"addr"`
-	Node  string `json:"node"`
-}
-
-// handleReplAnnounce receives a primary's reign broadcast. Accepting it
-// renews the lease and (re)points the follower — including auto-demoting
-// a fenced ex-primary that just rebooted. The response carries this
-// node's epoch, so a STALE announcer learns it was superseded and fences
-// itself: fencing closes in both directions.
-func (s *Server) handleReplAnnounce(w http.ResponseWriter, r *http.Request) {
-	var req announceBody
-	if err := readControlBody(w, r, 1<<12, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad announce body: " + err.Error()})
-		return
-	}
-	if req.Epoch == 0 || req.Addr == "" {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "announce requires epoch and addr"})
-		return
-	}
-	s.adoptPrimary(req.Addr, req.Epoch, 0)
-	writeSummedJSON(w, http.StatusOK, map[string]any{
-		"epoch":  s.node.Epoch(),
-		"fenced": s.node.Fenced(),
-		"role":   s.node.Role().String(),
-	})
-}
-
-// announceLoop broadcasts this node's reign to every peer each LeaseTTL/2
-// while it is the unfenced primary — the out-of-band half of the lease
-// heartbeat (the in-band half rides the stream response headers), and
-// what re-captures a rebooted ex-primary that nobody is streaming from.
-func (s *Server) announceLoop() {
-	defer s.bg.Done()
-	interval := s.cfg.LeaseTTL / 2
-	if interval <= 0 {
-		interval = time.Second
-	}
-	for {
-		select {
-		case <-s.stop:
+// handleElection receives a vote request (/v1/repl/vote) or a reign
+// announce (/v1/repl/announce) and answers with the election driver's
+// reply: a verdict, or this node's epoch — so a stale announcer learns it
+// was superseded and fences itself.
+func (s *Server) handleElection(kind repl.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var m repl.Message
+		if err := readControlBody(w, r, 1<<12, &m); err != nil {
+			writeJSON(w, http.StatusBadRequest, errorJSON{Error: "bad election body: " + err.Error()})
 			return
-		default:
 		}
-		if s.node.CanAcceptWrites() {
-			s.announcePeers()
+		m.Kind = kind
+		_, out, err := s.elect.Submit(r.Context(), repl.Input{Kind: kind, Msg: m})
+		if err != nil || out.Reply == nil {
+			writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: fmt.Sprintf("election state unavailable: %v", err)})
+			return
 		}
-		s.sleepInterruptible(interval)
+		if kind == repl.KindVote {
+			if out.Reply.Granted {
+				s.repl.votesGranted.Add(1)
+			} else {
+				s.repl.votesRefused.Add(1)
+			}
+		}
+		writeSummedJSON(w, http.StatusOK, out.Reply)
 	}
-}
-
-// sleepInterruptible sleeps on the injected clock, returning early on
-// shutdown; the clock's Sleep runs in a goroutine so a manual test clock
-// cannot wedge Close.
-func (s *Server) sleepInterruptible(d time.Duration) {
-	ch := make(chan struct{})
-	go func() {
-		s.clock.Sleep(d)
-		close(ch)
-	}()
-	select {
-	case <-s.stop:
-	case <-ch:
-	}
-}
-
-// announcePeers POSTs one reign broadcast to every peer in parallel and
-// folds each response's epoch back in — a peer that refuses because it
-// has seen further is how a stale primary discovers it must fence.
-func (s *Server) announcePeers() {
-	body, err := json.Marshal(announceBody{
-		Epoch: s.node.Epoch(), Addr: s.cfg.SelfAddr, Node: s.cfg.NodeID,
-	})
-	if err != nil {
-		return
-	}
-	var wg sync.WaitGroup
-	for name, base := range s.cfg.ReplPeers {
-		wg.Add(1)
-		go func(name, base string) {
-			defer wg.Done()
-			req, err := http.NewRequest(http.MethodPost, base+"/v1/repl/announce", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set(repl.HeaderEpoch, strconv.FormatUint(s.node.Epoch(), 10))
-			req.Header.Set(repl.HeaderSum, repl.BodySum(body))
-			resp, err := s.replDoer().Do(req)
-			if err != nil {
-				return
-			}
-			defer func() {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}()
-			s.repl.announces.Add(1)
-			// Only a checksum-verified response may move the epoch: a bit
-			// flip in the reply must read as a dropped round trip, not as a
-			// peer from the future.
-			rbody, err := repl.VerifiedBody(resp, 1<<12)
-			if err != nil {
-				return
-			}
-			var out struct {
-				Epoch uint64 `json:"epoch"`
-			}
-			if json.Unmarshal(rbody, &out) == nil && out.Epoch > 0 {
-				if s.node.ObserveEpoch(out.Epoch) {
-					if perr := s.persistReplState(s.node.Epoch(), s.loadCursor(), true); perr != nil {
-						s.logf("persisting epoch %d learned from %s: %v", out.Epoch, name, perr)
-					}
-					if s.node.Fenced() {
-						s.logf("fenced: peer %s is at epoch %d; this node no longer accepts writes", name, out.Epoch)
-					}
-				}
-			}
-		}(name, base)
-	}
-	wg.Wait()
 }
 
 // handleReplFence force-feeds the node an epoch, fencing a primary
@@ -1070,15 +885,13 @@ func (s *Server) handleReplFence(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "fence epoch must be positive"})
 		return
 	}
-	if s.node.ObserveEpoch(req.Epoch) {
-		if err := s.persistReplState(s.node.Epoch(), s.loadCursor(), true); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorJSON{Error: "fence not durable: " + err.Error()})
-			return
-		}
-		s.logf("fenced at epoch %d by operator", req.Epoch)
+	st, _, err := s.elect.Submit(r.Context(), repl.Input{Kind: repl.KindFence, Msg: repl.Message{Epoch: req.Epoch}})
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: "fence not durable: " + err.Error()})
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"role": s.node.Role().String(), "epoch": s.node.Epoch(), "fenced": s.node.Fenced(),
+		"role": st.Role.String(), "epoch": st.Epoch, "fenced": st.Fenced,
 	})
 }
 
@@ -1181,15 +994,15 @@ func (s *Server) registerReplMetrics() {
 		reg.CounterFunc("prorp_repl_lease_renewals_total", "Lease renewals from primary contact.",
 			func() uint64 { return s.lease.Renewals() })
 	}
-	if s.elector != nil {
+	if s.lease != nil {
 		reg.CounterFunc("prorp_repl_election_campaigns_total", "Candidacies this node stood.",
-			func() uint64 { return s.elector.Stats().Campaigns })
+			func() uint64 { return s.elect.Stats().Campaigns })
 		reg.CounterFunc("prorp_repl_election_wins_total", "Elections this node won.",
-			func() uint64 { return s.elector.Stats().Wins })
+			func() uint64 { return s.elect.Stats().Wins })
 		reg.CounterFunc("prorp_repl_election_losses_total", "Candidacies that fell short of a majority.",
-			func() uint64 { return s.elector.Stats().Losses })
+			func() uint64 { return s.elect.Stats().Losses })
 		reg.CounterFunc("prorp_repl_announces_total", "Reign broadcasts delivered to peers.",
-			func() uint64 { return s.repl.announces.Load() })
+			func() uint64 { return s.elect.Stats().Announces })
 	}
 	if s.coverage != nil {
 		reg.GaugeFunc("prorp_repl_quorum_acks", "Replica acks each write waits for (K).",

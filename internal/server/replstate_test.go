@@ -68,11 +68,11 @@ func (f countedReplFile) Sync() error {
 
 func loadState(t *testing.T, s *Server) (epoch uint64, fenced bool, c wal.Cursor, leaseMs int64, lineage uint64) {
 	t.Helper()
-	epoch, fenced, c, leaseMs, lineage, err := loadReplState(faults.OS, replStatePath(s.cfg.WALDir))
+	head, c, leaseMs, lineage, err := loadReplState(faults.OS, replStatePath(s.cfg.WALDir))
 	if err != nil {
 		t.Fatalf("loadReplState: %v", err)
 	}
-	return epoch, fenced, c, leaseMs, lineage
+	return head.epoch, head.fenced, c, leaseMs, lineage
 }
 
 // TestAckedWriteCostsTheReplicaNoRenameAndNoSync: after every quorum-acked
@@ -150,7 +150,7 @@ func TestSyncPersistLeavesNoStaleProgress(t *testing.T) {
 	at := func(off int64) wal.Cursor { return wal.Cursor{Seg: 3, Off: off} }
 	persist := func(c wal.Cursor, sync bool) {
 		t.Helper()
-		if err := s.persistReplState(s.node.Epoch(), c, sync); err != nil {
+		if err := s.persistReplState(c, sync); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,12 +161,12 @@ func TestSyncPersistLeavesNoStaleProgress(t *testing.T) {
 			t.Fatalf("after progress to %v the file loads %v", at(off), c)
 		}
 	}
-	if data := readState(t, s); bytes.Count(data, []byte("\n")) != 2 || len(data) != len("PRR1 1 0 3:100 0 1\n")+progressLineLen {
+	if data := readState(t, s); bytes.Count(data, []byte("\n")) != 2 || len(data) != len("PRR1 1 0 3:100 0 1 -\n")+progressLineLen {
 		t.Fatalf("five progress writes left %q, want line one and ONE progress line", data)
 	}
 
 	persist(at(250), true)
-	if data := readState(t, s); string(data) != "PRR1 1 0 3:250 0 1\n" {
+	if data := readState(t, s); string(data) != "PRR1 1 0 3:250 0 1 -\n" {
 		t.Fatalf("sync persist left %q, want line one alone", data)
 	}
 	persist(at(275), false)
@@ -180,12 +180,17 @@ func TestSyncPersistLeavesNoStaleProgress(t *testing.T) {
 		t.Fatalf("a progress line behind line one moved the loaded cursor to %v, want line one's %v", c, at(250))
 	}
 
-	// An epoch or fence the file does not hold yet is never left to a
-	// progress line: the persist rewrites.
-	s.node.ObserveEpoch(7)
+	// An epoch or fence is never left to a progress line: the election
+	// driver rewrites line one before the node shows it, and cursor-only
+	// persists after it land in the new file's progress line.
+	code, out := call(t, s, "POST", "/v1/repl/fence", `{"epoch":7}`)
+	wantStatus(t, code, http.StatusOK, out)
+	if data := readState(t, s); string(data) != "PRR1 7 1 3:200 0 1 -\n" {
+		t.Fatalf("the fence left %q, want a rewritten line one", data)
+	}
 	persist(at(300), false)
-	if data := readState(t, s); string(data) != "PRR1 7 1 3:300 0 1\n" {
-		t.Fatalf("cursor-only persist after an unpersisted fence left %q, want a rewritten line one", data)
+	if epoch, fenced, c, _, _ := loadState(t, s); epoch != 7 || !fenced || c != at(300) {
+		t.Fatalf("progress after the fence loads epoch %d fenced %v cursor %v", epoch, fenced, c)
 	}
 }
 
@@ -208,12 +213,12 @@ func TestTornProgressLineIsIgnored(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		epoch, fenced, c, leaseMs, lineage, err := loadReplState(faults.OS, path)
+		head, c, leaseMs, lineage, err := loadReplState(faults.OS, path)
 		if err != nil {
 			t.Fatalf("%q refused the boot: %v", content, err)
 		}
-		if epoch != 4 || !fenced {
-			t.Fatalf("%q loaded epoch %d fenced %v: the progress line touched line one's", content, epoch, fenced)
+		if head.epoch != 4 || !head.fenced {
+			t.Fatalf("%q loaded epoch %d fenced %v: the progress line touched line one's", content, head.epoch, head.fenced)
 		}
 		return c, leaseMs, lineage
 	}
@@ -252,7 +257,7 @@ func TestTornProgressLineIsIgnored(t *testing.T) {
 	if err := os.WriteFile(path, []byte("PRR1 4 1 7:1012\n"+string(newer)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, _, err := loadReplState(faults.OS, path); err == nil {
+	if _, _, _, _, err := loadReplState(faults.OS, path); err == nil {
 		t.Fatal("a short line one booted on the strength of its progress line")
 	}
 }
@@ -279,11 +284,12 @@ func parentLoadReplState(data []byte) (epoch uint64, fenced bool, c wal.Cursor, 
 // one-line file boots under this one.
 func TestReplStateCrossesBuildsBothWays(t *testing.T) {
 	s := replStateServer(t)
-	s.node.ObserveEpoch(5)
-	if err := s.persistReplState(5, wal.Cursor{Seg: 2, Off: 37}, true); err != nil {
+	code, out := call(t, s, "POST", "/v1/repl/fence", `{"epoch":5}`)
+	wantStatus(t, code, http.StatusOK, out)
+	if err := s.persistReplState(wal.Cursor{Seg: 2, Off: 37}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.persistReplState(5, wal.Cursor{Seg: 2, Off: 62}, false); err != nil {
+	if err := s.persistReplState(wal.Cursor{Seg: 2, Off: 62}, false); err != nil {
 		t.Fatal(err)
 	}
 	epoch, fenced, c, _, lineage, err := parentLoadReplState(readState(t, s))
@@ -295,9 +301,9 @@ func TestReplStateCrossesBuildsBothWays(t *testing.T) {
 	if err := os.WriteFile(path, []byte("PRR1 9 0 4:112 1700000000000 8\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	epoch, fenced, c, leaseMs, lineage, err := loadReplState(faults.OS, path)
-	if err != nil || epoch != 9 || fenced || c != (wal.Cursor{Seg: 4, Off: 112}) || leaseMs != 1700000000000 || lineage != 8 {
-		t.Fatalf("previous build's file loads %d/%v/%v/%d/%d (%v)", epoch, fenced, c, leaseMs, lineage, err)
+	head, c, leaseMs, lineage, err := loadReplState(faults.OS, path)
+	if err != nil || head != (replHead{epoch: 9}) || c != (wal.Cursor{Seg: 4, Off: 112}) || leaseMs != 1700000000000 || lineage != 8 {
+		t.Fatalf("previous build's file loads %+v/%v/%d/%d (%v)", head, c, leaseMs, lineage, err)
 	}
 }
 
@@ -327,8 +333,45 @@ func TestRebootedReplicaVotesFromItsLastAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	cur, lineage := r2.votePosition()
+	pos := r2.votePosition()
+	cur, lineage := pos.Cursor, pos.Lineage
 	if cur.Before(acked) || lineage != 1 {
 		t.Fatalf("rebooted replica votes from %v lineage %d; it acknowledged %v under reign 1", cur, lineage, acked)
+	}
+}
+
+// TestVoteSurvivesReboot: a vote is line one's, written before the grant
+// leaves, so a voter that crashes and reboots never grants the same epoch
+// to a second candidate — and still answers the first the same way.
+func TestVoteSurvivesReboot(t *testing.T) {
+	cfg := replConfig(t.TempDir(), &fakeClock{t: t0})
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vote := func(s *Server, cand string) bool {
+		t.Helper()
+		body := fmt.Sprintf(`{"from":%q,"epoch":2,"round":2,"pos":{"lineage":9}}`, cand)
+		code, out := call(t, s, "POST", "/v1/repl/vote", body)
+		wantStatus(t, code, http.StatusOK, out)
+		return out["granted"] == true
+	}
+	if !vote(s, "b") {
+		t.Fatal("first vote for epoch 2 refused")
+	}
+	if head, _, _, _, _ := loadReplState(faults.OS, replStatePath(cfg.WALDir)); head != (replHead{epoch: 2, fenced: true, vote: "b"}) {
+		t.Fatalf("after the grant line one holds %+v", head)
+	}
+	s.Kill()
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if vote(s2, "c") {
+		t.Fatal("rebooted voter granted epoch 2 to a second candidate")
+	}
+	if !vote(s2, "b") {
+		t.Fatal("rebooted voter refused the candidate it voted for")
 	}
 }

@@ -297,18 +297,16 @@ type Server struct {
 	peerAddrMu sync.Mutex
 	peerAddrs  map[string]string
 
-	// Self-healing failover (nil/zero unless Config.LeaseTTL is set):
-	// lease tracks primary liveness, elector campaigns when it lapses,
+	// elect owns the election state (epoch, fence, votes, the primary
+	// followed) and is the only writer of node. Self-healing failover
+	// (nil unless Config.LeaseTTL is set): lease tracks primary liveness,
 	// coverage tracks follower cursors for quorum-acked writes. followMu
-	// serializes follower create/repoint/stop against promotion; primaryMu
-	// guards the mutable primary address (it moves on every failover).
-	lease       *repl.Lease
-	elector     *repl.Elector
-	coverage    *wal.Coverage
-	followMu    sync.Mutex
-	closing     bool // under followMu: no new followers past Close/Kill
-	primaryMu   sync.Mutex
-	primaryAddr string
+	// serializes follower create/repoint/stop against promotion.
+	elect    *repl.Driver
+	lease    *repl.Lease
+	coverage *wal.Coverage
+	followMu sync.Mutex
+	closing  bool // under followMu: no new followers past Close/Kill
 
 	// Partitioning: router is the shard-map routing state (nil when
 	// Config.Group is empty — the single-group layout), migrateMu
@@ -545,15 +543,15 @@ func New(cfg Config) (*Server, error) {
 	// primary must come back fenced or a restart would quietly un-demote
 	// it, and a reboot inside an unexpired lease must respect it rather
 	// than instantly campaign against a primary that was alive moments ago.
-	s.primaryAddr = cfg.PrimaryAddr
-	epoch, fenced, cursor, leaseMs, lineage, err := loadReplState(cfg.FS, replStatePath(cfg.WALDir))
+	head, cursor, leaseMs, lineage, err := loadReplState(cfg.FS, replStatePath(cfg.WALDir))
 	if err != nil {
 		if journal != nil {
 			journal.Close()
 		}
 		return nil, fmt.Errorf("server: reading repl state: %w", err)
 	}
-	s.node = repl.RestoreNode(cfg.Role, epoch, fenced)
+	fenced := head.fenced
+	s.node = repl.RestoreNode(cfg.Role, head.epoch, fenced)
 	s.replCursor = cursor
 	s.replLineage = lineage
 	if lineage == 0 && cfg.Role == repl.RolePrimary && !fenced {
@@ -569,6 +567,29 @@ func New(cfg Config) (*Server, error) {
 			s.lease.RestoreUntil(s.node.Epoch(), time.UnixMilli(leaseMs))
 		}
 	}
+	s.replHead = replHead{epoch: s.node.Epoch(), fenced: s.node.Fenced(), vote: head.vote}
+	var peers map[string]string
+	if cfg.LeaseTTL > 0 {
+		peers = cfg.ReplPeers
+	}
+	s.elect = repl.NewDriver(repl.DriverConfig{
+		ID:            cfg.NodeID,
+		Addr:          cfg.SelfAddr,
+		Peers:         peers,
+		Node:          s.node,
+		Vote:          head.vote,
+		Leader:        cfg.PrimaryAddr,
+		Lease:         s.lease,
+		Clock:         clock,
+		Doer:          s.replDoer(),
+		Timeout:       cfg.ElectionTimeout,
+		Seed:          cfg.ElectionSeed,
+		Persist:       s.persistElection,
+		Position:      s.votePosition,
+		StopFollowing: s.stopFollowing,
+		Follow:        s.follow,
+		Logf:          cfg.Logf,
+	})
 	if cfg.QuorumAcks > 0 {
 		s.coverage = wal.NewCoverage()
 	}
@@ -612,21 +633,7 @@ func New(cfg Config) (*Server, error) {
 		if resyncFirst {
 			cfg.Logf("replica boot: %d databases restored but no stream cursor; forcing snapshot resync", fleet.Size())
 		}
-		s.followerP.Store(repl.NewFollower(repl.FollowerConfig{
-			PrimaryURL:       cfg.PrimaryAddr,
-			Doer:             s.replDoer(),
-			Clock:            clock,
-			PollInterval:     cfg.ReplPollInterval,
-			MaxBatchBytes:    cfg.ReplMaxBatchBytes,
-			Node:             s.node,
-			NodeID:           cfg.NodeID,
-			Apply:            s.applyStreamed,
-			Persist:          s.persistReplState,
-			Resync:           s.replResync,
-			ResyncOnStart:    resyncFirst,
-			OnPrimaryContact: s.renewLease,
-			Logf:             cfg.Logf,
-		}, cursor))
+		s.followerP.Store(s.newFollower(cfg.PrimaryAddr, cursor, resyncFirst))
 	}
 
 	if cfg.Group != "" {
@@ -646,32 +653,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	if cfg.LeaseTTL > 0 {
-		s.elector = repl.NewElector(repl.ElectorConfig{
-			NodeID:   cfg.NodeID,
-			SelfAddr: cfg.SelfAddr,
-			Peers:    cfg.ReplPeers,
-			Node:     s.node,
-			Lease:    s.lease,
-			Clock:    clock,
-			Doer:     s.replDoer(),
-			Timeout:  cfg.ElectionTimeout,
-			Seed:     cfg.ElectionSeed,
-			// Only a node that is actively following (and so has a journal
-			// position in the current primary's cursor space) may stand: a
-			// fenced ex-primary that has not re-attached yet has nothing
-			// comparable to offer the electorate.
-			Eligible: func() bool { return !s.node.CanAcceptWrites() && s.followerRef() != nil },
-			Cursor:   s.votePosition,
-			Persist: func() error {
-				return s.persistReplState(s.node.Epoch(), s.loadCursor(), true)
-			},
-			Promote:  func(e uint64) error { _, err := s.promoteTo(e); return err },
-			OnLeader: func(addr string, e uint64) { s.adoptPrimary(addr, e, 0) },
-			Logf:     cfg.Logf,
-		})
-	}
-
 	s.predHist = reg.Histogram("prorp_prediction_duration_seconds",
 		"Algorithm 4 latency behind GET /v1/db/{id}: one prediction, or the full per-window scan under ?windows=.", obs.LatencyBuckets)
 	fleet.InstrumentObs(reg)
@@ -688,11 +669,7 @@ func New(cfg Config) (*Server, error) {
 	if f := s.followerP.Load(); f != nil {
 		f.Start()
 	}
-	if s.elector != nil {
-		s.elector.Start()
-		s.bg.Add(1)
-		go s.announceLoop()
-	}
+	s.elect.Start()
 	return s, nil
 }
 
@@ -701,17 +678,7 @@ func New(cfg Config) (*Server, error) {
 // the event journal.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
-		if s.elector != nil {
-			s.elector.Stop() // no new candidacies past this point
-		}
-		s.followMu.Lock()
-		s.closing = true // no announce may spawn a fresh follower now
-		if f := s.followerP.Load(); f != nil {
-			f.Stop() // no new streamed records past this point
-		}
-		s.followMu.Unlock()
-		close(s.stop)
-		s.bg.Wait()
+		s.stopLoops()
 		if s.cfg.SnapshotPath != "" {
 			if _, err := s.writeSnapshot(); err != nil {
 				s.closeErr = fmt.Errorf("server: final snapshot: %w", err)
@@ -737,17 +704,7 @@ func (s *Server) Close() error {
 // uses it to model a crash; production shutdown is Close.
 func (s *Server) Kill() {
 	s.closeOnce.Do(func() {
-		if s.elector != nil {
-			s.elector.Stop()
-		}
-		s.followMu.Lock()
-		s.closing = true
-		if f := s.followerP.Load(); f != nil {
-			f.Stop()
-		}
-		s.followMu.Unlock()
-		close(s.stop)
-		s.bg.Wait()
+		s.stopLoops()
 		if s.wal != nil {
 			s.wal.Kill()
 		}
@@ -755,6 +712,20 @@ func (s *Server) Kill() {
 		s.closeReplStateLocked()
 		s.replMu.Unlock()
 	})
+}
+
+// stopLoops is the shared head of Close and Kill: no candidacy, epoch,
+// follower or streamed record past it, and every background loop exited.
+func (s *Server) stopLoops() {
+	s.elect.Stop()
+	s.followMu.Lock()
+	s.closing = true
+	if f := s.followerP.Load(); f != nil {
+		f.Stop()
+	}
+	s.followMu.Unlock()
+	close(s.stop)
+	s.bg.Wait()
 }
 
 // applyRecord applies one journaled record to the fleet and reconciles
@@ -1138,10 +1109,10 @@ func (s *Server) buildMux() {
 	handle("GET", "/healthz", s.handleHealthz)
 	handle("POST", "/v1/ops/resume", s.handleOpsResume)
 	handle("POST", "/v1/ops/snapshot", s.handleOpsSnapshot)
-	handle("POST", "/v1/repl/promote", s.handleReplPromote)
+	handle("POST", "/v1/repl/promote", s.handleReplPromotion)
 	handle("POST", "/v1/repl/fence", s.handleReplFence)
-	handle("POST", "/v1/repl/vote", s.handleReplVote)
-	handle("POST", "/v1/repl/announce", s.handleReplAnnounce)
+	handle("POST", "/v1/repl/vote", s.handleElection(repl.KindVote))
+	handle("POST", "/v1/repl/announce", s.handleElection(repl.KindAnnounce))
 	handle("GET", "/v1/shard/map", s.handleShardMap)
 	handle("POST", "/v1/shard/migrate", s.handleShardMigrate)
 	handle("POST", "/v1/shard/reconcile", s.handleShardReconcile)

@@ -379,3 +379,67 @@ func TestGetDBGolden(t *testing.T) {
 		t.Errorf("GET /v1/db/1?windows=1: %d bytes hashing to %s, want %d bytes, %s", len(got), sum, goldenWindowsLen, goldenWindows)
 	}
 }
+
+// TestDuplicateLogoutKeepsTheWake: a logout retried after its first copy
+// was applied (a quorum timeout, say) is a no-op that keeps the pending
+// wake — so past its WakeAt the database physically pauses instead of
+// staying allocated, unbilled, until its next login. The no-op is
+// journaled like any event, replays as the same no-op, and /v1/kpi counts
+// it as a logout but not as a transition.
+func TestDuplicateLogoutKeepsTheWake(t *testing.T) {
+	clock := &fakeClock{t: t0}
+	cfg := Config{Options: testOptions(), Shards: 4, WALDir: filepath.Join(t.TempDir(), "wal"), Now: clock.Now, Logf: t.Logf}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := call(t, srv, "POST", "/v1/db", `{"id":1}`)
+	wantStatus(t, code, http.StatusCreated, out)
+	clock.Set(t0.Add(time.Minute))
+	code, out = call(t, srv, "POST", "/v1/db/1/logout", "")
+	wantStatus(t, code, http.StatusOK, out)
+	wake, _ := out["wake_at"].(string)
+	if out["event"] != "logical-pause" || wake == "" {
+		t.Fatalf("logout = %v", out)
+	}
+	clock.Set(t0.Add(2 * time.Minute))
+	code, out = call(t, srv, "POST", "/v1/db/1/logout", "")
+	wantStatus(t, code, http.StatusOK, out)
+	if out["event"] != "none" || out["wake_at"] != wake {
+		t.Fatalf("duplicate logout = %v, want a no-op keeping wake_at %s", out, wake)
+	}
+	code, out = call(t, srv, "GET", "/v1/kpi", "")
+	wantStatus(t, code, http.StatusOK, out)
+	if out["logouts"] != float64(2) || out["logical_pauses"] != float64(1) {
+		t.Fatalf("kpi after a duplicate logout = %v", out)
+	}
+	at, err := time.Parse(time.RFC3339, wake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pausedAtWake := func(srv *Server) {
+		t.Helper()
+		clock.Set(at.Add(time.Second))
+		code, out := call(t, srv, "GET", "/v1/db/1", "")
+		wantStatus(t, code, http.StatusOK, out)
+		if out["state"] != "physically-paused" {
+			t.Fatalf("past its wake at %s the database is %v", wake, out["state"])
+		}
+	}
+	pausedAtWake(srv)
+	srv.Kill()
+
+	// Replay: create and both logouts are journaled and applied again (the
+	// wake's physical pause is not a record), and the replayed no-op keeps
+	// the wake too.
+	clock.Set(t0.Add(2 * time.Minute))
+	srv, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if n := srv.ops.walReplayed.Load(); n != 3 {
+		t.Fatalf("replayed %d records, want create and both logouts", n)
+	}
+	pausedAtWake(srv)
+}

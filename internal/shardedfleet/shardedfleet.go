@@ -360,6 +360,22 @@ func (rt *Runtime) IDs() []int {
 	return ids
 }
 
+// PendingWakes reports every database's pending wake-up, by id.
+func (rt *Runtime) PendingWakes() []PendingWake {
+	var wakes []PendingWake
+	for _, s := range rt.shards {
+		s.mu.Lock()
+		for id, m := range s.dbs {
+			if at := m.Timer(); at > 0 {
+				wakes = append(wakes, PendingWake{ID: id, WakeAt: at})
+			}
+		}
+		s.mu.Unlock()
+	}
+	sort.Slice(wakes, func(i, j int) bool { return wakes[i].ID < wakes[j].ID })
+	return wakes
+}
+
 // PausedCount reports how many databases are physically paused. It reads
 // the lifecycle states, the one source the KPI gauges read too: the
 // metadata store indexes proactive-mode pauses only.

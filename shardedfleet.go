@@ -257,6 +257,17 @@ type PendingWake struct {
 	WakeAt time.Time
 }
 
+// PendingWakes reports the wake-up every database's policy has pending, by
+// id: the state the WakeAt of every Decision so far adds up to.
+func (s *ShardedFleet) PendingWakes() []PendingWake {
+	pending := s.rt.PendingWakes()
+	wakes := make([]PendingWake, len(pending))
+	for i, p := range pending {
+		wakes[i] = PendingWake{ID: p.ID, WakeAt: time.Unix(p.WakeAt, 0).UTC()}
+	}
+	return wakes
+}
+
 // RestoreShardedFleet reconstructs a sharded fleet (0 shards = default
 // stripe count) from an archive written by WriteTo, under possibly
 // re-trained options. It returns the wake-ups the host must schedule for
