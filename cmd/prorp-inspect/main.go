@@ -5,15 +5,20 @@
 // components themselves).
 //
 // It also carries the journal debugging surface: `prorp-inspect wal`
-// dumps and CRC-verifies the PRW1 segments of an event-journal directory,
+// dumps and CRC-verifies the segments of an event-journal directory,
 // reporting each segment's header, frame count, and torn tail — the tool
 // to reach for when a replica won't converge or a boot replay logs
 // truncation.
 //
 // `prorp-inspect shardmap` is the partitioned-control-plane counterpart:
-// it CRC-verifies a PRM1 shard-map file and prints the map version, the
-// group table, and the slot ranges each group owns — the tool to reach for
-// when two groups disagree about a slot or a node boots with a stale map.
+// it CRC-verifies a shard-map file and prints the map version, the group
+// table, and the slot ranges each group owns — the tool to reach for when
+// two groups disagree about a slot or a node boots with a stale map.
+//
+// `prorp-inspect frame` names any file the stack persists or ships (a
+// snapshot, a fleet archive, a database image, a shard map, a slot
+// transfer, a WAL segment): its kind, version, body length and whether its
+// CRC holds.
 //
 // Usage:
 //
@@ -22,6 +27,7 @@
 //	prorp-inspect wal -dir /var/lib/prorp/wal
 //	prorp-inspect wal -dir /var/lib/prorp/wal -records 5
 //	prorp-inspect shardmap /var/lib/prorp/shard.map
+//	prorp-inspect frame /var/lib/prorp/fleet.snap
 package main
 
 import (
@@ -32,6 +38,7 @@ import (
 	"time"
 
 	"prorp"
+	"prorp/internal/frame"
 	"prorp/internal/shardmap"
 	"prorp/internal/wal"
 )
@@ -43,6 +50,14 @@ func main() {
 	}
 	if len(os.Args) > 1 && os.Args[1] == "shardmap" {
 		inspectShardmap(os.Args[2:])
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "frame" {
+		// Name any file the stack writes; exit status 1 means damage.
+		path, data := readArg("frame", os.Args[2:])
+		if _, err := printFrame(path, data); err != nil {
+			fatalf("frame: %s: %v", path, err)
+		}
 		return
 	}
 
@@ -101,7 +116,7 @@ func inspectWAL(args []string) {
 		fmt.Printf("%s  %d bytes\n", rep.Path, rep.SizeBytes)
 		if !rep.HeaderOK {
 			damaged++
-			fmt.Printf("  header: BAD (not a PRW1 segment, or sequence mismatch)\n")
+			fmt.Printf("  header: BAD (not a segment frame, or sequence mismatch)\n")
 			continue
 		}
 		fmt.Printf("  header: ok (seq %d)\n", rep.Seq)
@@ -124,24 +139,19 @@ func inspectWAL(args []string) {
 	fmt.Println(", all clean")
 }
 
-// inspectShardmap is the `shardmap` subcommand: CRC-verify a PRM1 shard-map
+// inspectShardmap is the `shardmap` subcommand: CRC-verify a shard-map
 // file and print its version, groups, and slot ownership. Exit status 1
 // means the file is missing or damaged — scriptable as a health probe.
 func inspectShardmap(args []string) {
-	fs := flag.NewFlagSet("prorp-inspect shardmap", flag.ExitOnError)
-	fs.Parse(args)
-	path := fs.Arg(0)
-	if path == "" {
-		fatalf("shardmap: usage: prorp-inspect shardmap <path>")
+	path, data := readArg("shardmap", args)
+	_, err := printFrame(path, data)
+	var m *shardmap.Map
+	if err == nil {
+		m, err = shardmap.Decode(data)
 	}
-
-	m, size, err := shardmap.Inspect(nil, path)
 	if err != nil {
 		fatalf("shardmap: %s: %v", path, err)
 	}
-
-	fmt.Printf("%s  %d bytes\n", path, size)
-	fmt.Printf("  crc: ok (PRM1)\n")
 	fmt.Printf("  version: %d\n", m.Version())
 	fmt.Printf("  groups: %d\n", len(m.Groups()))
 	for _, g := range m.Groups() {
@@ -151,6 +161,42 @@ func inspectShardmap(args []string) {
 	for _, r := range m.Ranges() {
 		fmt.Printf("    [%2d..%2d] -> %s\n", r.Start, r.End, r.Group)
 	}
+}
+
+// readArg reads the file named by the subcommand's one argument.
+func readArg(cmd string, args []string) (string, []byte) {
+	if len(args) != 1 {
+		fatalf("%s: usage: prorp-inspect %s <path>", cmd, cmd)
+	}
+	data, err := os.ReadFile(args[0])
+	if err != nil {
+		fatalf("%s: %v", cmd, err)
+	}
+	return args[0], data
+}
+
+// printFrame prints the frame at the front of data — kind, version, body
+// length, CRC status — and returns its verified body. Bytes past the body
+// (a WAL segment's records) are counted, not decoded.
+func printFrame(path string, data []byte) ([]byte, error) {
+	fmt.Printf("%s  %d bytes\n", path, len(data))
+	h, err := frame.Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("  kind: %v, version %d\n", h.Kind, h.Version)
+	fmt.Printf("  body: %d bytes\n", h.Len)
+	end := len(data)
+	if h.Len < uint64(len(data)-frame.HeaderSize) {
+		end = frame.HeaderSize + int(h.Len)
+		fmt.Printf("  followed by %d bytes outside the frame\n", len(data)-end)
+	}
+	body, err := frame.Decode(h.Kind, data[:end])
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("  crc: ok\n")
+	return body, nil
 }
 
 func fatalf(format string, args ...any) {

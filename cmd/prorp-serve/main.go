@@ -142,7 +142,7 @@ func main() {
 		replNode      = flag.String("repl-node", "", "this node's name in stream polls and votes (default: -repl-self)")
 		group         = flag.String("group", "", "this node's shard group name; non-empty joins a horizontally partitioned control plane (empty = single-group layout)")
 		groups        = flag.String("groups", "", "comma-separated peer groups as name=base-url pairs (e.g. g2=http://g2:8080,g3=http://g3:8080); requires -group")
-		shardmapPath  = flag.String("shardmap", "", "PRM1 shard-map file: restored on boot, rewritten on every map adoption (empty = in-memory map)")
+		shardmapPath  = flag.String("shardmap", "", "shard-map frame file: restored on boot, rewritten on every map adoption (empty = in-memory map)")
 		scatterTO     = flag.Duration("scatter-timeout", 0, "scatter-gather fan-out deadline for fleet-wide surfaces (0 = default 2s)")
 		routeRedirect = flag.Bool("route-redirect", false, "answer remote-owned requests with 307 + owner address instead of proxying server-side")
 		admitDelay    = flag.Duration("admission-target-delay", 0, "CoDel-style sojourn target for priority admission: when the oldest in-flight request exceeds it, low-priority classes shed with 429 (0 = default 200ms)")

@@ -1,6 +1,7 @@
 package prorp
 
 import (
+	"prorp/internal/frame"
 	"prorp/internal/shardedfleet"
 )
 
@@ -10,13 +11,13 @@ import (
 //	ErrUnknownDatabase    the id does not exist (HTTP 404)
 //	ErrDuplicateDatabase  create/restore of an existing id (HTTP 409)
 //	ErrCorruptArchive     snapshot/archive cannot be decoded (truncated,
-//	                      bit-flipped, wrong format) — restore from an
-//	                      older snapshot; never a panic
+//	                      bit-flipped, wrong kind or version) — restore
+//	                      from an older snapshot; never a panic
 //
 // The values are shared with the internal runtimes, so an error born
-// inside internal/shardedfleet matches the root sentinel directly.
+// inside internal/shardedfleet or internal/frame matches directly.
 var (
 	ErrUnknownDatabase   = shardedfleet.ErrUnknownDatabase
 	ErrDuplicateDatabase = shardedfleet.ErrDuplicateDatabase
-	ErrCorruptArchive    = shardedfleet.ErrCorruptArchive
+	ErrCorruptArchive    = frame.ErrCorrupt
 )

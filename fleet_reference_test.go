@@ -1,12 +1,14 @@
 package prorp
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"time"
 
 	"prorp/internal/controlplane"
+	"prorp/internal/frame"
 	"prorp/internal/shardedfleet"
 )
 
@@ -15,7 +17,7 @@ import (
 // one map of per-database controllers, no locks. It is the oracle
 // ShardedFleet is checked against (TestShardedFleetMirrorsFleet,
 // FuzzFleetMatchesReference), so it shares the policy machine, the metadata
-// store and the PRF1 codec with ShardedFleet but none of its bookkeeping.
+// store and the archive codec with ShardedFleet but none of its bookkeeping.
 // Not safe for concurrent use.
 type Fleet struct {
 	opts Options
@@ -175,7 +177,7 @@ func (f *Fleet) Restore(id int, r io.Reader) (db *Database, wakeAt time.Time, er
 }
 
 // WriteTo archives the whole fleet, databases in id order, through the one
-// PRF1 codec, so its bytes equal ShardedFleet.WriteTo's for the same state.
+// archive codec, so its bytes equal ShardedFleet.WriteTo's for the same state.
 func (f *Fleet) WriteTo(w io.Writer) (int64, error) {
 	ids := make([]int, 0, len(f.dbs))
 	for id := range f.dbs {
@@ -183,7 +185,7 @@ func (f *Fleet) WriteTo(w io.Writer) (int64, error) {
 	}
 	sort.Ints(ids)
 	return shardedfleet.WriteArchive(w, ids, func(id int, w io.Writer) error {
-		_, err := f.dbs[id].WriteTo(w)
+		_, err := f.dbs[id].machine.WriteTo(w)
 		return err
 	})
 }
@@ -198,7 +200,16 @@ func RestoreFleet(opts Options, r io.Reader) (*Fleet, []PendingWake, error) {
 	}
 	var wakes []PendingWake
 	err = shardedfleet.ReadArchive(r, func(id int, snap io.Reader) error {
-		_, wakeAt, err := fleet.Restore(id, snap)
+		// An archive holds bare policy bodies; Restore reads a framed image.
+		var image bytes.Buffer
+		_, err := frame.Write(&image, frame.KindDatabase, func(b *bytes.Buffer) error {
+			_, err := b.ReadFrom(snap)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		_, wakeAt, err := fleet.Restore(id, &image)
 		if err == nil && !wakeAt.IsZero() {
 			wakes = append(wakes, PendingWake{ID: id, WakeAt: wakeAt})
 		}

@@ -10,16 +10,16 @@ import (
 
 // Serialization backs the paper's durability requirements (Section 3.3):
 // the history must survive database moves across nodes and be covered by
-// backup/restore. The format is a fixed header followed by fixed-width
+// backup/restore. It is the innermost body of a database's policy image
+// and carries no magic or checksum of its own (the enclosing
+// internal/frame frame verifies it): a count followed by fixed-width
 // tuples, little-endian:
 //
-//	magic   uint32  'PRH1'
 //	count   uint32  number of tuples
 //	tuples  count x { time_snapshot int64, event_type uint8 }
 
 const (
-	magic      = 0x50524831 // "PRH1"
-	headerSize = 8
+	headerSize = 4
 	recordSize = 9
 )
 
@@ -27,8 +27,7 @@ const (
 func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(s.Len()))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(s.Len()))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -52,17 +51,15 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadFrom restores a store serialized by WriteTo, replacing the current
-// contents. It implements io.ReaderFrom.
+// contents. r must end where the tuples do: a trailing byte is damage. It
+// implements io.ReaderFrom.
 func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	br := bufio.NewReader(r)
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, fmt.Errorf("historystore: reading header: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != magic {
-		return headerSize, fmt.Errorf("historystore: bad magic %#x", got)
-	}
-	count := binary.LittleEndian.Uint32(hdr[4:8])
+	count := binary.LittleEndian.Uint32(hdr[:])
 
 	fresh := New()
 	read := int64(headerSize)
@@ -80,6 +77,9 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 		if !fresh.Insert(ts, typ) {
 			return read, fmt.Errorf("historystore: duplicate time_snapshot %d", ts)
 		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return read, fmt.Errorf("historystore: trailing bytes after %d tuples", count)
 	}
 	s.idx = fresh.idx
 	return read, nil

@@ -59,9 +59,9 @@ func TestSerializeEmpty(t *testing.T) {
 
 func TestReadFromRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":     {},
-		"short":     {1, 2, 3},
-		"bad magic": {0, 0, 0, 0, 1, 0, 0, 0},
+		"empty":    {},
+		"short":    {1, 2, 3},
+		"trailing": {0, 0, 0, 0, 1, 0, 0, 0},
 		"truncated": func() []byte {
 			s := New()
 			s.Insert(1, EventStart)
@@ -100,7 +100,7 @@ func TestReadFromRejectsDuplicates(t *testing.T) {
 	s.WriteTo(&buf)
 	// Forge a second tuple with the same timestamp.
 	b := buf.Bytes()
-	b[4] = 2 // count = 2
+	b[0] = 2 // count = 2
 	b = append(b, b[headerSize:headerSize+recordSize]...)
 	if _, err := New().ReadFrom(bytes.NewReader(b)); err == nil {
 		t.Fatal("duplicate time_snapshot accepted")

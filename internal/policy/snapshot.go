@@ -13,9 +13,10 @@ import (
 // Snapshots make the per-database controller durable: when a database
 // moves across nodes to balance load, its history — and the live policy
 // state — must move with it (Section 3.3 of the paper), and a control
-// plane restart must not forget pause bookkeeping. The format:
+// plane restart must not forget pause bookkeeping. This is the body of a
+// database frame (internal/frame KindDatabase) or of an archive entry, so
+// it carries no magic or checksum of its own:
 //
-//	magic    uint32 'PRM1'
 //	state    uint8
 //	flags    uint8 (bit0 active, bit1 old, bit2 prewarmed)
 //	nextStart, nextEnd, pauseStart int64
@@ -26,14 +27,13 @@ import (
 // it, so fleet-wide knob re-training (Section 8) applies to restored
 // databases too.
 
-const snapshotMagic = 0x50524D31 // "PRM1"
+const snapshotHeader = 34
 
 // WriteTo serializes the machine. It implements io.WriterTo.
 func (m *Machine) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
-	var hdr [38]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
-	hdr[4] = byte(m.state)
+	var hdr [snapshotHeader]byte
+	hdr[0] = byte(m.state)
 	var flags byte
 	if m.active {
 		flags |= 1
@@ -44,11 +44,11 @@ func (m *Machine) WriteTo(w io.Writer) (int64, error) {
 	if m.prewarmed {
 		flags |= 4
 	}
-	hdr[5] = flags
-	binary.LittleEndian.PutUint64(hdr[6:14], uint64(m.next.Start))
-	binary.LittleEndian.PutUint64(hdr[14:22], uint64(m.next.End))
-	binary.LittleEndian.PutUint64(hdr[22:30], uint64(m.pauseStart))
-	binary.LittleEndian.PutUint64(hdr[30:38], uint64(m.predictions))
+	hdr[1] = flags
+	binary.LittleEndian.PutUint64(hdr[2:10], uint64(m.next.Start))
+	binary.LittleEndian.PutUint64(hdr[10:18], uint64(m.next.End))
+	binary.LittleEndian.PutUint64(hdr[18:26], uint64(m.pauseStart))
+	binary.LittleEndian.PutUint64(hdr[26:34], uint64(m.predictions))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -60,24 +60,21 @@ func (m *Machine) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Restore reconstructs a machine from a snapshot under the given (possibly
-// re-trained) configuration.
+// re-trained) configuration. r must end where the snapshot does.
 func Restore(cfg Config, r io.Reader) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReader(r)
-	var hdr [38]byte
+	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("policy: reading snapshot header: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != snapshotMagic {
-		return nil, fmt.Errorf("policy: bad snapshot magic %#x", got)
-	}
-	state := State(hdr[4])
+	state := State(hdr[0])
 	if state != Resumed && state != LogicallyPaused && state != PhysicallyPaused {
-		return nil, fmt.Errorf("policy: snapshot has invalid state %d", hdr[4])
+		return nil, fmt.Errorf("policy: snapshot has invalid state %d", hdr[0])
 	}
-	flags := hdr[5]
+	flags := hdr[1]
 	m := &Machine{
 		cfg:         cfg,
 		hist:        historystore.New(),
@@ -85,11 +82,11 @@ func Restore(cfg Config, r io.Reader) (*Machine, error) {
 		active:      flags&1 != 0,
 		old:         flags&2 != 0,
 		prewarmed:   flags&4 != 0,
-		pauseStart:  int64(binary.LittleEndian.Uint64(hdr[22:30])),
-		predictions: int(int64(binary.LittleEndian.Uint64(hdr[30:38]))),
+		pauseStart:  int64(binary.LittleEndian.Uint64(hdr[18:26])),
+		predictions: int(int64(binary.LittleEndian.Uint64(hdr[26:34]))),
 		next: predictor.Activity{
-			Start: int64(binary.LittleEndian.Uint64(hdr[6:14])),
-			End:   int64(binary.LittleEndian.Uint64(hdr[14:22])),
+			Start: int64(binary.LittleEndian.Uint64(hdr[2:10])),
+			End:   int64(binary.LittleEndian.Uint64(hdr[10:18])),
 		},
 	}
 	if m.active && m.state != Resumed {

@@ -105,15 +105,15 @@ func TestSnapshotRestoreUnderNewConfig(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	cfg := DefaultConfig()
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": make([]byte, 38),
+		"empty":      {},
+		"no history": make([]byte, snapshotHeader),
 		"bad state": func() []byte {
 			base := 1000 * day
 			m, _ := newOldProactive(t, base, 30)
 			var buf bytes.Buffer
 			m.WriteTo(&buf)
 			b := buf.Bytes()
-			b[4] = 9
+			b[0] = 9
 			return b
 		}(),
 		"truncated history": func() []byte {

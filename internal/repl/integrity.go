@@ -2,9 +2,10 @@ package repl
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
+
+	"prorp/internal/frame"
 )
 
 // Control-plane messages (votes, reign announces) ride JSON bodies over
@@ -21,11 +22,9 @@ import (
 // control-plane JSON body.
 const HeaderSum = "X-Repl-Sum"
 
-var sumTable = crc32.MakeTable(crc32.Castagnoli)
-
 // BodySum computes the HeaderSum value for a control-plane body.
 func BodySum(body []byte) string {
-	return fmt.Sprintf("%08x", crc32.Checksum(body, sumTable))
+	return fmt.Sprintf("%08x", frame.Sum(body))
 }
 
 // VerifiedBody reads a control-plane response body (up to limit bytes)

@@ -5,9 +5,9 @@
 // Protocol (source side):
 //
 //  1. fence the slot — mutations get 503 + Retry-After, reads keep serving
-//  2. quiesce under the exclusive side of walGate and archive every
-//     database in the slot (PRS2-framed, CRC per database)
-//  3. ship the PRT1 transfer (proposed map + archives) to the destination,
+//  2. quiesce under the exclusive side of walGate and snapshot every
+//     database in the slot
+//  3. ship the transfer frame (proposed map + databases) to the destination,
 //     retrying transient failures; the destination restores, persists a
 //     snapshot, and adopts the bumped map BEFORE acking — so a lost ack
 //     still left a durable owner
@@ -29,75 +29,79 @@ import (
 	"net/http"
 	"time"
 
+	"prorp/internal/frame"
 	"prorp/internal/shardmap"
 	"prorp/internal/wal"
 )
 
-// transferMagic frames a PRT1 slot-transfer payload.
-const transferMagic uint32 = 0x50525431 // "PRT1"
-
 // maxTransferBytes caps one slot transfer (matches the resync fetch cap).
 const maxTransferBytes = 1 << 30
 
-// transferEntry is one database inside a transfer: its id and its
-// PRS2-framed archive (CRC inside the frame).
+// transferEntry is one database inside a transfer: its id and its bare
+// policy body.
 type transferEntry struct {
-	id     int64
-	framed []byte
+	id   int64
+	body []byte
 }
 
-// encodeTransfer serializes a slot transfer:
+// encodeTransfer frames a slot transfer as one KindTransfer frame whose
+// body is
 //
-//	u32 magic | u16 slot | u32 mapLen | PRM1 map | u32 count |
-//	per db: u64 id | u32 len | PRS2 container
+//	u16 slot | u32 mapLen | map body | u32 count |
+//	per db: u64 id | u32 len | policy body
 //
-// The map and every archive carry their own CRCs, so a mangled transfer is
-// rejected structurally rather than half-applied.
+// The one CRC covers the slot, the map, the count and every database, so a
+// mangled transfer is rejected before any of it is parsed.
 func encodeTransfer(slot int, m *shardmap.Map, entries []transferEntry) []byte {
-	mb := m.Encode()
-	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, transferMagic)
-	b = binary.LittleEndian.AppendUint16(b, uint16(slot))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(mb)))
-	b = append(b, mb...)
+	const head = frame.HeaderSize + 6 // + slot + mapLen
+	b := m.AppendBody(make([]byte, head))
+	binary.LittleEndian.PutUint16(b[frame.HeaderSize:], uint16(slot))
+	binary.LittleEndian.PutUint32(b[frame.HeaderSize+2:], uint32(len(b)-head))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(entries)))
 	for _, e := range entries {
 		b = binary.LittleEndian.AppendUint64(b, uint64(e.id))
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.framed)))
-		b = append(b, e.framed...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.body)))
+		b = append(b, e.body...)
 	}
-	return b
+	return frame.Seal(frame.KindTransfer, b)
 }
 
-// decodeTransfer parses and CRC-verifies a PRT1 payload, returning the
-// verified archive payload (container stripped) per database.
+// decodeTransfer verifies and parses a transfer, returning each database
+// re-framed as the image ShardedFleet.Restore reads.
 func decodeTransfer(b []byte) (slot int, m *shardmap.Map, dbs map[int64][]byte, err error) {
 	fail := func(format string, args ...any) (int, *shardmap.Map, map[int64][]byte, error) {
 		return 0, nil, nil, fmt.Errorf("transfer: "+format, args...)
 	}
-	if len(b) < 10 {
-		return fail("%d bytes, want at least header", len(b))
+	b, err = frame.Decode(frame.KindTransfer, b)
+	if err != nil {
+		return fail("%w", err)
 	}
-	if got := binary.LittleEndian.Uint32(b[0:4]); got != transferMagic {
-		return fail("bad magic %#x", got)
+	if len(b) < 6 {
+		return fail("%w: %d-byte body", frame.ErrShort, len(b))
 	}
-	slot = int(binary.LittleEndian.Uint16(b[4:6]))
+	slot = int(binary.LittleEndian.Uint16(b[0:2]))
 	if slot >= shardmap.NumSlots {
 		return fail("slot %d out of range", slot)
 	}
-	mapLen := int(binary.LittleEndian.Uint32(b[6:10]))
-	b = b[10:]
+	mapLen := int(binary.LittleEndian.Uint32(b[2:6]))
+	b = b[6:]
 	if len(b) < mapLen+4 {
 		return fail("truncated map")
 	}
-	m, err = shardmap.Decode(b[:mapLen])
+	m, err = shardmap.DecodeBody(b[:mapLen])
 	if err != nil {
-		return fail("map: %v", err)
+		return fail("map: %w", err)
 	}
-	count := int(binary.LittleEndian.Uint32(b[mapLen : mapLen+4]))
+	count := binary.LittleEndian.Uint32(b[mapLen : mapLen+4])
 	b = b[mapLen+4:]
+	// Each entry takes at least its 12-byte id and length: a count the
+	// remaining bytes cannot hold is damage, refused before it sizes
+	// anything.
+	if uint64(count) > uint64(len(b))/12 {
+		return fail("%d entries cannot fit in %d bytes", count, len(b))
+	}
 	dbs = make(map[int64][]byte, count)
-	for i := 0; i < count; i++ {
+	for i := uint32(0); i < count; i++ {
 		if len(b) < 12 {
 			return fail("truncated entry %d", i)
 		}
@@ -105,16 +109,12 @@ func decodeTransfer(b []byte) (slot int, m *shardmap.Map, dbs map[int64][]byte, 
 		l := int(binary.LittleEndian.Uint32(b[8:12]))
 		b = b[12:]
 		if len(b) < l {
-			return fail("truncated archive for database %d", id)
-		}
-		payload, _, verr := verifyContainer(b[:l])
-		if verr != nil {
-			return fail("database %d archive: %v", id, verr)
+			return fail("truncated database %d", id)
 		}
 		if shardmap.SlotOf(int(id)) != slot {
 			return fail("database %d does not hash to slot %d", id, slot)
 		}
-		dbs[id] = payload
+		dbs[id] = frame.Seal(frame.KindDatabase, append(make([]byte, frame.HeaderSize, frame.HeaderSize+l), b[:l]...))
 		b = b[l:]
 	}
 	if len(b) != 0 {
@@ -202,12 +202,16 @@ func (s *Server) handleShardMigrate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var buf bytes.Buffer
-		buf.Write(make([]byte, storeHeader2Size)) // container headroom
-		if err := s.Fleet().Snapshot(id, &buf); err != nil {
+		err := s.Fleet().Snapshot(id, &buf)
+		var body []byte
+		if err == nil {
+			body, err = frame.Decode(frame.KindDatabase, buf.Bytes())
+		}
+		if err != nil {
 			archiveErr = fmt.Errorf("archiving database %d: %w", id, err)
 			break
 		}
-		entries = append(entries, transferEntry{id: int64(id), framed: frameContainer(buf.Bytes(), 0)})
+		entries = append(entries, transferEntry{id: int64(id), body: body})
 	}
 	s.walGate.Unlock()
 	if archiveErr != nil {

@@ -126,7 +126,7 @@ func migrateChaosConfig(t *testing.T, dir, g string, peers map[string]string, cl
 //     the move never committed), both groups agree on one map, and every
 //     database exists on exactly its owner — never on both, never on
 //     neither.
-//   - Byte-identical archives: a migrated database's PRS2 archive on the
+//   - Byte-identical archives: a migrated database's archive on the
 //     final owner equals the pre-migration archive on the source.
 //
 // Runs under -race in CI (make shard-chaos).

@@ -384,9 +384,9 @@ func (s *Server) replResync(primary string, primaryEpoch uint64) (wal.Cursor, ui
 	if err != nil {
 		return wal.Cursor{}, 0, fmt.Errorf("reading snapshot: %w", err)
 	}
-	// The container checksum is the transport integrity check: a snapshot
+	// The snapshot checksum is the transport integrity check: a snapshot
 	// bit-flipped or cut in flight fails here and the resync is retried.
-	payload, boundary, err := verifyContainer(data)
+	payload, boundary, err := openSnapshot(data)
 	if err != nil {
 		return wal.Cursor{}, 0, fmt.Errorf("verifying snapshot: %w", err)
 	}
@@ -657,7 +657,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleReplSnapshot serves a PRS2 container of the current fleet state
+// handleReplSnapshot serves a snapshot frame of the current fleet state
 // for follower resync. The journal rotates first, exactly like a
 // persisted snapshot, so the recorded boundary provably covers every
 // event in the archive.
@@ -672,23 +672,26 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(repl.HeaderReign, strconv.FormatUint(lin, 10))
 	}
 	var payload bytes.Buffer
-	payload.Write(make([]byte, storeHeader2Size)) // container header headroom
+	payload.Write(make([]byte, walSeqSize))
 	s.walGate.Lock()
 	boundary, err := s.wal.Rotate()
 	if err == nil {
 		_, err = s.Fleet().WriteTo(&payload)
 	}
 	s.walGate.Unlock()
+	var snap []byte
+	if err == nil {
+		snap, err = sealSnapshot(payload.Bytes(), boundary)
+	}
 	if err != nil {
 		s.logf("repl snapshot: %v", err)
 		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error()})
 		return
 	}
-	frame := frameContainer(payload.Bytes(), boundary)
 	s.repl.snapshotsServed.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
+	w.Header().Set("Content-Length", strconv.Itoa(len(snap)))
+	w.Write(snap)
 }
 
 // handleReplPromotion makes this node the primary of a new epoch (a no-op

@@ -73,7 +73,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// archive serializes a server's fleet to its canonical PRF1 bytes — the
+// archive serializes a server's fleet to its canonical archive bytes — the
 // byte-equality oracle for follower convergence.
 func archive(t *testing.T, s *Server) []byte {
 	t.Helper()

@@ -63,7 +63,7 @@ type router struct {
 	redirect bool              // 307 instead of proxying
 	doer     faults.Doer
 	breakers *breaker.Group // per-peer circuits around doer (nil = disabled)
-	path     string         // PRM1 persistence ("" = memory only)
+	path     string         // shard-map file ("" = memory only)
 	fs       faults.FS
 	logf     func(string, ...any)
 
@@ -90,7 +90,7 @@ type router struct {
 }
 
 // newRouter assembles the routing state: the map is restored from
-// cfg.ShardmapPath when a valid PRM1 image exists there, otherwise built
+// cfg.ShardmapPath when a valid shard-map frame exists there, otherwise built
 // fresh (round-robin over this group plus every peer) and persisted.
 func newRouter(cfg Config) (*router, error) {
 	rt := &router{
@@ -340,9 +340,9 @@ func mapFromErrorBody(body []byte) *shardmap.Map {
 }
 
 // handleShardMap serves the current map: JSON for humans and routing
-// clients, the CRC-framed PRM1 image (?format=prm1) for peers — reconcile
-// and lost-ack probes must detect transport corruption, and the binary
-// frame carries its own checksum where JSON would not.
+// clients, the shard-map frame (?format=frame) for peers — reconcile and
+// lost-ack probes must detect transport corruption, and the frame carries
+// a checksum where JSON would not.
 func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 	rt := s.router
 	if rt == nil {
@@ -350,7 +350,7 @@ func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m := rt.mapP.Load()
-	if r.URL.Query().Get("format") == "prm1" {
+	if r.URL.Query().Get("format") == "frame" {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set(HeaderShardmapVersion, strconv.FormatUint(m.Version(), 10))
 		w.Write(m.Encode())
@@ -404,10 +404,10 @@ func (s *Server) handleShardReconcile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fetchGroupMap retrieves a peer's map in PRM1 form; the CRC catches
+// fetchGroupMap retrieves a peer's map as a frame; the CRC catches
 // response-body corruption that a JSON parse could let through.
 func (s *Server) fetchGroupMap(addr string) (*shardmap.Map, error) {
-	req, err := http.NewRequest(http.MethodGet, addr+"/v1/shard/map?format=prm1", nil)
+	req, err := http.NewRequest(http.MethodGet, addr+"/v1/shard/map?format=frame", nil)
 	if err != nil {
 		return nil, err
 	}

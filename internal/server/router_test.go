@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"prorp/internal/frame"
 	"prorp/internal/shardmap"
 )
 
@@ -285,19 +287,19 @@ func TestRouterHealthzAndMapEndpoint(t *testing.T) {
 		t.Fatalf("shard map version = %v", sm["version"])
 	}
 
-	// The PRM1 rendering round-trips through Decode and matches.
-	req := httptest.NewRequest("GET", "/v1/shard/map?format=prm1", nil)
+	// The frame rendering round-trips through Decode and matches.
+	req := httptest.NewRequest("GET", "/v1/shard/map?format=frame", nil)
 	rec := httptest.NewRecorder()
 	g1.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("prm1 map fetch = %d", rec.Code)
+		t.Fatalf("framed map fetch = %d", rec.Code)
 	}
 	dm, err := shardmap.Decode(rec.Body.Bytes())
 	if err != nil {
-		t.Fatalf("prm1 map does not decode: %v", err)
+		t.Fatalf("framed map does not decode: %v", err)
 	}
 	if !dm.Equal(g1.router.mapP.Load()) {
-		t.Fatalf("prm1 map differs from the live map")
+		t.Fatalf("framed map differs from the live map")
 	}
 
 	// A single-group server has no shard surface.
@@ -430,7 +432,7 @@ func TestShardMigrateMovesSlot(t *testing.T) {
 	}
 
 	// The bumped map survives a reboot: a fresh g1 server boots from its
-	// persisted PRM1 file, still at v2 with the slot owned elsewhere.
+	// persisted shard-map file, still at v2 with the slot owned elsewhere.
 	g1cfg := g1.cfg
 	if err := g1.Close(); err != nil {
 		t.Fatal(err)
@@ -646,6 +648,12 @@ func TestDecodeTransferRejectsDamage(t *testing.T) {
 	}
 	slot := m.OwnedSlots("g2")[0]
 	good := encodeTransfer(slot, m, nil)
+	body := good[frame.HeaderSize:]
+	reseal := func(b []byte) []byte {
+		return frame.Seal(frame.KindTransfer, append(make([]byte, frame.HeaderSize), b...))
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
 
 	cases := []struct {
 		name string
@@ -653,15 +661,12 @@ func TestDecodeTransferRejectsDamage(t *testing.T) {
 	}{
 		{"short", good[:6]},
 		{"bad magic", append([]byte{9, 9, 9, 9}, good[4:]...)},
-		{"truncated map", good[:len(good)-8]},
-		{"trailing bytes", append(append([]byte(nil), good...), 1, 2, 3)},
+		{"bad checksum", flipped},
+		{"trailing bytes", append(bytes.Clone(good), 1, 2, 3)},
+		{"slot out of range", encodeTransfer(shardmap.NumSlots, m, nil)},
+		{"truncated map", reseal(body[:len(body)-8])},
+		{"trailing body bytes", reseal(append(bytes.Clone(body), 1, 2, 3))},
 	}
-	bad := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(bad[4:6], shardmap.NumSlots)
-	cases = append(cases, struct {
-		name string
-		b    []byte
-	}{"slot out of range", bad})
 	for _, tc := range cases {
 		if _, _, _, err := decodeTransfer(tc.b); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -674,9 +679,32 @@ func TestDecodeTransferRejectsDamage(t *testing.T) {
 	otherID := 1
 	for ; shardmap.SlotOf(otherID) == slot; otherID++ {
 	}
-	framed := frameContainer(make([]byte, storeHeader2Size), 0)
-	wrong := encodeTransfer(slot, m, []transferEntry{{id: int64(otherID), framed: framed}})
+	wrong := encodeTransfer(slot, m, []transferEntry{{id: int64(otherID)}})
 	if _, _, _, err := decodeTransfer(wrong); err == nil || !strings.Contains(err.Error(), "does not hash") {
 		t.Fatalf("mis-addressed entry err = %v", err)
+	}
+}
+
+// TestDecodeTransferRejectsHugeCount feeds a well-formed transfer frame
+// whose count promises a million entries it does not hold: the count must
+// be refused before it sizes any allocation.
+func TestDecodeTransferRejectsHugeCount(t *testing.T) {
+	m, err := shardmap.New([]string{"g1", "g2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(encodeTransfer(0, m, nil)[frame.HeaderSize:])
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 1<<20)
+	huge := frame.Seal(frame.KindTransfer, append(make([]byte, frame.HeaderSize), body...))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = decodeTransfer(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("transfer with an impossible count accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding allocated %d bytes for a transfer of %d", grew, len(huge))
 	}
 }

@@ -19,15 +19,15 @@
 //	POST   /v1/ops/resume       run one proactive-resume iteration now
 //	POST   /v1/ops/snapshot     persist a snapshot now
 //	GET    /v1/repl/stream      WAL frames after a cursor (replication data plane)
-//	GET    /v1/repl/snapshot    PRS2 fleet snapshot for follower resync
+//	GET    /v1/repl/snapshot    snapshot frame of the fleet for follower resync
 //	POST   /v1/repl/promote     make this node the primary of a new epoch
 //	POST   /v1/repl/fence       force-feed an epoch, fencing an old primary
-//	GET    /v1/shard/map        current slot map (?format=prm1 for the CRC-framed image)
+//	GET    /v1/shard/map        current slot map (?format=frame for the checksummed frame)
 //	POST   /v1/shard/migrate    move one slot's databases to another group  {"slot":5,"to":"g2"}
 //	POST   /v1/shard/reconcile  adopt the newest peer map, sweep disowned databases
 //	GET    /v1/shard/due        phase-one resume scan for a coordinating peer
 //	POST   /v1/shard/prewarm    phase-two prewarm of this group's slice of the capped set
-//	POST   /v1/shard/adopt      slot-transfer ingest (PRT1; migration data plane)
+//	POST   /v1/shard/adopt      slot-transfer frame ingest (migration data plane)
 //
 // A node runs as primary (default) or replica (Config.Role); replicas
 // serve every read endpoint and reject mutations with 503 + Retry-After.
@@ -189,7 +189,7 @@ type Config struct {
 	// ("http://host:port"). Fleet-wide surfaces scatter-gather across them;
 	// remote-owned requests are proxied (or redirected) there.
 	GroupPeers map[string]string
-	// ShardmapPath, when non-empty, persists the slot map in PRM1 form:
+	// ShardmapPath, when non-empty, persists the slot map as a shard-map frame:
 	// restored on boot, rewritten on every adoption.
 	ShardmapPath string
 	// RouterDoer performs routing, scatter-gather, and migration round
@@ -259,6 +259,7 @@ type Server struct {
 	mux     *http.ServeMux
 	wakes   *wakeScheduler
 	wakeMu  sync.Mutex     // serializes wake delivery (see deliverDueWakes)
+	stamps  eventStamps    // create/login/logout seconds, per database
 	store   *snapshotStore // nil when persistence is disabled
 	wal     *wal.Journal   // nil when the event journal is disabled
 	started time.Time
@@ -515,6 +516,7 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		wal:     journal,
 		started: cfg.Now(),
+		stamps:  eventStamps{last: map[int]int64{}},
 		stop:    make(chan struct{}),
 		reg:     reg,
 		tracer:  obs.NewTracer(0, 0),
@@ -1047,7 +1049,7 @@ func (s *Server) writeSnapshotOpts(probeOnly bool) (int64, error) {
 		boundary uint64
 		err      error
 	)
-	payload.Write(make([]byte, storeHeader2Size)) // container header headroom
+	payload.Write(make([]byte, walSeqSize))
 	if s.wal != nil {
 		s.walGate.Lock()
 		boundary, err = s.wal.Rotate()
@@ -1342,7 +1344,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectNonPrimary(w) {
 		return
 	}
-	createdAt := s.now()
+	createdAt := s.stamps.stamp(req.ID, s.now())
 	if req.CreatedAt != nil {
 		createdAt = *req.CreatedAt
 	}
@@ -1402,6 +1404,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.wakes.schedule(id, time.Time{}) // cancel any pending wake
+	s.stamps.mu.Lock()
+	delete(s.stamps.last, id)
+	s.stamps.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
 }
 
@@ -1425,7 +1430,7 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, typ wal.Rec
 	if s.rejectNonPrimary(w) {
 		return
 	}
-	at := s.now()
+	at := s.stamps.stamp(id, s.now())
 	// Journal first, then apply, both under the shared side of walGate:
 	// the event is durable before it can influence fleet state, and a
 	// concurrent snapshot can never split the pair across its boundary.
@@ -1450,6 +1455,27 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, typ wal.Rec
 	// The returned WakeAt is the complete desired timer state; reconcile.
 	s.wakes.schedule(id, d.WakeAt)
 	writeJSON(w, http.StatusOK, s.decisionJSON(id, at, d))
+}
+
+// eventStamps gives each database's creation and activity events strictly
+// increasing whole seconds: the history table is unique on time_snapshot,
+// so two events in one second would collapse into one tuple. It covers the
+// events this process stamped, not those it restored or replicated.
+type eventStamps struct {
+	mu   sync.Mutex
+	last map[int]int64
+}
+
+func (e *eventStamps) stamp(id int, now time.Time) time.Time {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	prev := e.last[id]
+	if now.Unix() > prev {
+		e.last[id] = now.Unix()
+		return now
+	}
+	e.last[id] = prev + 1
+	return time.Unix(prev+1, 0)
 }
 
 type predictionJSON struct {

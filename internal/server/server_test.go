@@ -443,3 +443,81 @@ func TestDuplicateLogoutKeepsTheWake(t *testing.T) {
 	}
 	pausedAtWake(srv)
 }
+
+// TestEventsInOneSecondGetDistinctSeconds: the history table is unique on
+// whole seconds, so a create, logins and logouts landing in one second must
+// not collapse into one tuple. Each is stamped one second after the last —
+// in the response, the journal and the history.
+func TestEventsInOneSecondGetDistinctSeconds(t *testing.T) {
+	clock := &fakeClock{t: t0}
+	cfg := Config{Options: testOptions(), Shards: 4, WALDir: filepath.Join(t.TempDir(), "wal"), Now: clock.Now, Logf: t.Logf}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := call(t, srv, "POST", "/v1/db", `{"id":1}`)
+	wantStatus(t, code, http.StatusCreated, out)
+	var stamps []string
+	for _, ev := range []string{"logout", "login", "logout"} {
+		code, out = call(t, srv, "POST", "/v1/db/1/"+ev, "")
+		wantStatus(t, code, http.StatusOK, out)
+		stamps = append(stamps, out["at"].(string))
+	}
+	for i, want := range []time.Time{t0.Add(time.Second), t0.Add(2 * time.Second), t0.Add(3 * time.Second)} {
+		if got, err := time.Parse(time.RFC3339Nano, stamps[i]); err != nil || !got.Equal(want) {
+			t.Fatalf("event %d stamped %s, want %s", i, stamps[i], want.UTC().Format(time.RFC3339))
+		}
+	}
+	history := func(s *Server) int {
+		t.Helper()
+		h, err := s.Fleet().History(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(h)
+	}
+	if n := history(srv); n != 4 {
+		t.Fatalf("history holds %d tuples, want 4", n)
+	}
+	srv.Kill()
+	reboot, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reboot.Close()
+	if n := history(reboot); n != 4 {
+		t.Fatalf("after replay the history holds %d tuples, want 4", n)
+	}
+}
+
+// TestEventStampsConcurrent: handlers stamp from many goroutines at once;
+// every stamp one database gets in one second is still a second of its own.
+func TestEventStampsConcurrent(t *testing.T) {
+	e := eventStamps{last: map[int]int64{}}
+	const workers, each = 8, 50
+	var (
+		mu   sync.Mutex
+		seen = map[int64]bool{}
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				sec := e.stamp(1, t0).Unix()
+				e.stamp(2, t0) // another database shares the map
+				mu.Lock()
+				if seen[sec] {
+					t.Errorf("second %d stamped twice", sec)
+				}
+				seen[sec] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) != workers*each {
+		t.Fatalf("%d distinct seconds for %d stamps", len(seen), workers*each)
+	}
+}

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"time"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 	"prorp/internal/obs"
 )
 
@@ -19,35 +19,50 @@ import (
 //
 //   - Writes are atomic: temp file in the target directory, fsync, rename.
 //     A crash mid-write leaves the previous snapshot untouched.
-//   - Every snapshot is framed in a checksummed container (PRS2): magic,
-//     payload length, CRC-32C, the WAL compaction boundary, payload (the
-//     PRF1 fleet archive). Restores verify the frame before a single byte
-//     reaches the fleet decoder. The boundary is the WAL segment sequence
-//     the journal rotated to when this snapshot was taken: on boot, replay
-//     starts there, and the checksum covers it — a flipped boundary would
+//   - Every snapshot is one internal/frame KindSnapshot frame whose body is
+//     the WAL compaction boundary (u64) and then the fleet archive's bare
+//     body. Restores verify the frame before a single byte reaches the
+//     fleet decoder. The boundary is the WAL segment sequence the journal
+//     rotated to when this snapshot was taken: on boot, replay starts
+//     there, and the checksum covers it — a flipped boundary would
 //     otherwise silently skip acknowledged events.
 //   - The previous snapshot is rotated to <path>.bak before the rename, so
 //     one corrupted write never destroys the last-known-good state; loads
-//     fall back to the .bak when the primary is corrupt or missing. A .bak
-//     carries an older boundary, so falling back simply replays more WAL.
+//     fall back to the .bak when the primary is corrupt (frame.ErrCorrupt)
+//     or missing. A .bak carries an older boundary, so falling back simply
+//     replays more WAL.
 //   - Transient I/O errors are retried with capped jittered exponential
 //     backoff through the faults.FS/Clock seams, so chaos tests drive the
 //     whole path deterministically.
-//
-// PRS2 is the only container that loads: any other file — including a bare
-// PRF1 archive, which carries no checksum — is corrupt and takes the .bak
-// fallback.
-const (
-	storeMagic2      = 0x50525332 // "PRS2"
-	storeHeader2Size = 24         // magic u32 + payload length u64 + crc32c u32 + WAL boundary u64
-)
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// walSeqSize is the WAL boundary at the front of a snapshot body.
+const walSeqSize = 8
 
-// errSnapshotCorrupt classifies container-level damage (bad magic, length
-// mismatch, checksum mismatch). It is distinct from transient I/O errors:
-// corruption is never retried, it triggers the .bak fallback instead.
-var errSnapshotCorrupt = errors.New("snapshot container corrupt")
+// sealSnapshot turns buf — walSeqSize spare bytes, then the archive frame
+// ShardedFleet.WriteTo wrote — into a snapshot frame over the same bytes:
+// the snapshot header and the boundary overwrite the archive header, so
+// the snapshot's CRC is the only one over the archive body.
+func sealSnapshot(buf []byte, walSeq uint64) ([]byte, error) {
+	if _, err := frame.Decode(frame.KindArchive, buf[walSeqSize:]); err != nil {
+		return nil, fmt.Errorf("snapshot payload: %w", err)
+	}
+	binary.LittleEndian.PutUint64(buf[frame.HeaderSize:], walSeq)
+	return frame.Seal(frame.KindSnapshot, buf), nil
+}
+
+// openSnapshot verifies a snapshot frame and returns, over the same bytes,
+// the archive frame RestoreShardedFleet reads, with the WAL boundary.
+func openSnapshot(data []byte) ([]byte, uint64, error) {
+	body, err := frame.Decode(frame.KindSnapshot, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(body) < walSeqSize {
+		return nil, 0, fmt.Errorf("%w: snapshot body is %d bytes", frame.ErrShort, len(body))
+	}
+	walSeq := binary.LittleEndian.Uint64(body)
+	return frame.Seal(frame.KindArchive, data[walSeqSize:]), walSeq, nil
+}
 
 type snapshotStore struct {
 	path    string
@@ -62,59 +77,34 @@ type snapshotStore struct {
 
 func (st *snapshotStore) bakPath() string { return st.path + ".bak" }
 
-// Save atomically persists one archive: frame, temp-write, fsync, rotate,
-// rename — the whole attempt retried on transient errors. walSeq is the
-// journal boundary recorded in the container (0 when no WAL is
-// configured). It returns the container size and the number of retries
-// that were needed.
-func (st *snapshotStore) Save(src io.WriterTo, walSeq uint64) (n int64, retries int, err error) {
-	var payload bytes.Buffer
-	payload.Write(make([]byte, storeHeader2Size)) // frame filled in below
-	if _, err := src.WriteTo(&payload); err != nil {
-		return 0, 0, fmt.Errorf("serializing fleet: %w", err)
+// savePayload atomically persists a pre-serialized archive laid out as
+// sealSnapshot takes it: frame, temp-write, fsync, rotate, rename — the
+// whole attempt retried on transient errors. walSeq is the journal
+// boundary recorded in the snapshot (0 when no WAL is configured). It
+// returns the snapshot size and the number of retries that were needed.
+func (st *snapshotStore) savePayload(buf []byte, walSeq uint64) (n int64, retries int, err error) {
+	snap, err := sealSnapshot(buf, walSeq)
+	if err != nil {
+		return 0, 0, err
 	}
-	return st.savePayload(payload.Bytes(), walSeq)
-}
-
-// frameContainer fills in the PRS2 header of a buffer carrying
-// storeHeader2Size bytes of headroom at the front and returns it. The
-// same frame goes to disk (savePayload) and over the wire (the
-// replication snapshot endpoint).
-func frameContainer(frame []byte, walSeq uint64) []byte {
-	body := frame[storeHeader2Size:]
-	binary.LittleEndian.PutUint32(frame[0:4], storeMagic2)
-	binary.LittleEndian.PutUint64(frame[4:12], uint64(len(body)))
-	binary.LittleEndian.PutUint64(frame[16:24], walSeq)
-	// The checksum covers the boundary too: bit rot there must trigger the
-	// .bak fallback, not a silently wrong replay start.
-	binary.LittleEndian.PutUint32(frame[12:16], crc32.Checksum(frame[16:], crcTable))
-	return frame
-}
-
-// savePayload persists a pre-serialized archive. frame must have
-// storeHeader2Size bytes of headroom at the front for the container
-// header.
-func (st *snapshotStore) savePayload(frame []byte, walSeq uint64) (n int64, retries int, err error) {
-	frame = frameContainer(frame, walSeq)
-
 	if st.saveHist != nil {
 		defer st.saveHist.ObserveSince(time.Now())
 	}
 	retries, err = faults.Retry(st.clock, st.backoff, func() error {
-		return st.writeOnce(frame)
+		return st.writeOnce(snap)
 	})
 	if err != nil {
 		return 0, retries, err
 	}
-	return int64(len(frame)), retries, nil
+	return int64(len(snap)), retries, nil
 }
 
 // writeOnce is one atomic write attempt. The current snapshot rotates to
 // .bak, last-known-good, before the replace. A failed rotation is not fatal
 // — the replace is still atomic, only the fallback lineage goes stale — and
 // a crash between the two renames is covered: loads fall back to the .bak.
-func (st *snapshotStore) writeOnce(frame []byte) error {
-	rerr, err := faults.WriteFileAtomic(st.fs, st.path, frame, st.bakPath())
+func (st *snapshotStore) writeOnce(snap []byte) error {
+	rerr, err := faults.WriteFileAtomic(st.fs, st.path, snap, st.bakPath())
 	if rerr != nil {
 		st.logf("snapshot rotation failed (continuing): %v", rerr)
 	}
@@ -161,9 +151,9 @@ func (st *snapshotStore) Load(restore func(io.Reader) error) (fellBack bool, wal
 	return false, 0, errors.Join(failures...)
 }
 
-// readVerify reads one snapshot file and verifies its container frame,
-// returning the inner PRF1 payload and the WAL boundary. Transient read
-// errors are retried; corruption is not.
+// readVerify reads one snapshot file and verifies its frame, returning the
+// archive frame and the WAL boundary. Transient read errors are retried;
+// corruption is not.
 func (st *snapshotStore) readVerify(path string) ([]byte, uint64, error) {
 	var data []byte
 	var notExist error
@@ -189,30 +179,7 @@ func (st *snapshotStore) readVerify(path string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return verifyContainer(data)
-}
-
-// verifyContainer validates a PRS2 frame and returns its payload and WAL
-// boundary.
-func verifyContainer(data []byte) ([]byte, uint64, error) {
-	if len(data) < storeHeader2Size {
-		return nil, 0, fmt.Errorf("%w: truncated header (%d bytes)", errSnapshotCorrupt, len(data))
-	}
-	if got := binary.LittleEndian.Uint32(data[0:4]); got != storeMagic2 {
-		return nil, 0, fmt.Errorf("%w: bad magic %#x", errSnapshotCorrupt, got)
-	}
-	length := binary.LittleEndian.Uint64(data[4:12])
-	sum := binary.LittleEndian.Uint32(data[12:16])
-	walSeq := binary.LittleEndian.Uint64(data[16:24])
-	body := data[storeHeader2Size:]
-	if uint64(len(body)) != length {
-		return nil, 0, fmt.Errorf("%w: payload is %d bytes, header says %d",
-			errSnapshotCorrupt, len(body), length)
-	}
-	if got := crc32.Checksum(data[16:], crcTable); got != sum {
-		return nil, 0, fmt.Errorf("%w: checksum %#x, want %#x", errSnapshotCorrupt, got, sum)
-	}
-	return body, walSeq, nil
+	return openSnapshot(data)
 }
 
 // funcClock adapts the server's Now/Sleep funcs to the faults.Clock seam.

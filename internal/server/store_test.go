@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -12,14 +11,16 @@ import (
 	"time"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 )
 
-// blob is a trivial io.WriterTo payload for store-level tests.
-type blob []byte
-
-func (b blob) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(b)
-	return int64(n), err
+// save persists payload the way Server.writeSnapshot does: spare bytes
+// for the WAL boundary, then an archive frame around payload, as
+// ShardedFleet.WriteTo writes one.
+func save(st *snapshotStore, payload string, walSeq uint64) (int64, int, error) {
+	buf := append(make([]byte, walSeqSize+frame.HeaderSize), payload...)
+	frame.Seal(frame.KindArchive, buf[walSeqSize:])
+	return st.savePayload(buf, walSeq)
 }
 
 type sleepCounter struct {
@@ -54,7 +55,7 @@ func loadPayloadSeq(t *testing.T, st *snapshotStore) (payload []byte, fellBack b
 	t.Helper()
 	fellBack, walSeq, err := st.Load(func(r io.Reader) error {
 		var err error
-		payload, err = io.ReadAll(r)
+		payload, err = frame.Read(frame.KindArchive, r)
 		return err
 	})
 	if err != nil {
@@ -66,7 +67,7 @@ func loadPayloadSeq(t *testing.T, st *snapshotStore) (payload []byte, fellBack b
 func TestStoreRoundTripAndRotation(t *testing.T) {
 	st := testStore(t, faults.OS, nil)
 
-	if _, _, err := st.Save(blob("v1"), 0); err != nil {
+	if _, _, err := save(st, "v1", 0); err != nil {
 		t.Fatal(err)
 	}
 	got, fellBack := loadPayload(t, st)
@@ -75,7 +76,7 @@ func TestStoreRoundTripAndRotation(t *testing.T) {
 	}
 
 	// Second save rotates v1 to .bak.
-	if _, _, err := st.Save(blob("v2"), 0); err != nil {
+	if _, _, err := save(st, "v2", 0); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = loadPayload(t, st)
@@ -103,10 +104,10 @@ func TestStoreLoadMissing(t *testing.T) {
 
 func TestStoreFallbackOnCorruptPrimary(t *testing.T) {
 	st := testStore(t, faults.OS, nil)
-	if _, _, err := st.Save(blob("good"), 0); err != nil {
+	if _, _, err := save(st, "good", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Save(blob("newer"), 0); err != nil {
+	if _, _, err := save(st, "newer", 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +131,7 @@ func TestStoreFallbackOnCorruptPrimary(t *testing.T) {
 func TestStoreFallbackOnMissingPrimary(t *testing.T) {
 	// A crash between the two renames leaves only the .bak.
 	st := testStore(t, faults.OS, nil)
-	if _, _, err := st.Save(blob("only"), 0); err != nil {
+	if _, _, err := save(st, "only", 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(st.path, st.bakPath()); err != nil {
@@ -163,34 +164,43 @@ func TestStoreNoCandidateVerifies(t *testing.T) {
 			if err == nil || errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("Load = %v, want hard error", err)
 			}
-			if !errors.Is(err, errSnapshotCorrupt) {
-				t.Fatalf("error %v does not wrap errSnapshotCorrupt", err)
+			if !errors.Is(err, frame.ErrCorrupt) {
+				t.Fatalf("error %v does not wrap frame.ErrCorrupt", err)
 			}
 		})
 	}
 }
 
 func TestStoreRejectsLegacyFormats(t *testing.T) {
-	// PRS2 is the only container that loads. A bare PRF1 archive (no
-	// checksum at all) or a PRS1 container is corrupt, and takes the .bak
-	// fallback like any other damaged primary.
+	// The snapshot frame is the only format that loads. A bare PRF1
+	// archive (no checksum at all), a PRS1 container or the PRS2 container
+	// that preceded the frame is corrupt, and takes the .bak fallback like
+	// any other damaged primary.
+	// PRS1: magic | length u64 | CRC-32C(body) | body.
 	prs1Body := []byte("prs1 payload")
-	prs1 := make([]byte, 16+len(prs1Body))
-	binary.LittleEndian.PutUint32(prs1[0:4], 0x50525331) // "PRS1"
-	binary.LittleEndian.PutUint64(prs1[4:12], uint64(len(prs1Body)))
-	binary.LittleEndian.PutUint32(prs1[12:16], crc32.Checksum(prs1Body, crcTable))
-	copy(prs1[16:], prs1Body)
+	prs1 := binary.LittleEndian.AppendUint32(nil, 0x50525331)
+	prs1 = binary.LittleEndian.AppendUint64(prs1, uint64(len(prs1Body)))
+	prs1 = binary.LittleEndian.AppendUint32(prs1, frame.Sum(prs1Body))
+	prs1 = append(prs1, prs1Body...)
+	// PRS2: magic | payload length u64 | CRC-32C(boundary+payload) |
+	// WAL boundary u64 | payload.
+	prs2Tail := append(binary.LittleEndian.AppendUint64(nil, 5), "prs2 payload"...)
+	prs2 := binary.LittleEndian.AppendUint32(nil, 0x50525332)
+	prs2 = binary.LittleEndian.AppendUint64(prs2, uint64(len(prs2Tail)-8))
+	prs2 = binary.LittleEndian.AppendUint32(prs2, frame.Sum(prs2Tail))
+	prs2 = append(prs2, prs2Tail...)
 	cases := map[string][]byte{
 		"bare PRF1":      append([]byte{0x31, 0x46, 0x52, 0x50}, "rest-of-archive, long enough to hold a header"...),
 		"PRS1 container": prs1,
+		"PRS2 container": prs2,
 	}
 	for name, legacy := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, _, err := verifyContainer(legacy); !errors.Is(err, errSnapshotCorrupt) {
-				t.Fatalf("verifyContainer = %v, want errSnapshotCorrupt", err)
+			if _, _, err := openSnapshot(legacy); !errors.Is(err, frame.ErrKind) {
+				t.Fatalf("openSnapshot = %v, want frame.ErrKind", err)
 			}
 			st := testStore(t, faults.OS, nil)
-			if _, _, err := st.Save(blob("last known good"), 5); err != nil {
+			if _, _, err := save(st, "last known good", 5); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.Rename(st.path, st.bakPath()); err != nil {
@@ -214,7 +224,7 @@ func TestStoreRetriesTransientWriteErrors(t *testing.T) {
 
 	// Trip the first two createtemp calls: attempt 3 succeeds.
 	inj.TripN("fs.createtemp", 2, nil)
-	_, retries, err := st.Save(blob("persisted"), 0)
+	_, retries, err := save(st, "persisted", 0)
 	if err != nil {
 		t.Fatalf("Save under transient faults: %v", err)
 	}
@@ -234,7 +244,7 @@ func TestStoreGivesUpAfterBudget(t *testing.T) {
 	inj := faults.NewInjector(2)
 	st := testStore(t, faults.NewFaultFS(faults.OS, inj, &sleepCounter{}), nil)
 	inj.TripN("fs.sync", 100, nil)
-	_, _, err := st.Save(blob("never"), 0)
+	_, _, err := save(st, "never", 0)
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("Save = %v, want injected error after budget", err)
 	}
@@ -250,11 +260,11 @@ func TestStoreCorruptionOnWriteCaughtOnLoad(t *testing.T) {
 	ffs := faults.NewFaultFS(faults.OS, inj, clock)
 	st := testStore(t, ffs, clock)
 
-	if _, _, err := st.Save(blob("good v1"), 0); err != nil {
+	if _, _, err := save(st, "good v1", 0); err != nil {
 		t.Fatal(err)
 	}
 	inj.CorruptWrites("fs.write", 1)
-	if _, _, err := st.Save(blob("rotten v2"), 0); err != nil {
+	if _, _, err := save(st, "rotten v2", 0); err != nil {
 		t.Fatal(err) // bit rot is silent at write time
 	}
 	inj.Heal("fs.write")
@@ -267,7 +277,7 @@ func TestStoreCorruptionOnWriteCaughtOnLoad(t *testing.T) {
 
 func TestStoreWALBoundaryRoundTrip(t *testing.T) {
 	st := testStore(t, faults.OS, nil)
-	if _, _, err := st.Save(blob("with boundary"), 42); err != nil {
+	if _, _, err := save(st, "with boundary", 42); err != nil {
 		t.Fatal(err)
 	}
 	got, fellBack, seq := loadPayloadSeq(t, st)
@@ -280,10 +290,10 @@ func TestStoreFallbackCarriesOlderBoundary(t *testing.T) {
 	// A corrupt primary falls back to the .bak, whose older boundary makes
 	// replay start earlier — more WAL replayed, never less.
 	st := testStore(t, faults.OS, nil)
-	if _, _, err := st.Save(blob("old"), 3); err != nil {
+	if _, _, err := save(st, "old", 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Save(blob("new"), 9); err != nil {
+	if _, _, err := save(st, "new", 9); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(st.path)
@@ -304,19 +314,19 @@ func TestStoreBoundaryBitRotTriggersFallback(t *testing.T) {
 	// The checksum covers the boundary field: flipping a boundary bit must
 	// reject the container, not silently skip acknowledged events.
 	st := testStore(t, faults.OS, nil)
-	if _, _, err := st.Save(blob("guarded"), 7); err != nil {
+	if _, _, err := save(st, "guarded", 7); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(st.path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[16] ^= 0x01 // low byte of the walSeq field
+	data[frame.HeaderSize] ^= 0x01 // low byte of the walSeq field
 	if err := os.WriteFile(st.path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = st.Load(func(io.Reader) error { return nil })
-	if !errors.Is(err, errSnapshotCorrupt) {
-		t.Fatalf("Load with flipped boundary = %v, want errSnapshotCorrupt", err)
+	if !errors.Is(err, frame.ErrChecksum) {
+		t.Fatalf("Load with flipped boundary = %v, want frame.ErrChecksum", err)
 	}
 }

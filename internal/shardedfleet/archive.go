@@ -1,7 +1,6 @@
 package shardedfleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -9,82 +8,75 @@ import (
 	"io"
 	"sort"
 
+	"prorp/internal/frame"
 	"prorp/internal/policy"
 )
 
-// The PRF1 fleet archive is the one wire format a fleet writes and reads
-// (the root package's reference Fleet, a test oracle, goes through
-// WriteArchive and ReadArchive too, so its archives are byte-identical):
+// The fleet archive is the one wire format a fleet writes and reads (the
+// root package's reference Fleet, a test oracle, goes through WriteArchive
+// and ReadArchive too, so its archives are byte-identical). It is one
+// internal/frame KindArchive frame whose body is
 //
-//	magic  uint32 'PRF1'
 //	count  uint32
-//	count x { id int64, size uint32, database snapshot (policy wire format) }
-const archiveMagic = 0x50524631 // "PRF1"
+//	count x { id int64, size uint32, database body (policy wire format) }
+//
+// A snapshot nests this body bare, under its own frame.
 
-// WriteArchive writes a PRF1 archive holding one record per id, in the
-// order given; snapshot must write database id's policy wire image.
+// WriteArchive writes an archive holding one record per id, in the order
+// given; snapshot must write database id's bare policy body.
 func WriteArchive(w io.Writer, ids []int, snapshot func(id int, w io.Writer) error) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], archiveMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(ids)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	written := int64(len(hdr))
-
-	var snap bytes.Buffer
-	for _, id := range ids {
-		snap.Reset()
-		if err := snapshot(id, &snap); err != nil {
-			return written, err
-		}
+	return frame.Write(w, frame.KindArchive, func(buf *bytes.Buffer) error {
+		buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(ids))))
 		var rec [12]byte
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(int64(id)))
-		binary.LittleEndian.PutUint32(rec[8:12], uint32(snap.Len()))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return written, err
+		for _, id := range ids {
+			at := buf.Len()
+			buf.Write(rec[:])
+			if err := snapshot(id, buf); err != nil {
+				return err
+			}
+			b := buf.Bytes()[at:]
+			binary.LittleEndian.PutUint64(b[0:8], uint64(int64(id)))
+			binary.LittleEndian.PutUint32(b[8:12], uint32(len(b)-len(rec)))
 		}
-		written += int64(len(rec))
-		n, err := bw.Write(snap.Bytes())
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, bw.Flush()
+		return nil
+	})
 }
 
-// ReadArchive decodes a PRF1 archive, handing each record's id and
-// size-limited snapshot to restore. Undecodable input — truncated,
-// bit-flipped, wrong format, or a record restore rejects — yields an error
-// wrapping ErrCorruptArchive, never a panic; a restore error that wraps
+// ReadArchive verifies the archive frame r holds and hands each record's id
+// and policy body to restore. Undecodable input — truncated, bit-flipped,
+// wrong kind, or a record restore rejects — yields an error wrapping
+// frame.ErrCorrupt, never a panic; a restore error that wraps
 // ErrDuplicateDatabase keeps that sentinel instead, since an id collision
 // is not stream damage.
 func ReadArchive(r io.Reader, restore func(id int, snap io.Reader) error) error {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return fmt.Errorf("%w: reading header: %w", ErrCorruptArchive, err)
+	b, err := frame.Read(frame.KindArchive, r)
+	if err != nil {
+		return fmt.Errorf("reading fleet archive: %w", err)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != archiveMagic {
-		return fmt.Errorf("%w: bad magic %#x", ErrCorruptArchive, got)
+	if len(b) < 4 {
+		return fmt.Errorf("%w: archive body is %d bytes", frame.ErrCorrupt, len(b))
 	}
-	count := binary.LittleEndian.Uint32(hdr[4:8])
-
+	count := binary.LittleEndian.Uint32(b)
+	b = b[4:]
 	for i := uint32(0); i < count; i++ {
-		var rec [12]byte
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return fmt.Errorf("%w: reading entry %d of %d: %w", ErrCorruptArchive, i, count, err)
+		if len(b) < 12 {
+			return fmt.Errorf("%w: archive entry %d of %d truncated", frame.ErrCorrupt, i, count)
 		}
-		id := int(int64(binary.LittleEndian.Uint64(rec[0:8])))
-		size := binary.LittleEndian.Uint32(rec[8:12])
-		if err := restore(id, io.LimitReader(br, int64(size))); err != nil {
+		id := int(int64(binary.LittleEndian.Uint64(b[0:8])))
+		size := uint64(binary.LittleEndian.Uint32(b[8:12]))
+		if b = b[12:]; uint64(len(b)) < size {
+			return fmt.Errorf("%w: database %d body truncated", frame.ErrCorrupt, id)
+		}
+		if err := restore(id, bytes.NewReader(b[:size])); err != nil {
 			if errors.Is(err, ErrDuplicateDatabase) {
 				return fmt.Errorf("restoring database %d: %w", id, err)
 			}
-			return fmt.Errorf("%w: restoring database %d: %w", ErrCorruptArchive, id, err)
+			return fmt.Errorf("%w: restoring database %d: %w", frame.ErrCorrupt, id, err)
 		}
+		b = b[size:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d bytes after the last archive entry", frame.ErrCorrupt, len(b))
 	}
 	return nil
 }

@@ -44,11 +44,6 @@ var (
 	// ErrUnknownDatabase and ErrDuplicateDatabase classify lookups.
 	ErrUnknownDatabase   = errors.New("unknown database")
 	ErrDuplicateDatabase = errors.New("database already exists")
-	// ErrCorruptArchive marks a fleet archive that cannot be decoded —
-	// truncated, bit-flipped, or wrong format. Restores never panic on bad
-	// input; they return an error wrapping this sentinel so hosts can fall
-	// back to an older snapshot.
-	ErrCorruptArchive = errors.New("corrupt fleet archive")
 )
 
 // Config assembles a runtime.

@@ -8,10 +8,10 @@
 // an older version is stale and must adopt the newer map before serving, so
 // a migrated slot can never be written through its previous owner.
 //
-// On disk the map uses the PRM1 format: a little-endian binary image with a
-// leading magic and a CRC-32C over everything after the checksum field, so
-// torn or bit-flipped files are detected on load. Persistence is atomic
-// and durable (faults.WriteFileAtomic), the write the snapshot store uses.
+// On disk and between peers the map is one internal/frame KindShardMap
+// frame, so torn or bit-flipped images are detected on load; a slot
+// transfer nests the bare body. Persistence is atomic and durable
+// (faults.WriteFileAtomic), the write the snapshot store uses.
 package shardmap
 
 import (
@@ -19,13 +19,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 )
 
 // NumSlots is the fixed size of the hash ring. Every map owns exactly this
@@ -33,23 +33,15 @@ import (
 // slot count (which would re-home every database).
 const NumSlots = 64
 
-// Magic identifies a PRM1 shard-map image.
-const Magic uint32 = 0x50524D31 // "PRM1"
-
 // MaxGroups bounds the group count; owners are stored as one byte per slot.
 const MaxGroups = 255
-
-// ErrCorrupt reports a damaged or truncated PRM1 image.
-var ErrCorrupt = errors.New("shardmap: corrupt PRM1 image")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // SlotOf hashes a database id onto the ring. The hash must be stable across
 // processes and releases: CRC-32C over the id's 8 little-endian bytes.
 func SlotOf(id int) int {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(id))
-	return int(crc32.Checksum(b[:], crcTable) % NumSlots)
+	return int(frame.Sum(b[:]) % NumSlots)
 }
 
 // Map is an immutable slot-ownership table. Mutations return a new Map with
@@ -178,20 +170,20 @@ func (m *Map) Equal(o *Map) bool {
 	return true
 }
 
-// PRM1 layout (little endian):
+// The map body (little endian):
 //
-//	magic   u32  = 0x50524D31
-//	crc     u32  = CRC-32C over everything after this field
 //	version u64
 //	nGroups u16, then per group: u16 length + bytes
 //	nSlots  u16  = NumSlots
 //	owner   u8 × nSlots
-const headerSize = 4 + 4 // magic + crc
 
-// Encode serializes the map into a PRM1 image.
+// Encode frames the map as a KindShardMap image.
 func (m *Map) Encode() []byte {
-	b := make([]byte, headerSize, headerSize+8+2+len(m.groups)*18+2+NumSlots)
-	binary.LittleEndian.PutUint32(b[0:4], Magic)
+	return frame.Seal(frame.KindShardMap, m.AppendBody(make([]byte, frame.HeaderSize)))
+}
+
+// AppendBody appends the map's bare body to b.
+func (m *Map) AppendBody(b []byte) []byte {
 	b = binary.LittleEndian.AppendUint64(b, m.version)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(m.groups)))
 	for _, g := range m.groups {
@@ -199,60 +191,64 @@ func (m *Map) Encode() []byte {
 		b = append(b, g...)
 	}
 	b = binary.LittleEndian.AppendUint16(b, NumSlots)
-	b = append(b, m.owner...)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[headerSize:], crcTable))
-	return b
+	return append(b, m.owner...)
 }
 
-// Decode parses and verifies a PRM1 image.
+// Decode verifies and parses a KindShardMap image.
 func Decode(b []byte) (*Map, error) {
-	if len(b) < headerSize+8+2 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(b))
+	body, err := frame.Decode(frame.KindShardMap, b)
+	if err != nil {
+		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(b[0:4]); got != Magic {
-		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, got)
+	return DecodeBody(body)
+}
+
+// DecodeBody parses a bare map body, which must fill p exactly. Damage
+// wraps frame.ErrCorrupt.
+func DecodeBody(p []byte) (*Map, error) {
+	corrupt := func(format string, args ...any) (*Map, error) {
+		return nil, fmt.Errorf("%w: shard map: "+format, append([]any{frame.ErrCorrupt}, args...)...)
 	}
-	if got, want := binary.LittleEndian.Uint32(b[4:8]), crc32.Checksum(b[headerSize:], crcTable); got != want {
-		return nil, fmt.Errorf("%w: crc %#x, want %#x", ErrCorrupt, got, want)
+	if len(p) < 8+2 {
+		return corrupt("%d bytes", len(p))
 	}
-	p := b[headerSize:]
 	version := binary.LittleEndian.Uint64(p[0:8])
 	n := int(binary.LittleEndian.Uint16(p[8:10]))
 	p = p[10:]
 	if n == 0 || n > MaxGroups {
-		return nil, fmt.Errorf("%w: %d groups", ErrCorrupt, n)
+		return corrupt("%d groups", n)
 	}
 	groups := make([]string, n)
 	for i := range groups {
 		if len(p) < 2 {
-			return nil, fmt.Errorf("%w: truncated group table", ErrCorrupt)
+			return corrupt("truncated group table")
 		}
 		l := int(binary.LittleEndian.Uint16(p[0:2]))
 		p = p[2:]
 		if len(p) < l {
-			return nil, fmt.Errorf("%w: truncated group name", ErrCorrupt)
+			return corrupt("truncated group name")
 		}
 		groups[i] = string(p[:l])
 		p = p[l:]
 		if groups[i] == "" || (i > 0 && groups[i-1] >= groups[i]) {
-			return nil, fmt.Errorf("%w: group table not sorted-unique", ErrCorrupt)
+			return corrupt("group table not sorted-unique")
 		}
 	}
 	if len(p) < 2 {
-		return nil, fmt.Errorf("%w: missing slot count", ErrCorrupt)
+		return corrupt("missing slot count")
 	}
 	slots := int(binary.LittleEndian.Uint16(p[0:2]))
 	p = p[2:]
 	if slots != NumSlots {
-		return nil, fmt.Errorf("%w: %d slots, want %d", ErrCorrupt, slots, NumSlots)
+		return corrupt("%d slots, want %d", slots, NumSlots)
 	}
 	if len(p) != NumSlots {
-		return nil, fmt.Errorf("%w: %d owner bytes, want %d", ErrCorrupt, len(p), NumSlots)
+		return corrupt("%d owner bytes, want %d", len(p), NumSlots)
 	}
 	owner := make([]uint8, NumSlots)
 	for i, gi := range p {
 		if int(gi) >= n {
-			return nil, fmt.Errorf("%w: slot %d owner index %d out of range", ErrCorrupt, i, gi)
+			return corrupt("slot %d owner index %d out of range", i, gi)
 		}
 		owner[i] = gi
 	}
@@ -332,35 +328,25 @@ func Save(fsys faults.FS, path string, m *Map) error {
 }
 
 // Load reads and verifies a persisted map. A missing file surfaces as
-// fs.ErrNotExist so boot can fall back to building a fresh map.
+// fs.ErrNotExist so boot can fall back to building a fresh map; damage as
+// frame.ErrCorrupt.
 func Load(fsys faults.FS, path string) (*Map, error) {
-	m, _, err := Inspect(fsys, path)
-	return m, err
-}
-
-// Inspect reads a persisted map, returning its size alongside, for tooling.
-// Damage surfaces as ErrCorrupt; a missing file as fs.ErrNotExist.
-func Inspect(fsys faults.FS, path string) (*Map, int, error) {
 	if fsys == nil {
 		fsys = faults.OS
 	}
 	f, err := fsys.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, err
+			return nil, err
 		}
-		return nil, 0, fmt.Errorf("shardmap: open %s: %w", path, err)
+		return nil, fmt.Errorf("shardmap: open %s: %w", path, err)
 	}
 	b, err := io.ReadAll(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("shardmap: read %s: %w", path, err)
+		return nil, fmt.Errorf("shardmap: read %s: %w", path, err)
 	}
-	m, err := Decode(b)
-	if err != nil {
-		return nil, len(b), err
-	}
-	return m, len(b), nil
+	return Decode(b)
 }

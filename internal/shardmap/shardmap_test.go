@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"path/filepath"
 	"testing"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 )
 
 func mustNew(t *testing.T, groups ...string) *Map {
@@ -24,10 +24,10 @@ func mustNew(t *testing.T, groups ...string) *Map {
 }
 
 func TestSlotOfStableAndCovered(t *testing.T) {
-	// The hash must be deterministic (pin a few values so an accidental
-	// hash change shows up as a test failure, not a silent re-home of
-	// every database) and must land inside the ring.
-	for id, want := range map[int]int{0: SlotOf(0), 1: SlotOf(1), 123456: SlotOf(123456)} {
+	// The hash must be deterministic (pin literal values so a change of
+	// table or byte order shows up as a test failure, not a silent re-home
+	// of every database) and must land inside the ring.
+	for id, want := range map[int]int{0: 10, 1: 45, 2: 4, 123456: 2, 1 << 40: 52, -1: 7} {
 		if got := SlotOf(id); got != want || got < 0 || got >= NumSlots {
 			t.Fatalf("SlotOf(%d) = %d (unstable or out of range)", id, got)
 		}
@@ -124,7 +124,7 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		bad[i] ^= 0x40
 		if _, err := Decode(bad); err == nil {
 			t.Fatalf("bit flip at byte %d accepted", i)
-		} else if !errors.Is(err, ErrCorrupt) {
+		} else if !errors.Is(err, frame.ErrCorrupt) {
 			t.Fatalf("bit flip at byte %d: err %v not ErrCorrupt", i, err)
 		}
 	}
@@ -145,9 +145,9 @@ func TestSaveLoadInspect(t *testing.T) {
 	if err := Save(nil, path, m); err != nil {
 		t.Fatal(err)
 	}
-	got, size, err := Inspect(nil, path)
-	if err != nil || size == 0 || !got.Equal(m) {
-		t.Fatalf("Inspect = %+v, %d, %v", got, size, err)
+	got, err := Load(nil, path)
+	if err != nil || !got.Equal(m) {
+		t.Fatalf("Load = %+v, %v", got, err)
 	}
 	// Overwrite with a newer version; no temp litter left behind.
 	m2, _ := m.WithOwner(0, "g2")
@@ -274,16 +274,6 @@ func TestEqualBranches(t *testing.T) {
 	}
 }
 
-// seal wraps a hand-built PRM1 body in a valid magic + CRC header, so the
-// structural checks past the checksum are reachable.
-func seal(body []byte) []byte {
-	b := make([]byte, 8, 8+len(body))
-	binary.LittleEndian.PutUint32(b[0:4], Magic)
-	b = append(b, body...)
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[8:], crcTable))
-	return b
-}
-
 func TestDecodeStructuralChecks(t *testing.T) {
 	le := binary.LittleEndian
 	u16 := func(v int) []byte { return le.AppendUint16(nil, uint16(v)) }
@@ -315,8 +305,8 @@ func TestDecodeStructuralChecks(t *testing.T) {
 		{"owner index out of range", body(u16(2), group("a"), group("b"), u16(NumSlots), owners(NumSlots, 2))},
 	}
 	for _, tc := range cases {
-		if _, err := Decode(seal(tc.body)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Decode err = %v, want ErrCorrupt", tc.name, err)
+		if _, err := DecodeBody(tc.body); !errors.Is(err, frame.ErrCorrupt) {
+			t.Errorf("%s: DecodeBody err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
 }

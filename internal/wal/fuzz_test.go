@@ -29,7 +29,10 @@ func FuzzScanFrames(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var records []Record
-		consumed, torn := scanFrames(data, func(rec Record) { records = append(records, rec) })
+		consumed, torn, _ := ScanStream(data, func(rec Record) error {
+			records = append(records, rec)
+			return nil
+		})
 		if consumed < 0 || consumed > int64(len(data)) {
 			t.Fatalf("consumed %d of %d bytes", consumed, len(data))
 		}
@@ -49,7 +52,7 @@ func FuzzScanFrames(f *testing.F) {
 			t.Fatalf("re-encoded %d records != consumed prefix (%d bytes)", len(records), consumed)
 		}
 		// Determinism: a second scan agrees.
-		consumed2, torn2 := scanFrames(data, func(Record) {})
+		consumed2, torn2, _ := ScanStream(data, func(Record) error { return nil })
 		if consumed2 != consumed || torn2 != torn {
 			t.Fatalf("scan not deterministic: (%d,%v) vs (%d,%v)", consumed, torn, consumed2, torn2)
 		}

@@ -1,27 +1,28 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"time"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 )
 
 // appendFrame appends one record to dst as a length-prefixed,
 // CRC-32C-guarded frame.
 func appendFrame(dst []byte, rec Record) []byte {
-	var frame [frameOverhead + recordPayload]byte
-	payload := frame[frameOverhead:]
+	var f [frameOverhead + recordPayload]byte
+	payload := f[frameOverhead:]
 	payload[0] = byte(rec.Type)
-	putU64(payload[1:9], uint64(rec.ID))
-	putU64(payload[9:17], uint64(rec.Unix))
-	putU32(frame[0:4], recordPayload)
-	putU32(frame[4:8], crc32.Checksum(payload, crcTable))
-	return append(dst, frame[:]...)
+	binary.LittleEndian.PutUint64(payload[1:9], uint64(rec.ID))
+	binary.LittleEndian.PutUint64(payload[9:17], uint64(rec.Unix))
+	binary.LittleEndian.PutUint32(f[0:4], recordPayload)
+	binary.LittleEndian.PutUint32(f[4:8], frame.Sum(payload))
+	return append(dst, f[:]...)
 }
 
 // decodeRecord parses a verified frame payload. It rejects payloads whose
@@ -33,8 +34,8 @@ func decodeRecord(payload []byte) (Record, bool) {
 	}
 	rec := Record{
 		Type: RecordType(payload[0]),
-		ID:   int64(getU64(payload[1:9])),
-		Unix: int64(getU64(payload[9:17])),
+		ID:   int64(binary.LittleEndian.Uint64(payload[1:9])),
+		Unix: int64(binary.LittleEndian.Uint64(payload[9:17])),
 	}
 	if !rec.Type.valid() {
 		return Record{}, false
@@ -42,35 +43,24 @@ func decodeRecord(payload []byte) (Record, bool) {
 	return rec, true
 }
 
-// scanFrames walks the record area of a segment (everything after the
-// header), calling apply for each intact frame. It stops at the first bad
-// frame — truncated length prefix, oversized length, payload running past
-// the buffer, checksum mismatch, or undecodable payload — and reports how
-// many bytes of data were consumed and whether a tear cut the scan short.
-// A clean scan (consumed == len(data)) is not torn.
-func scanFrames(data []byte, apply func(Record)) (consumed int64, torn bool) {
-	off := 0
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < frameOverhead {
-			return int64(off), true
-		}
-		length := int(getU32(rest[0:4]))
-		if length > maxFramePayload || len(rest) < frameOverhead+length {
-			return int64(off), true
-		}
-		payload := rest[frameOverhead : frameOverhead+length]
-		if crc32.Checksum(payload, crcTable) != getU32(rest[4:8]) {
-			return int64(off), true
-		}
-		rec, ok := decodeRecord(payload)
-		if !ok {
-			return int64(off), true
-		}
-		apply(rec)
-		off += frameOverhead + length
+// nextFrame decodes the record frame at the front of data and reports its
+// size. ok is false for a bad frame — truncated length prefix, oversized
+// length, payload running past the buffer, checksum mismatch, or
+// undecodable payload.
+func nextFrame(data []byte) (rec Record, size int64, ok bool) {
+	if len(data) < frameOverhead {
+		return Record{}, 0, false
 	}
-	return int64(off), false
+	length := int(binary.LittleEndian.Uint32(data[0:4]))
+	if length > maxFramePayload || len(data) < frameOverhead+length {
+		return Record{}, 0, false
+	}
+	payload := data[frameOverhead : frameOverhead+length]
+	if frame.Sum(payload) != binary.LittleEndian.Uint32(data[4:8]) {
+		return Record{}, 0, false
+	}
+	rec, ok = decodeRecord(payload)
+	return rec, int64(frameOverhead + length), ok
 }
 
 // Replay applies every intact record in segments with seq >= since, in
@@ -111,16 +101,17 @@ func (j *Journal) Replay(since uint64, apply func(Record)) (ReplayStats, error) 
 			return stats, fmt.Errorf("wal: reading segment %d: %w", seq, err)
 		}
 		stats.SegmentsScanned++
-		if len(data) < segHeaderSize || getU32(data[0:4]) != segMagic || getU64(data[4:12]) != seq {
+		if !headerOK(data, seq) {
 			j.cfg.Logf("wal: segment %d header damaged; discarding %d bytes", seq, len(data))
 			stats.TornSegments++
 			stats.TruncatedBytes += int64(len(data))
 			continue
 		}
 		body := data[segHeaderSize:]
-		consumed, torn := scanFrames(body, func(rec Record) {
+		consumed, torn, _ := ScanStream(body, func(rec Record) error {
 			stats.Records++
 			apply(rec)
+			return nil
 		})
 		if torn {
 			discarded := int64(len(body)) - consumed

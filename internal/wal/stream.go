@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"strconv"
@@ -21,7 +20,7 @@ import (
 // receives precisely the acknowledged record stream.
 
 // SegmentDataStart is the offset of the first frame in a segment — the
-// byte right after the PRW1 header. A cursor pointing at a segment it has
+// byte right after the segment header. A cursor pointing at a segment it has
 // not read yet starts here.
 const SegmentDataStart = int64(segHeaderSize)
 
@@ -223,7 +222,7 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 		if err != nil {
 			return nil, c, c, err
 		}
-		if len(hdr) < segHeaderSize || getU32(hdr[0:4]) != segMagic || getU64(hdr[4:12]) != c.Seg {
+		if !headerOK(hdr, c.Seg) {
 			// Damaged header: replay discards the whole segment, so the
 			// stream does too.
 			c = Cursor{Seg: nextSeq, Off: segHeaderSize}
@@ -253,54 +252,29 @@ func (j *Journal) ReadAfter(c Cursor, maxBytes int) (data []byte, start, next Cu
 func takeFrames(data []byte, maxBytes int) int64 {
 	var n int64
 	for {
-		rest := data[n:]
-		if len(rest) < frameOverhead {
+		_, size, ok := nextFrame(data[n:])
+		if !ok || n+size > int64(maxBytes) {
 			return n
 		}
-		length := int(getU32(rest[0:4]))
-		if length > maxFramePayload || len(rest) < frameOverhead+length {
-			return n
-		}
-		if n+int64(frameOverhead+length) > int64(maxBytes) {
-			return n
-		}
-		payload := rest[frameOverhead : frameOverhead+length]
-		if crc32.Checksum(payload, crcTable) != getU32(rest[4:8]) {
-			return n
-		}
-		if _, ok := decodeRecord(payload); !ok {
-			return n
-		}
-		n += int64(frameOverhead + length)
+		n += size
 	}
 }
 
-// ScanStream walks a buffer of frames as served by ReadAfter, calling
-// apply for each record. It stops at the first bad frame (torn=true) or
-// the first apply error; consumed is the bytes of frames whose records
-// were applied, so callers can advance a cursor by exactly that much.
+// ScanStream walks a buffer of frames — a segment's record area, or a
+// batch served by ReadAfter — calling apply for each record. It stops at
+// the first bad frame (torn=true) or the first apply error; consumed is the
+// bytes of frames whose records were applied, so callers can advance a
+// cursor by exactly that much. A clean scan consumes all of data.
 func ScanStream(data []byte, apply func(Record) error) (consumed int64, torn bool, err error) {
 	for consumed < int64(len(data)) {
-		rest := data[consumed:]
-		if len(rest) < frameOverhead {
-			return consumed, true, nil
-		}
-		length := int(getU32(rest[0:4]))
-		if length > maxFramePayload || len(rest) < frameOverhead+length {
-			return consumed, true, nil
-		}
-		payload := rest[frameOverhead : frameOverhead+length]
-		if crc32.Checksum(payload, crcTable) != getU32(rest[4:8]) {
-			return consumed, true, nil
-		}
-		rec, ok := decodeRecord(payload)
+		rec, size, ok := nextFrame(data[consumed:])
 		if !ok {
 			return consumed, true, nil
 		}
 		if err := apply(rec); err != nil {
 			return consumed, false, err
 		}
-		consumed += int64(frameOverhead + length)
+		consumed += size
 	}
 	return consumed, false, nil
 }
@@ -398,7 +372,7 @@ func InspectDir(fsys faults.FS, dir string, sampleN int) ([]SegmentReport, error
 			return reports, fmt.Errorf("wal: reading segment %d: %w", seq, err)
 		}
 		rep.SizeBytes = int64(len(data))
-		if len(data) < segHeaderSize || getU32(data[0:4]) != segMagic || getU64(data[4:12]) != seq {
+		if !headerOK(data, seq) {
 			rep.Torn = true
 			rep.Truncated = int64(len(data))
 			reports = append(reports, rep)
@@ -406,11 +380,12 @@ func InspectDir(fsys faults.FS, dir string, sampleN int) ([]SegmentReport, error
 		}
 		rep.HeaderOK = true
 		body := data[segHeaderSize:]
-		consumed, torn := scanFrames(body, func(rec Record) {
+		consumed, torn, _ := ScanStream(body, func(rec Record) error {
 			rep.Records++
 			if rep.Records <= sampleN {
 				rep.Sample = append(rep.Sample, rec)
 			}
+			return nil
 		})
 		if torn {
 			rep.Torn = true

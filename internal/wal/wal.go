@@ -6,7 +6,7 @@
 //
 // On-disk layout: a directory of segment files named wal-<seq>.seg, each
 //
-//	header:  magic "PRW1" (u32 LE) | segment seq (u64 LE)
+//	header:  one internal/frame KindSegment frame whose body is the segment seq (u64 LE)
 //	records: frame*
 //	frame:   payload length (u32 LE) | CRC-32C(payload) (u32 LE) | payload
 //	payload: record type (u8) | database id (i64 LE) | unix seconds (i64 LE)
@@ -35,9 +35,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"prorp/internal/faults"
+	"prorp/internal/frame"
 	"prorp/internal/obs"
 )
 
@@ -171,14 +172,11 @@ type ReplayStats struct {
 // ErrClosed is returned by Append after Close or Kill.
 var ErrClosed = errors.New("wal: journal closed")
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 const (
-	segMagic            = 0x50525731 // "PRW1"
-	segHeaderSize       = 12         // magic u32 + seq u64
-	frameOverhead       = 8          // length u32 + crc u32
-	recordPayload       = 17         // type u8 + id i64 + unix i64
-	maxFramePayload     = 1 << 16    // sanity cap: larger lengths are damage, not data
+	segHeaderSize       = frame.HeaderSize + 8 // frame header + seq u64
+	frameOverhead       = 8                    // length u32 + crc u32
+	recordPayload       = 17                   // type u8 + id i64 + unix i64
+	maxFramePayload     = 1 << 16              // sanity cap: larger lengths are damage, not data
 	defaultSegmentBytes = 4 << 20
 	minSegmentBytes     = 4 << 10
 )
@@ -321,9 +319,8 @@ func (j *Journal) openSegmentLocked(seq uint64) error {
 			continue
 		}
 		hdr := make([]byte, segHeaderSize)
-		putU32(hdr[0:4], segMagic)
-		putU64(hdr[4:12], seq)
-		n, err := f.Write(hdr)
+		binary.LittleEndian.PutUint64(hdr[frame.HeaderSize:], seq)
+		n, err := f.Write(frame.Seal(frame.KindSegment, hdr))
 		if err == nil && n < len(hdr) {
 			err = fmt.Errorf("wal: short header write (%d of %d bytes)", n, len(hdr))
 		}
@@ -674,19 +671,11 @@ func (j *Journal) Kill() {
 	j.wakeLocked()
 }
 
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b[0:4], uint32(v))
-	putU32(b[4:8], uint32(v>>32))
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b[0:4])) | uint64(getU32(b[4:8]))<<32
+// headerOK reports whether data opens with segment seq's header.
+func headerOK(data []byte, seq uint64) bool {
+	if len(data) < segHeaderSize {
+		return false
+	}
+	body, err := frame.Decode(frame.KindSegment, data[:segHeaderSize])
+	return err == nil && binary.LittleEndian.Uint64(body) == seq
 }

@@ -223,7 +223,7 @@ func (s *ShardedFleet) History(id int) ([]ActivityEvent, error) {
 // Snapshot serializes one database (see Database.WriteTo).
 func (s *ShardedFleet) Snapshot(id int, w io.Writer) error {
 	var err error
-	if verr := s.rt.View(id, func(m *policy.Machine) { _, err = m.WriteTo(w) }); verr != nil {
+	if verr := s.rt.View(id, func(m *policy.Machine) { _, err = writeDatabase(w, m) }); verr != nil {
 		return verr
 	}
 	return err
@@ -233,7 +233,11 @@ func (s *ShardedFleet) Snapshot(id int, w io.Writer) error {
 // a physically paused one for proactive resume. The returned wakeAt is
 // non-zero when the host must schedule a Wake.
 func (s *ShardedFleet) Restore(id int, r io.Reader) (wakeAt time.Time, err error) {
-	ts, err := s.rt.RestoreDB(id, r)
+	body, err := readDatabase(r)
+	if err != nil {
+		return time.Time{}, err
+	}
+	ts, err := s.rt.RestoreDB(id, body)
 	if err != nil {
 		return time.Time{}, err
 	}
@@ -244,7 +248,7 @@ func (s *ShardedFleet) Restore(id int, r io.Reader) (wakeAt time.Time, err error
 }
 
 // WriteTo archives the whole fleet under a consistent quiesce, databases in
-// id order, as one PRF1 stream: lifecycle states, histories and
+// id order, as one checksummed archive frame: lifecycle states, histories and
 // predictions, from which a restore rebuilds the paused-database metadata,
 // so a control-plane restart (or a wholesale node migration) restores the
 // complete region state. It implements io.WriterTo.
@@ -272,7 +276,7 @@ func (s *ShardedFleet) PendingWakes() []PendingWake {
 // stripe count) from an archive written by WriteTo, under possibly
 // re-trained options. It returns the wake-ups the host must schedule for
 // logically paused databases. Undecodable input — truncated, bit-flipped,
-// wrong format — yields an error wrapping ErrCorruptArchive, never a panic.
+// wrong kind — yields an error wrapping ErrCorruptArchive, never a panic.
 func RestoreShardedFleet(opts Options, shards int, r io.Reader) (*ShardedFleet, []PendingWake, error) {
 	sf, err := NewShardedFleetShards(opts, shards)
 	if err != nil {
