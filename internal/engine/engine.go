@@ -116,12 +116,9 @@ type dbRuntime struct {
 
 	timer *simclock.Event
 
-	// Accounting: the open time segment since lastAccounted. When
-	// prewarmPending, the segment's category is decided at close time
-	// (correct vs wrong proactive resume).
-	cur            metrics.Category
-	prewarmPending bool
-	lastAccounted  int64
+	// acct is the database's open §8 segment, advanced by every record it
+	// emits.
+	acct metrics.Account
 }
 
 type sim struct {
@@ -189,7 +186,7 @@ func Run(cfg Config, traces []workload.Trace) (*Result, error) {
 	// Close every open segment at the horizon end.
 	for _, rt := range s.dbs {
 		if rt.machine != nil {
-			s.closeSegment(rt, cfg.To)
+			coll.Close(&rt.acct, cfg.To)
 		}
 	}
 
@@ -210,34 +207,11 @@ func Run(cfg Config, traces []workload.Trace) (*Result, error) {
 	}, nil
 }
 
-// closeSegment accounts the open segment of rt up to `to`. For a pending
-// prewarm the category is still undecided; callers that know the outcome
-// use closePrewarmAs instead.
-func (s *sim) closeSegment(rt *dbRuntime, to int64) {
-	cat := rt.cur
-	if rt.prewarmPending {
-		// Horizon end or unexpected close: count an undecided prewarm as
-		// correct-idle (it was serving a prediction that may yet land).
-		cat = metrics.IdlePrewarmCorrect
-	}
-	if to > rt.lastAccounted {
-		s.coll.AddSegment(cat, rt.lastAccounted, to)
-		rt.lastAccounted = to
-	}
-}
-
-// closePrewarmAs closes a pending-prewarm segment with the decided outcome.
-func (s *sim) closePrewarmAs(rt *dbRuntime, cat metrics.Category, to int64) {
-	if to > rt.lastAccounted {
-		s.coll.AddSegment(cat, rt.lastAccounted, to)
-		rt.lastAccounted = to
-	}
-	rt.prewarmPending = false
-}
-
-func (s *sim) open(rt *dbRuntime, cat metrics.Category) {
-	rt.cur = cat
-	rt.prewarmPending = false
+// emit appends one record of rt to the log and folds it into rt's account.
+func (s *sim) emit(rt *dbRuntime, kind telemetry.Kind, now int64) {
+	r := telemetry.Record{Time: now, DB: rt.id, Kind: kind}
+	s.tel.Append(r)
+	s.coll.Observe(&rt.acct, r)
 }
 
 // onBirth creates the database: machine construction, first allocation,
@@ -249,9 +223,8 @@ func (s *sim) onBirth(rt *dbRuntime, now int64) {
 		panic(err)
 	}
 	rt.machine = m
-	rt.lastAccounted = now
-	s.open(rt, metrics.Used)
-	s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.ActivityStart})
+	rt.acct = metrics.NewAccount(now)
+	s.emit(rt, telemetry.ActivityStart, now)
 	s.allocate(rt, now)
 
 	end := rt.trace.Intervals[0].End
@@ -281,9 +254,9 @@ func (s *sim) allocate(rt *dbRuntime, now int64) int64 {
 	if res.LatencySec == 0 {
 		return 0 // already allocated
 	}
-	s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.WorkflowAllocate})
+	s.emit(rt, telemetry.WorkflowAllocate, now)
 	if res.Moved {
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.DatabaseMoved})
+		s.emit(rt, telemetry.DatabaseMoved, now)
 	}
 	s.runner.WorkflowStarted(rt.id, now, "resume")
 	done := now + res.LatencySec
@@ -293,8 +266,24 @@ func (s *sim) allocate(rt *dbRuntime, now int64) int64 {
 	return res.LatencySec
 }
 
-// applyEffects performs the environment side of a policy decision.
+// applyEffects emits the records of a policy decision and performs its
+// environment side.
 func (s *sim) applyEffects(rt *dbRuntime, eff policy.Effects, now int64) {
+	recs := eff.Records()
+	for _, kind := range recs.Kinds() {
+		s.emit(rt, kind, now)
+	}
+	if eff.Transition == policy.TransResumeCold {
+		s.meta.ClearPaused(rt.id)
+	}
+	if eff.Allocate {
+		lat := s.allocate(rt, now)
+		if eff.Transition == policy.TransResumeCold {
+			// The customer waits for the allocation workflow.
+			s.coll.Wait(&rt.acct, now, now+lat)
+		}
+	}
+
 	// Timer reconciliation: Effects carries the complete desired state.
 	if rt.timer != nil {
 		s.clock.Cancel(rt.timer)
@@ -310,7 +299,7 @@ func (s *sim) applyEffects(rt *dbRuntime, eff policy.Effects, now int64) {
 
 	if eff.Reclaim {
 		s.clus.Release(rt.id)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.WorkflowReclaim})
+		s.emit(rt, telemetry.WorkflowReclaim, now)
 	}
 	if eff.MetadataSet {
 		s.meta.SetPaused(rt.id, eff.MetadataStart)
@@ -322,33 +311,7 @@ func (s *sim) applyEffects(rt *dbRuntime, eff policy.Effects, now int64) {
 
 func (s *sim) onActivityStart(rt *dbRuntime, now int64) {
 	eff := rt.machine.OnActivityStart(now)
-	s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.ActivityStart})
-
-	switch eff.Transition {
-	case policy.TransResumeWarm:
-		s.coll.LoginWarm(now)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.ResumeWarm})
-		if eff.FromPrewarm {
-			s.coll.PrewarmUsed(now)
-			s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.PrewarmUsed})
-			s.closePrewarmAs(rt, metrics.IdlePrewarmCorrect, now)
-		} else {
-			s.closeSegment(rt, now)
-		}
-		s.open(rt, metrics.Used)
-	case policy.TransResumeCold:
-		s.coll.LoginCold(now)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.ResumeCold})
-		s.meta.ClearPaused(rt.id)
-		s.closeSegment(rt, now) // Saved until the demand arrived
-		lat := s.allocate(rt, now)
-		// The customer waits for the allocation workflow.
-		if lat > 0 {
-			s.coll.AddSegment(metrics.Unavailable, now, now+lat)
-			rt.lastAccounted = now + lat
-		}
-		s.open(rt, metrics.Used)
-	}
+	s.emit(rt, telemetry.ActivityStart, now)
 	s.applyEffects(rt, eff, now)
 
 	// Schedule the end of this activity interval.
@@ -358,9 +321,7 @@ func (s *sim) onActivityStart(rt *dbRuntime, now int64) {
 
 func (s *sim) onActivityEnd(rt *dbRuntime, now int64) {
 	eff := rt.machine.OnActivityEnd(now)
-	s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.ActivityEnd})
-	s.closeSegment(rt, now) // Used until here
-	s.dispatchPause(rt, eff, now)
+	s.emit(rt, telemetry.ActivityEnd, now)
 	s.applyEffects(rt, eff, now)
 
 	// Schedule the next activity interval, if any.
@@ -371,32 +332,9 @@ func (s *sim) onActivityEnd(rt *dbRuntime, now int64) {
 	}
 }
 
-// dispatchPause handles the shared bookkeeping of a pause decision.
-func (s *sim) dispatchPause(rt *dbRuntime, eff policy.Effects, now int64) {
-	switch eff.Transition {
-	case policy.TransLogicalPause:
-		s.coll.LogicalPause(now)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.LogicalPause})
-		s.open(rt, metrics.IdleLogical)
-	case policy.TransPhysicalPause:
-		s.coll.PhysicalPause(now)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.PhysicalPause})
-		if eff.FromPrewarm {
-			s.coll.PrewarmWasted(now)
-			s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.PrewarmWasted})
-			s.closePrewarmAs(rt, metrics.IdlePrewarmWrong, now)
-		} else {
-			s.closeSegment(rt, now)
-		}
-		s.open(rt, metrics.Saved)
-	}
-}
-
 func (s *sim) onTimer(rt *dbRuntime, now int64) {
 	rt.timer = nil
-	eff := rt.machine.OnTimer(now)
-	s.dispatchPause(rt, eff, now)
-	s.applyEffects(rt, eff, now)
+	s.applyEffects(rt, rt.machine.OnTimer(now), now)
 }
 
 // onControlPlaneOp is one iteration of the proactive resume operation
@@ -412,17 +350,11 @@ func (s *sim) onControlPlaneOp(now int64) {
 		if eff.Transition != policy.TransPrewarm {
 			continue // stale entry; database already moved on
 		}
-		s.coll.Prewarm(now)
-		s.tel.Append(telemetry.Record{Time: now, DB: rt.id, Kind: telemetry.Prewarm})
-		s.closeSegment(rt, now) // Saved until the prewarm
-		s.allocate(rt, now)
-		s.open(rt, metrics.IdleLogical)
-		rt.prewarmPending = true
 		s.applyEffects(rt, eff, now)
 	}
 
 	for _, db := range s.runner.Sweep(now) {
-		s.tel.Append(telemetry.Record{Time: now, DB: db, Kind: telemetry.Mitigation})
+		s.emit(s.findDB(db), telemetry.Mitigation, now)
 	}
 
 	next := now + s.cfg.ControlPlane.OpPeriodSec

@@ -10,13 +10,17 @@
 //     that never came).
 //   - Overhead: counters for the allocation/reclamation workflows.
 //
-// The engine pushes time segments and login events into a Collector, which
-// clips everything to the evaluation window and produces a Report.
+// Every database keeps an Account; Collector.Observe folds each telemetry
+// record into it, counting the record and closing or opening the §8 time
+// segments, clipped to the evaluation window. The online engine and the
+// offline replay run the same fold, so their reports agree by construction.
 package metrics
 
 import (
 	"fmt"
 	"strings"
+
+	"prorp/internal/telemetry"
 )
 
 // Category classifies how a database spent a span of time, the exhaustive
@@ -70,14 +74,8 @@ type Collector struct {
 	evalFrom, evalTo int64
 
 	durations [numCategories]int64
-
-	warmLogins     int
-	coldLogins     int
-	prewarms       int
-	prewarmsUsed   int
-	prewarmsWasted int
-	logicalPauses  int
-	physicalPauses int
+	// counts are the records observed inside the window, by kind.
+	counts [telemetry.NumKinds]int
 }
 
 // NewCollector returns a collector measuring [evalFrom, evalTo).
@@ -105,58 +103,73 @@ func (c *Collector) AddSegment(cat Category, from, to int64) {
 	}
 }
 
-// inWindow reports whether an instantaneous event at t counts.
-func (c *Collector) inWindow(t int64) bool {
-	return t >= c.evalFrom && t < c.evalTo
+// Account is one database's open §8 segment: the time since which it is
+// unaccounted, its category, and whether it is a pre-warm whose outcome is
+// not yet known. It is a value; its owner keeps it beside the database.
+type Account struct {
+	since   int64
+	cat     Category
+	prewarm bool
 }
 
-// LoginWarm records a first login after idle with resources available.
-func (c *Collector) LoginWarm(t int64) {
-	if c.inWindow(t) {
-		c.warmLogins++
+// NewAccount opens the account of a database born at birth: a new database
+// is active, so its first segment is Used.
+func NewAccount(birth int64) Account { return Account{since: birth, cat: Used} }
+
+// Observe folds one of a database's telemetry records into the collector:
+// it counts the record if it falls inside the window, and a transition
+// record closes the open segment and opens the next. This one fold is the
+// §8 accounting of both the online engine and the offline replay.
+func (c *Collector) Observe(a *Account, r telemetry.Record) {
+	if r.Time >= c.evalFrom && r.Time < c.evalTo {
+		c.counts[r.Kind]++
+	}
+	var next Category
+	switch r.Kind {
+	case telemetry.ActivityEnd:
+		// Used until here; the pause decision that follows opens the next
+		// segment.
+		c.Close(a, r.Time)
+		return
+	case telemetry.ResumeWarm, telemetry.ResumeCold:
+		next = Used
+	case telemetry.LogicalPause, telemetry.Prewarm:
+		next = IdleLogical
+	case telemetry.PhysicalPause:
+		next = Saved
+		if a.prewarm {
+			// Paused again untouched: a wrong proactive resume.
+			a.cat, a.prewarm = IdlePrewarmWrong, false
+		}
+	default:
+		// Activity starts are accounted through their resume; workflow
+		// records and outcomes carry no duration.
+		return
+	}
+	c.Close(a, r.Time)
+	a.cat, a.prewarm = next, r.Kind == telemetry.Prewarm
+}
+
+// Close accounts a's open segment up to t. A pre-warm still undecided —
+// the login it waits for came, or the horizon did — counts as correct.
+func (c *Collector) Close(a *Account, t int64) {
+	cat := a.cat
+	if a.prewarm {
+		cat = IdlePrewarmCorrect
+	}
+	if t > a.since {
+		c.AddSegment(cat, a.since, t)
+		a.since = t
 	}
 }
 
-// LoginCold records a first login after idle triggering a reactive resume.
-func (c *Collector) LoginCold(t int64) {
-	if c.inWindow(t) {
-		c.coldLogins++
-	}
-}
-
-// Prewarm records a proactive resume by the control plane.
-func (c *Collector) Prewarm(t int64) {
-	if c.inWindow(t) {
-		c.prewarms++
-	}
-}
-
-// PrewarmUsed records that a prewarmed database was used by the customer.
-func (c *Collector) PrewarmUsed(t int64) {
-	if c.inWindow(t) {
-		c.prewarmsUsed++
-	}
-}
-
-// PrewarmWasted records that a prewarmed database physically paused again
-// without being used.
-func (c *Collector) PrewarmWasted(t int64) {
-	if c.inWindow(t) {
-		c.prewarmsWasted++
-	}
-}
-
-// LogicalPause records a logical pause transition.
-func (c *Collector) LogicalPause(t int64) {
-	if c.inWindow(t) {
-		c.logicalPauses++
-	}
-}
-
-// PhysicalPause records a resource reclamation.
-func (c *Collector) PhysicalPause(t int64) {
-	if c.inWindow(t) {
-		c.physicalPauses++
+// Wait accounts [from, to) as Unavailable: a reactive resume's customer
+// waiting on the allocation workflow. It is the one segment no record
+// carries, so only the online engine can call it (see ReplayTelemetry).
+func (c *Collector) Wait(a *Account, from, to int64) {
+	if to > from {
+		c.AddSegment(Unavailable, from, to)
+		a.since = to
 	}
 }
 
@@ -166,13 +179,13 @@ func (c *Collector) Report() Report {
 		EvalFrom:       c.evalFrom,
 		EvalTo:         c.evalTo,
 		Durations:      c.durations,
-		WarmLogins:     c.warmLogins,
-		ColdLogins:     c.coldLogins,
-		Prewarms:       c.prewarms,
-		PrewarmsUsed:   c.prewarmsUsed,
-		PrewarmsWasted: c.prewarmsWasted,
-		LogicalPauses:  c.logicalPauses,
-		PhysicalPauses: c.physicalPauses,
+		WarmLogins:     c.counts[telemetry.ResumeWarm],
+		ColdLogins:     c.counts[telemetry.ResumeCold],
+		Prewarms:       c.counts[telemetry.Prewarm],
+		PrewarmsUsed:   c.counts[telemetry.PrewarmUsed],
+		PrewarmsWasted: c.counts[telemetry.PrewarmWasted],
+		LogicalPauses:  c.counts[telemetry.LogicalPause],
+		PhysicalPauses: c.counts[telemetry.PhysicalPause],
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"prorp/internal/telemetry"
 )
 
 func mustCollector(t *testing.T, from, to int64) *Collector {
@@ -13,6 +15,13 @@ func mustCollector(t *testing.T, from, to int64) *Collector {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// observe folds one record of kind k at t through a fresh account, so it
+// counts without accounting any time.
+func observe(c *Collector, k telemetry.Kind, t int64) {
+	a := NewAccount(t)
+	c.Observe(&a, telemetry.Record{Time: t, Kind: k})
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -54,11 +63,11 @@ func TestAddSegmentUnknownCategoryPanics(t *testing.T) {
 
 func TestEventWindowing(t *testing.T) {
 	c := mustCollector(t, 100, 200)
-	c.LoginWarm(99)  // before window: dropped
-	c.LoginWarm(100) // inclusive start
-	c.LoginWarm(150)
-	c.LoginCold(199)
-	c.LoginCold(200) // exclusive end: dropped
+	observe(c, telemetry.ResumeWarm, 99)  // before window: dropped
+	observe(c, telemetry.ResumeWarm, 100) // inclusive start
+	observe(c, telemetry.ResumeWarm, 150)
+	observe(c, telemetry.ResumeCold, 199)
+	observe(c, telemetry.ResumeCold, 200) // exclusive end: dropped
 	r := c.Report()
 	if r.WarmLogins != 2 || r.ColdLogins != 1 {
 		t.Fatalf("logins = %d/%d, want 2/1", r.WarmLogins, r.ColdLogins)
@@ -68,10 +77,10 @@ func TestEventWindowing(t *testing.T) {
 func TestQoSPercent(t *testing.T) {
 	c := mustCollector(t, 0, 1000)
 	for i := 0; i < 8; i++ {
-		c.LoginWarm(int64(i))
+		observe(c, telemetry.ResumeWarm, int64(i))
 	}
 	for i := 0; i < 2; i++ {
-		c.LoginCold(int64(i))
+		observe(c, telemetry.ResumeCold, int64(i))
 	}
 	if got := c.Report().QoSPercent(); !almost(got, 80) {
 		t.Fatalf("QoSPercent = %v, want 80", got)
@@ -123,13 +132,13 @@ func TestPercentagesSumToHundred(t *testing.T) {
 
 func TestPrewarmCounters(t *testing.T) {
 	c := mustCollector(t, 0, 100)
-	c.Prewarm(10)
-	c.Prewarm(20)
-	c.PrewarmUsed(30)
-	c.PrewarmWasted(40)
-	c.LogicalPause(50)
-	c.PhysicalPause(60)
-	c.Prewarm(200) // outside window
+	observe(c, telemetry.Prewarm, 10)
+	observe(c, telemetry.Prewarm, 20)
+	observe(c, telemetry.PrewarmUsed, 30)
+	observe(c, telemetry.PrewarmWasted, 40)
+	observe(c, telemetry.LogicalPause, 50)
+	observe(c, telemetry.PhysicalPause, 60)
+	observe(c, telemetry.Prewarm, 200) // outside window
 	r := c.Report()
 	if r.Prewarms != 2 || r.PrewarmsUsed != 1 || r.PrewarmsWasted != 1 {
 		t.Fatalf("prewarm counters = %d/%d/%d", r.Prewarms, r.PrewarmsUsed, r.PrewarmsWasted)
@@ -153,7 +162,7 @@ func TestEmptyReportPercentages(t *testing.T) {
 func TestReportString(t *testing.T) {
 	c := mustCollector(t, 0, 100)
 	c.AddSegment(Used, 0, 50)
-	c.LoginWarm(10)
+	observe(c, telemetry.ResumeWarm, 10)
 	r := c.Report()
 	r.Name = "proactive EU1"
 	s := r.String()

@@ -11,104 +11,34 @@ import (
 // (Section 8: "Customer activity and resource allocation decisions are
 // persisted long-term for offline evaluation of KPI metrics").
 //
-// The reconstruction relies on the event ordering the online components
-// guarantee at a shared timestamp: ActivityStart precedes its
-// ResumeWarm/ResumeCold, ActivityEnd precedes the pause decision, and
-// Prewarm precedes the later outcome events.
-//
-// One deliberate difference from the online report: the log does not carry
-// workflow latencies, so the Unavailable category cannot be reconstructed —
-// reactive-resume wait time is accounted as Used. Everything else (QoS
-// counts, pause counters, idle decomposition, saved time) matches the
-// online collector exactly.
+// It checks each database's birth (its first record must be an activity
+// start), folds every record through Collector.Observe — the fold the
+// online engine runs as it emits the same records, which policy.Effects
+// translates once — and closes every account at the horizon. The one
+// difference from the online report: the log carries no workflow latency,
+// so a reactive resume's Unavailable wait is accounted as Used.
 func ReplayTelemetry(log *telemetry.Log, evalFrom, evalTo int64) (Report, error) {
 	coll, err := NewCollector(evalFrom, evalTo)
 	if err != nil {
 		return Report{}, err
 	}
-
-	type dbState struct {
-		lastT          int64
-		cat            Category
-		prewarmPending bool
-	}
-	dbs := map[int]*dbState{}
-
-	close := func(st *dbState, cat Category, t int64) {
-		if t > st.lastT {
-			coll.AddSegment(cat, st.lastT, t)
-			st.lastT = t
-		}
-	}
-
+	accounts := map[int]*Account{}
 	for _, r := range log.Records() {
-		st, seen := dbs[r.DB]
-		if !seen {
+		a := accounts[r.DB]
+		if a == nil {
 			if r.Kind != telemetry.ActivityStart {
 				return Report{}, fmt.Errorf(
 					"metrics: database %d first appears with %v at %d, want activity-start",
 					r.DB, r.Kind, r.Time)
 			}
-			// Birth: the database exists and is active from here on.
-			dbs[r.DB] = &dbState{lastT: r.Time, cat: Used}
-			continue
+			acct := NewAccount(r.Time)
+			a = &acct
+			accounts[r.DB] = a
 		}
-
-		switch r.Kind {
-		case telemetry.ResumeWarm:
-			coll.LoginWarm(r.Time)
-			if st.prewarmPending {
-				close(st, IdlePrewarmCorrect, r.Time)
-				st.prewarmPending = false
-			} else {
-				close(st, st.cat, r.Time)
-			}
-			st.cat = Used
-		case telemetry.ResumeCold:
-			coll.LoginCold(r.Time)
-			close(st, st.cat, r.Time)
-			st.cat = Used
-		case telemetry.ActivityEnd:
-			close(st, st.cat, r.Time)
-		case telemetry.LogicalPause:
-			coll.LogicalPause(r.Time)
-			close(st, st.cat, r.Time)
-			st.cat = IdleLogical
-			st.prewarmPending = false
-		case telemetry.PhysicalPause:
-			coll.PhysicalPause(r.Time)
-			if st.prewarmPending {
-				close(st, IdlePrewarmWrong, r.Time)
-				st.prewarmPending = false
-			} else {
-				close(st, st.cat, r.Time)
-			}
-			st.cat = Saved
-		case telemetry.Prewarm:
-			coll.Prewarm(r.Time)
-			close(st, st.cat, r.Time)
-			st.cat = IdleLogical
-			st.prewarmPending = true
-		case telemetry.PrewarmUsed:
-			coll.PrewarmUsed(r.Time)
-		case telemetry.PrewarmWasted:
-			coll.PrewarmWasted(r.Time)
-		case telemetry.ActivityStart, telemetry.WorkflowAllocate,
-			telemetry.WorkflowReclaim, telemetry.DatabaseMoved,
-			telemetry.Mitigation:
-			// Activity starts are accounted through their resume events;
-			// workflow records carry no duration.
-		default:
-			return Report{}, fmt.Errorf("metrics: unknown telemetry kind %v", r.Kind)
-		}
+		coll.Observe(a, r)
 	}
-
-	for _, st := range dbs {
-		cat := st.cat
-		if st.prewarmPending {
-			cat = IdlePrewarmCorrect // undecided at the horizon, as online
-		}
-		close(st, cat, evalTo)
+	for _, a := range accounts {
+		coll.Close(a, evalTo)
 	}
 	return coll.Report(), nil
 }

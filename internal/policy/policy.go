@@ -23,6 +23,7 @@ import (
 
 	"prorp/internal/historystore"
 	"prorp/internal/predictor"
+	"prorp/internal/telemetry"
 )
 
 // State is a node of the Figure 4 automaton.
@@ -175,6 +176,43 @@ type Effects struct {
 	// preceding logical pause was entered via a control-plane pre-warm; it
 	// classifies the proactive resume as correct (used) or wrong (wasted).
 	FromPrewarm bool
+}
+
+// Records are the telemetry records one Effects stands for, in the order
+// they are emitted. There are at most two, held in place, so translating
+// allocates nothing.
+type Records struct {
+	kinds [2]telemetry.Kind
+	n     int
+}
+
+// Kinds lists the record kinds in emission order.
+func (r *Records) Kinds() []telemetry.Kind { return r.kinds[:r.n] }
+
+// Records translates the effects into the transition records of §8: the
+// one place a Transition becomes telemetry, read by the simulator's log and
+// KPI fold and by the serving tier's counters alike. A resume or physical
+// pause that ends a pre-warm adds its outcome, used or wasted, after it.
+func (e Effects) Records() Records {
+	switch e.Transition {
+	case TransResumeWarm:
+		if e.FromPrewarm {
+			return Records{[2]telemetry.Kind{telemetry.ResumeWarm, telemetry.PrewarmUsed}, 2}
+		}
+		return Records{[2]telemetry.Kind{telemetry.ResumeWarm}, 1}
+	case TransResumeCold:
+		return Records{[2]telemetry.Kind{telemetry.ResumeCold}, 1}
+	case TransLogicalPause:
+		return Records{[2]telemetry.Kind{telemetry.LogicalPause}, 1}
+	case TransPhysicalPause:
+		if e.FromPrewarm {
+			return Records{[2]telemetry.Kind{telemetry.PhysicalPause, telemetry.PrewarmWasted}, 2}
+		}
+		return Records{[2]telemetry.Kind{telemetry.PhysicalPause}, 1}
+	case TransPrewarm:
+		return Records{[2]telemetry.Kind{telemetry.Prewarm}, 1}
+	}
+	return Records{} // TransNone and TransStayLogical change nothing §8 counts
 }
 
 // Machine is the per-database lifecycle controller. It owns the database's

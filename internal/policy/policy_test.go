@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"prorp/internal/historystore"
+	"prorp/internal/telemetry"
 )
 
 const (
@@ -487,5 +489,61 @@ func TestStateStrings(t *testing.T) {
 	}
 	if State(99).String() == "" || Mode(99).String() == "" || Transition(99).String() == "" {
 		t.Error("unknown enum values print empty")
+	}
+}
+
+// TestEffectsRecords pins the one Effects → record translation for every
+// Transition × FromPrewarm pair: the kinds, in the order the simulator
+// emits them after the activity record that triggered the decision.
+func TestEffectsRecords(t *testing.T) {
+	var (
+		warm    = telemetry.ResumeWarm
+		cold    = telemetry.ResumeCold
+		logical = telemetry.LogicalPause
+		phys    = telemetry.PhysicalPause
+		prewarm = telemetry.Prewarm
+		used    = telemetry.PrewarmUsed
+		wasted  = telemetry.PrewarmWasted
+	)
+	cases := []struct {
+		tr          Transition
+		fromPrewarm bool
+		want        []telemetry.Kind
+	}{
+		{TransNone, false, nil},
+		{TransNone, true, nil},
+		{TransResumeWarm, false, []telemetry.Kind{warm}},
+		{TransResumeWarm, true, []telemetry.Kind{warm, used}},
+		{TransResumeCold, false, []telemetry.Kind{cold}},
+		{TransResumeCold, true, []telemetry.Kind{cold}},
+		{TransLogicalPause, false, []telemetry.Kind{logical}},
+		{TransLogicalPause, true, []telemetry.Kind{logical}},
+		{TransPhysicalPause, false, []telemetry.Kind{phys}},
+		{TransPhysicalPause, true, []telemetry.Kind{phys, wasted}},
+		{TransPrewarm, false, []telemetry.Kind{prewarm}},
+		{TransPrewarm, true, []telemetry.Kind{prewarm}},
+		{TransStayLogical, false, nil},
+		{TransStayLogical, true, nil},
+	}
+	seen := map[Transition]int{}
+	for _, c := range cases {
+		seen[c.tr]++
+		recs := Effects{Transition: c.tr, FromPrewarm: c.fromPrewarm}.Records()
+		if got := recs.Kinds(); !slices.Equal(got, c.want) {
+			t.Errorf("%v fromPrewarm=%v: records %v, want %v", c.tr, c.fromPrewarm, got, c.want)
+		}
+	}
+	for tr := TransNone; tr <= TransStayLogical; tr++ {
+		if seen[tr] != 2 {
+			t.Errorf("%v covered %d times, want 2", tr, seen[tr])
+		}
+	}
+	eff := Effects{Transition: TransPhysicalPause, FromPrewarm: true}
+	if n := testing.AllocsPerRun(100, func() {
+		recs := eff.Records()
+		for range recs.Kinds() {
+		}
+	}); n != 0 {
+		t.Errorf("Records allocates %v times per call", n)
 	}
 }

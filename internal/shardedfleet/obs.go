@@ -14,7 +14,7 @@ type instrumentation struct {
 	// decision is indexed by Kind: time spent applying one event under the
 	// shard lock — the policy engine's decision latency, including the
 	// Algorithm 1 transition and any prediction recompute it triggers.
-	decision [5]*obs.Histogram
+	decision [numKinds]*obs.Histogram
 	// scan is one full Algorithm 5 RunResumeOp iteration: collecting the
 	// due databases from the shards' start indexes, the fleet-wide cap
 	// merge, and the pre-warm phase.
@@ -37,10 +37,10 @@ func (rt *Runtime) Instrument(reg *obs.Registry) {
 		scan: reg.Histogram("prorp_resume_scan_duration_seconds",
 			"Duration of one Algorithm 5 proactive-resume iteration.", obs.MicroBuckets),
 	}
-	for _, k := range []Kind{KindLogin, KindLogout, KindCreate, KindDelete, KindWake} {
+	for k := range inst.decision {
 		inst.decision[k] = reg.Histogram("prorp_decision_duration_seconds",
 			"Policy decision latency under the shard lock, by event kind.",
-			obs.MicroBuckets, obs.L("kind", k.String()))
+			obs.MicroBuckets, obs.L("kind", Kind(k).String()))
 	}
 	rt.inst.Store(inst)
 }

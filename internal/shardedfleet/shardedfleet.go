@@ -29,6 +29,7 @@ import (
 
 	"prorp/internal/controlplane"
 	"prorp/internal/policy"
+	"prorp/internal/telemetry"
 )
 
 // DefaultShards is the stripe count used when Config.Shards is 0. It is
@@ -85,6 +86,7 @@ const (
 	KindDelete
 	// KindWake delivers a scheduled wake-up timer.
 	KindWake
+	numKinds
 )
 
 func (k Kind) String() string {
@@ -107,30 +109,22 @@ func (k Kind) String() string {
 // Counters are the runtime's cumulative KPI counters, maintained per shard
 // and summed on read.
 type Counters struct {
-	Creates, Deletes       uint64
-	Logins, Logouts, Wakes uint64
-	// WarmResumes / ColdResumes split first logins after idle by whether
-	// resources were still available — the paper's QoS numerator/complement.
-	WarmResumes, ColdResumes      uint64
-	LogicalPauses, PhysicalPauses uint64
-	// Prewarms counts Algorithm 5 proactive resumes; Used/Wasted classify
-	// how each pre-warm ended (next login warm vs. paused again untouched).
-	Prewarms, PrewarmsUsed, PrewarmsWasted uint64
+	// Events counts the applied mutations by Kind.
+	Events [numKinds]uint64
+	// Records counts the transition records of their effects by telemetry
+	// kind, as policy.Effects.Records translates them: warm and cold resumes
+	// (the paper's QoS numerator and complement), logical and physical
+	// pauses, Algorithm 5 pre-warms and how each ended (used or wasted).
+	Records [telemetry.NumKinds]uint64
 }
 
 func (c *Counters) add(o Counters) {
-	c.Creates += o.Creates
-	c.Deletes += o.Deletes
-	c.Logins += o.Logins
-	c.Logouts += o.Logouts
-	c.Wakes += o.Wakes
-	c.WarmResumes += o.WarmResumes
-	c.ColdResumes += o.ColdResumes
-	c.LogicalPauses += o.LogicalPauses
-	c.PhysicalPauses += o.PhysicalPauses
-	c.Prewarms += o.Prewarms
-	c.PrewarmsUsed += o.PrewarmsUsed
-	c.PrewarmsWasted += o.PrewarmsWasted
+	for i, n := range o.Events {
+		c.Events[i] += n
+	}
+	for i, n := range o.Records {
+		c.Records[i] += n
+	}
 }
 
 // shard owns a partition of the fleet: its databases, its slice of the
@@ -217,25 +211,19 @@ func (s *shard) apply(kind Kind, id int, at int64, cfg *Config) (eff policy.Effe
 			return eff, err
 		}
 		s.dbs[id] = m
-		s.kpi.Creates++
-		return eff, nil
 	case KindDelete:
 		delete(s.dbs, id)
 		s.meta.ClearPaused(id)
-		s.kpi.Deletes++
-		return eff, nil
 	case KindLogin:
-		s.kpi.Logins++
 		eff = m.OnActivityStart(at)
 	case KindLogout:
-		s.kpi.Logouts++
 		eff = m.OnActivityEnd(at)
 	case KindWake:
-		s.kpi.Wakes++
 		eff = m.OnTimer(at)
 	default:
 		return eff, fmt.Errorf("shardedfleet: bad event kind %d", kind)
 	}
+	s.kpi.Events[kind]++
 	s.record(id, eff)
 	return eff, nil
 }
@@ -244,27 +232,15 @@ func (s *shard) apply(kind Kind, id int, at int64, cfg *Config) (eff policy.Effe
 // reactive-resume clears) and the KPI counters for one transition. Caller
 // holds s.mu.
 func (s *shard) record(id int, eff policy.Effects) {
-	switch eff.Transition {
-	case policy.TransResumeWarm:
-		s.kpi.WarmResumes++
-		if eff.FromPrewarm {
-			s.kpi.PrewarmsUsed++
-		}
-	case policy.TransResumeCold:
-		s.kpi.ColdResumes++
+	recs := eff.Records()
+	for _, kind := range recs.Kinds() {
+		s.kpi.Records[kind]++
+	}
+	if eff.Transition == policy.TransResumeCold {
 		s.meta.ClearPaused(id)
-	case policy.TransLogicalPause:
-		s.kpi.LogicalPauses++
-	case policy.TransPhysicalPause:
-		s.kpi.PhysicalPauses++
-		if eff.FromPrewarm {
-			s.kpi.PrewarmsWasted++
-		}
-		if eff.MetadataSet {
-			s.meta.SetPaused(id, eff.MetadataStart)
-		}
-	case policy.TransPrewarm:
-		s.kpi.Prewarms++
+	}
+	if eff.MetadataSet {
+		s.meta.SetPaused(id, eff.MetadataStart)
 	}
 }
 

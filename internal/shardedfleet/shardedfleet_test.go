@@ -12,6 +12,7 @@ import (
 	"prorp/internal/controlplane"
 	"prorp/internal/policy"
 	"prorp/internal/predictor"
+	"prorp/internal/telemetry"
 )
 
 // t0 is 2023-09-01 00:00 UTC, matching the root package's tests.
@@ -105,8 +106,10 @@ func TestRuntimeBasics(t *testing.T) {
 	}
 
 	kpi := rt.KPI()
-	if kpi.Creates != 1 || kpi.Logins != 1 || kpi.Logouts != 1 || kpi.Wakes != 1 ||
-		kpi.ColdResumes != 1 || kpi.LogicalPauses != 1 || kpi.PhysicalPauses != 1 {
+	if kpi.Events[KindCreate] != 1 || kpi.Events[KindLogin] != 1 ||
+		kpi.Events[KindLogout] != 1 || kpi.Events[KindWake] != 1 ||
+		kpi.Records[telemetry.ResumeCold] != 1 || kpi.Records[telemetry.LogicalPause] != 1 ||
+		kpi.Records[telemetry.PhysicalPause] != 1 {
 		t.Fatalf("KPI = %+v", kpi)
 	}
 
@@ -188,7 +191,8 @@ func TestProactiveResumeAcrossShards(t *testing.T) {
 		}
 	}
 	kpi := rt.KPI()
-	if kpi.Prewarms != dbs || kpi.PrewarmsUsed != dbs || kpi.PrewarmsWasted != 0 {
+	if kpi.Records[telemetry.Prewarm] != dbs || kpi.Records[telemetry.PrewarmUsed] != dbs ||
+		kpi.Records[telemetry.PrewarmWasted] != 0 {
 		t.Fatalf("KPI = %+v", kpi)
 	}
 }

@@ -31,8 +31,8 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 
 // kindByName maps the exported names back to kinds.
 var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
+	m := make(map[string]Kind, NumKinds)
+	for k := Kind(0); k < NumKinds; k++ {
 		m[k.String()] = k
 	}
 	return m

@@ -76,7 +76,7 @@ func TestQuickExportRoundTrip(t *testing.T) {
 		ts := int64(0)
 		for i := 0; i < int(n); i++ {
 			ts += rng.Int63n(1000)
-			l.Append(Record{Time: ts, DB: rng.Intn(100), Kind: Kind(rng.Intn(int(numKinds)))})
+			l.Append(Record{Time: ts, DB: rng.Intn(100), Kind: Kind(rng.Intn(int(NumKinds)))})
 		}
 		var buf bytes.Buffer
 		if _, err := l.WriteTo(&buf); err != nil {

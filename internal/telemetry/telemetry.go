@@ -44,7 +44,8 @@ const (
 	DatabaseMoved
 	// Mitigation: the diagnostics runner mitigated a stuck workflow.
 	Mitigation
-	numKinds
+	// NumKinds sizes arrays indexed by Kind.
+	NumKinds
 )
 
 var kindNames = [...]string{
@@ -81,7 +82,7 @@ type Record struct {
 // use; the simulation is single-threaded and deterministic.
 type Log struct {
 	records []Record
-	counts  [numKinds]int
+	counts  [NumKinds]int
 	lastT   int64
 }
 
@@ -94,7 +95,7 @@ func (l *Log) Append(r Record) {
 	if r.Time < l.lastT {
 		panic(fmt.Sprintf("telemetry: record at %d after %d", r.Time, l.lastT))
 	}
-	if r.Kind < 0 || r.Kind >= numKinds {
+	if r.Kind < 0 || r.Kind >= NumKinds {
 		panic(fmt.Sprintf("telemetry: unknown kind %d", int(r.Kind)))
 	}
 	l.lastT = r.Time
@@ -107,7 +108,7 @@ func (l *Log) Len() int { return len(l.records) }
 
 // Count reports how many records of kind k were appended.
 func (l *Log) Count(k Kind) int {
-	if k < 0 || k >= numKinds {
+	if k < 0 || k >= NumKinds {
 		return 0
 	}
 	return l.counts[k]

@@ -102,7 +102,7 @@ func TestVisit(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		if k.String() == "" {
 			t.Errorf("Kind(%d).String() empty", int(k))
 		}

@@ -11,6 +11,7 @@ import (
 	"prorp/internal/policy"
 	"prorp/internal/predictor"
 	"prorp/internal/shardedfleet"
+	"prorp/internal/telemetry"
 )
 
 // ShardedFleet is the online serving runtime and the one concurrency-safe
@@ -264,7 +265,11 @@ type PendingWake struct {
 // PendingWakes reports the wake-up every database's policy has pending, by
 // id: the state the WakeAt of every Decision so far adds up to.
 func (s *ShardedFleet) PendingWakes() []PendingWake {
-	pending := s.rt.PendingWakes()
+	return pendingWakes(s.rt.PendingWakes())
+}
+
+// pendingWakes converts the runtime's epoch-second wake-ups.
+func pendingWakes(pending []shardedfleet.PendingWake) []PendingWake {
 	wakes := make([]PendingWake, len(pending))
 	for i, p := range pending {
 		wakes[i] = PendingWake{ID: p.ID, WakeAt: time.Unix(p.WakeAt, 0).UTC()}
@@ -286,11 +291,7 @@ func RestoreShardedFleet(opts Options, shards int, r io.Reader) (*ShardedFleet, 
 	if err != nil {
 		return nil, nil, err
 	}
-	wakes := make([]PendingWake, len(pending))
-	for i, p := range pending {
-		wakes[i] = PendingWake{ID: p.ID, WakeAt: time.Unix(p.WakeAt, 0).UTC()}
-	}
-	return sf, wakes, nil
+	return sf, pendingWakes(pending), nil
 }
 
 // FleetKPI is a point-in-time operational report over a ShardedFleet:
@@ -359,17 +360,17 @@ func (s *ShardedFleet) KPI() FleetKPI {
 		Resumed:          resumed,
 		LogicallyPaused:  logical,
 		PhysicallyPaused: physical,
-		Creates:          c.Creates,
-		Deletes:          c.Deletes,
-		Logins:           c.Logins,
-		Logouts:          c.Logouts,
-		Wakes:            c.Wakes,
-		WarmResumes:      c.WarmResumes,
-		ColdResumes:      c.ColdResumes,
-		LogicalPauses:    c.LogicalPauses,
-		PhysicalPauses:   c.PhysicalPauses,
-		Prewarms:         c.Prewarms,
-		PrewarmsUsed:     c.PrewarmsUsed,
-		PrewarmsWasted:   c.PrewarmsWasted,
+		Creates:          c.Events[shardedfleet.KindCreate],
+		Deletes:          c.Events[shardedfleet.KindDelete],
+		Logins:           c.Events[shardedfleet.KindLogin],
+		Logouts:          c.Events[shardedfleet.KindLogout],
+		Wakes:            c.Events[shardedfleet.KindWake],
+		WarmResumes:      c.Records[telemetry.ResumeWarm],
+		ColdResumes:      c.Records[telemetry.ResumeCold],
+		LogicalPauses:    c.Records[telemetry.LogicalPause],
+		PhysicalPauses:   c.Records[telemetry.PhysicalPause],
+		Prewarms:         c.Records[telemetry.Prewarm],
+		PrewarmsUsed:     c.Records[telemetry.PrewarmUsed],
+		PrewarmsWasted:   c.Records[telemetry.PrewarmWasted],
 	}
 }

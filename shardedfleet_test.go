@@ -893,3 +893,40 @@ func TestInspectReadsOneInstant(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedFleetDecisionsAllocateNothing: a login, idle and wake on an
+// existing database translate and count their transitions without
+// allocating.
+func TestShardedFleetDecisionsAllocateNothing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Mode = Reactive
+	sh, err := NewShardedFleetShards(opts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.Create(0, t0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Idle(0, t0.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	// Each cycle resumes from the logical pause, pauses again, and wakes
+	// inside the pause.
+	login, idle, wake := t0.Add(2*time.Hour), t0.Add(3*time.Hour), t0.Add(4*time.Hour)
+	var got [3]Decision
+	var errs [3]error
+	allocs := testing.AllocsPerRun(50, func() {
+		got[0], errs[0] = sh.Login(0, login)
+		got[1], errs[1] = sh.Idle(0, idle)
+		got[2], errs[2] = sh.Wake(0, wake)
+	})
+	want := [3]Event{EventResumeWarm, EventLogicalPause, EventStayLogical}
+	for i, d := range got {
+		if errs[i] != nil || d.Event != want[i] {
+			t.Fatalf("decision %d = %v, %v; want %v", i, d.Event, errs[i], want[i])
+		}
+	}
+	if allocs > 0 {
+		t.Errorf("Login/Idle/Wake allocate %v times per cycle, want 0", allocs)
+	}
+}

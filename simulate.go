@@ -169,8 +169,10 @@ func SimulateWithTelemetry(cfg SimulationConfig, w io.Writer) (Report, error) {
 
 // EvaluateTelemetry computes the KPI report offline from an exported
 // telemetry log, over the evaluation window [evalFrom, evalTo). This is
-// the paper's Cosmos-side evaluation path; reactive-resume wait time is
-// folded into used time because the log carries no workflow latencies.
+// the paper's Cosmos-side evaluation path. It folds the records through the
+// same per-database §8 accounting the simulator ran as it wrote them, so the
+// report matches Simulate's but for one thing: the log carries no workflow
+// latency, so reactive-resume wait time counts as used, not unavailable.
 func EvaluateTelemetry(r io.Reader, evalFrom, evalTo time.Time) (Report, error) {
 	log, err := telemetry.ReadLog(r)
 	if err != nil {
