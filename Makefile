@@ -19,7 +19,7 @@ COVER_BASELINE := 82.0
 # Maximum count of non-test functions that no cmd/ or examples/ binary
 # links, as `make reach` measures it. `make reach` fails if the tree grows
 # past it; ratchet it down as dead code goes.
-REACH_BASELINE := 107
+REACH_BASELINE := 105
 
 .PHONY: ci fmt-check vet staticcheck govulncheck build test cover obs obs-bench chaos snap-chaos wal-chaos repl-chaos shard-chaos lease-chaos overload-chaos bench-short benchmark-build bench loadgen-smoke reach clean
 

@@ -1,46 +1,32 @@
 package prorp
 
 import (
-	"container/heap"
 	"testing"
 	"time"
 
 	"prorp/internal/cluster"
 	"prorp/internal/engine"
+	"prorp/internal/simclock"
 	"prorp/internal/workload"
 )
 
-// fleetEvent is one operation of the cross-tier replay, ordered as the
-// simulator orders its events: by time, then activity before wake-ups,
-// then scheduling order.
-type fleetEvent struct {
-	at, prio, seq int64
-	db            int
-	op            func(f *ShardedFleet, id int, t time.Time) (Decision, error)
-}
+// The simulator's event order at equal timestamps: the Algorithm 5 beat,
+// then customer activity, then wake-ups.
+const (
+	prioBeat     = -1
+	prioActivity = 0
+	prioWake     = 1
+)
 
-type fleetEvents []fleetEvent
-
-func (q fleetEvents) Len() int { return len(q) }
-func (q fleetEvents) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
-	}
-	return q[i].seq < q[j].seq
-}
-func (q fleetEvents) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *fleetEvents) Push(x any)   { *q = append(*q, x.(fleetEvent)) }
-func (q *fleetEvents) Pop() (x any) { x, *q = (*q)[len(*q)-1], (*q)[:len(*q)-1]; return x }
-
-// TestFleetKPIMatchesSimulatorReport is the first cross-tier check: one
-// 60-database EU1 trace, reactive mode, replayed through the simulator and
-// through a ShardedFleet in the simulator's event order (a wake-up due at
-// the same second as an activity event is delivered after it). Both tiers
-// count their transitions through the one Effects → record translation, so
-// the fleet's resume and pause counters equal the report's.
+// TestFleetKPIMatchesSimulatorReport is the cross-tier check: one
+// 60-database EU1 trace, in each mode, replayed through the simulator and
+// through a ShardedFleet in the simulator's event order — in proactive
+// mode with the Algorithm 5 beat at the simulator's cadence, ahead of
+// activity at the same second, and a later decision cancelling a pending
+// wake-up as the simulator's timer does. Both tiers drive the same
+// controlplane.Partition and count their transitions through the one
+// Effects → record translation, so the fleet's seven transition counters
+// equal the report's.
 func TestFleetKPIMatchesSimulatorReport(t *testing.T) {
 	const (
 		dbs  = 60
@@ -58,80 +44,101 @@ func TestFleetKPIMatchesSimulatorReport(t *testing.T) {
 	to := int64(days * secondsPerDay)
 	traces := gen.Generate(dbs, 0, to)
 
-	opts := DefaultOptions()
-	opts.Mode = Reactive
-	res, err := engine.Run(engine.Config{
-		Policy:       opts.policyConfig(),
-		ControlPlane: opts.controlPlaneConfig(),
-		Cluster:      cluster.DefaultConfig(dbs),
-		From:         0,
-		EvalFrom:     0,
-		To:           to,
-		Seed:         seed,
-	}, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, mode := range []Mode{Reactive, Proactive} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Mode = mode
+			res, err := engine.Run(engine.Config{
+				Policy:       opts.policyConfig(),
+				ControlPlane: opts.controlPlaneConfig(),
+				Cluster:      cluster.DefaultConfig(dbs),
+				From:         0,
+				EvalFrom:     0,
+				To:           to,
+				Seed:         seed,
+			}, traces)
+			if err != nil {
+				t.Fatal(err)
+			}
 
+			kpi, rep := replayThroughFleet(t, opts, traces, to), res.Report
+			if kpi.WarmResumes == 0 || kpi.ColdResumes == 0 || kpi.PhysicalPauses == 0 ||
+				mode == Proactive && (kpi.Prewarms == 0 || kpi.PrewarmsUsed == 0 || kpi.PrewarmsWasted == 0) {
+				t.Fatalf("replay exercised too little: %+v", kpi)
+			}
+			for _, c := range []struct {
+				name        string
+				fleet, want uint64
+			}{
+				{"warm resumes", kpi.WarmResumes, uint64(rep.WarmLogins)},
+				{"cold resumes", kpi.ColdResumes, uint64(rep.ColdLogins)},
+				{"logical pauses", kpi.LogicalPauses, uint64(rep.LogicalPauses)},
+				{"physical pauses", kpi.PhysicalPauses, uint64(rep.PhysicalPauses)},
+				{"prewarms", kpi.Prewarms, uint64(rep.Prewarms)},
+				{"prewarms used", kpi.PrewarmsUsed, uint64(rep.PrewarmsUsed)},
+				{"prewarms wasted", kpi.PrewarmsWasted, uint64(rep.PrewarmsWasted)},
+			} {
+				if c.fleet != c.want {
+					t.Errorf("%s: fleet %d, simulator %d", c.name, c.fleet, c.want)
+				}
+			}
+		})
+	}
+}
+
+// replayThroughFleet drives a ShardedFleet through the traces on a virtual
+// clock, in the simulator's event order, up to (not including) to, the end
+// of the report's window.
+func replayThroughFleet(t *testing.T, opts Options, traces []workload.Trace, to int64) FleetKPI {
+	t.Helper()
 	f, err := NewShardedFleet(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const prioActivity, prioWake = 0, 1
 	var (
-		q    fleetEvents
-		seq  int64
-		wake = map[int]int64{} // the wake-up each database has pending
+		q     simclock.Queue
+		wake  = map[int]*simclock.Event{} // the wake-up each database has pending
+		apply func(id int, op func(int, time.Time) (Decision, error), now int64)
 	)
-	push := func(at, prio int64, db int, op func(*ShardedFleet, int, time.Time) (Decision, error)) {
-		seq++
-		heap.Push(&q, fleetEvent{at: at, prio: prio, seq: seq, db: db, op: op})
+	decide := func(id int, d Decision, now int64) {
+		q.Cancel(wake[id])
+		delete(wake, id)
+		if !d.WakeAt.IsZero() {
+			wake[id] = q.ScheduleWithPriority(max(d.WakeAt.Unix(), now), prioWake,
+				func(now int64) { apply(id, f.Wake, now) })
+		}
 	}
-	login := func(f *ShardedFleet, id int, t time.Time) (Decision, error) { return f.Login(id, t) }
-	idle := func(f *ShardedFleet, id int, t time.Time) (Decision, error) { return f.Idle(id, t) }
-	wakeOp := func(f *ShardedFleet, id int, t time.Time) (Decision, error) { return f.Wake(id, t) }
+	apply = func(id int, op func(int, time.Time) (Decision, error), now int64) {
+		d, err := op(id, time.Unix(now, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decide(id, d, now)
+	}
 	for _, tr := range traces {
 		if err := f.Create(tr.DB, time.Unix(tr.Birth, 0)); err != nil {
 			t.Fatal(err)
 		}
 		for i, iv := range tr.Intervals {
 			if i > 0 {
-				push(iv.Start, prioActivity, tr.DB, login)
+				q.ScheduleWithPriority(iv.Start, prioActivity, func(now int64) { apply(tr.DB, f.Login, now) })
 			}
-			push(iv.End, prioActivity, tr.DB, idle)
+			q.ScheduleWithPriority(iv.End, prioActivity, func(now int64) { apply(tr.DB, f.Idle, now) })
 		}
 	}
-	for q.Len() > 0 && q[0].at < to {
-		ev := heap.Pop(&q).(fleetEvent)
-		if ev.prio == prioWake && wake[ev.db] != ev.at {
-			continue // superseded by a later decision
+	if opts.Mode == Proactive {
+		period := int64(opts.ResumeOpPeriod / time.Second)
+		var beat func(now int64)
+		beat = func(now int64) {
+			for _, pw := range f.RunResumeOp(time.Unix(now, 0)) {
+				decide(pw.ID, pw.Decision, now)
+			}
+			if next := now + period; next < to {
+				q.ScheduleWithPriority(next, prioBeat, beat)
+			}
 		}
-		d, err := ev.op(f, ev.db, time.Unix(ev.at, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wake[ev.db] = 0
-		if !d.WakeAt.IsZero() {
-			wake[ev.db] = d.WakeAt.Unix()
-			push(d.WakeAt.Unix(), prioWake, ev.db, wakeOp)
-		}
+		q.ScheduleWithPriority(period, prioBeat, beat)
 	}
-
-	kpi, rep := f.KPI(), res.Report
-	if kpi.WarmResumes == 0 || kpi.ColdResumes == 0 || kpi.PhysicalPauses == 0 {
-		t.Fatalf("replay exercised too little: %+v", kpi)
-	}
-	for _, c := range []struct {
-		name        string
-		fleet, want uint64
-	}{
-		{"warm resumes", kpi.WarmResumes, uint64(rep.WarmLogins)},
-		{"cold resumes", kpi.ColdResumes, uint64(rep.ColdLogins)},
-		{"logical pauses", kpi.LogicalPauses, uint64(rep.LogicalPauses)},
-		{"physical pauses", kpi.PhysicalPauses, uint64(rep.PhysicalPauses)},
-	} {
-		if c.fleet != c.want {
-			t.Errorf("%s: fleet %d, simulator %d", c.name, c.fleet, c.want)
-		}
-	}
+	q.RunUntil(to - 1)
+	return f.KPI()
 }

@@ -1,8 +1,8 @@
 package prorp
 
 import (
+	"prorp/internal/controlplane"
 	"prorp/internal/frame"
-	"prorp/internal/shardedfleet"
 )
 
 // The typed sentinel errors of the public API. ShardedFleet returns errors
@@ -15,9 +15,9 @@ import (
 //	                      from an older snapshot; never a panic
 //
 // The values are shared with the internal runtimes, so an error born
-// inside internal/shardedfleet or internal/frame matches directly.
+// inside internal/controlplane or internal/frame matches directly.
 var (
-	ErrUnknownDatabase   = shardedfleet.ErrUnknownDatabase
-	ErrDuplicateDatabase = shardedfleet.ErrDuplicateDatabase
+	ErrUnknownDatabase   = controlplane.ErrUnknownDatabase
+	ErrDuplicateDatabase = controlplane.ErrDuplicateDatabase
 	ErrCorruptArchive    = frame.ErrCorrupt
 )

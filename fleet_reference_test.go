@@ -138,7 +138,14 @@ func (f *Fleet) RunResumeOp(now time.Time) []Prewarmed {
 	if f.opts.Mode != Proactive {
 		return nil
 	}
-	due := f.meta.ResumeOp(f.opts.controlPlaneConfig(), now.Unix())
+	cfg := f.opts.controlPlaneConfig()
+	due := f.meta.SelectDue(now.Unix(), cfg.PrewarmLeadSec, cfg.OpPeriodSec)
+	if cfg.MaxPrewarmsPerOp > 0 && len(due) > cfg.MaxPrewarmsPerOp {
+		due = due[:cfg.MaxPrewarmsPerOp]
+	}
+	for _, id := range due {
+		f.meta.ClearPaused(id)
+	}
 	var out []Prewarmed
 	for _, id := range due {
 		db, ok := f.dbs[id]

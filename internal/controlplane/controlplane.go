@@ -1,7 +1,9 @@
 // Package controlplane implements the region-level components of ProRP
 // (Section 7 of the paper): the metadata store over physically paused
-// databases (the paper's sys.databases view), the periodic proactive-resume
-// operation of Algorithm 5, and the diagnostics-and-mitigation runner that
+// databases (the paper's sys.databases view), the Partition that ties it to
+// the databases' Algorithm 1 machines and runs the proactive-resume
+// operation of Algorithm 5 — the one lifecycle core the simulator and the
+// serving fleet both drive — and the diagnostics-and-mitigation runner that
 // watches the resume and pause queues.
 package controlplane
 
@@ -75,18 +77,16 @@ func (s *MetadataStore) SetPaused(db int, predStart int64) {
 	}
 }
 
-// ClearPaused removes db from the paused set (it resumed by any means) and
-// reports whether it was there.
-func (s *MetadataStore) ClearPaused(db int) bool {
+// ClearPaused removes db from the paused set (it resumed by any means).
+func (s *MetadataStore) ClearPaused(db int) {
 	p, ok := s.paused[db]
 	if !ok {
-		return false
+		return
 	}
 	delete(s.paused, db)
 	if p.pos >= 0 {
 		heap.Remove(&s.byStart, p.pos)
 	}
-	return true
 }
 
 // PredictedStart returns the recorded prediction for db.
@@ -174,21 +174,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ResumeOp is one iteration of the proactive resume operation. It selects
-// the due databases (respecting the per-iteration cap; the overflow stays
-// in the store for the next iteration) and removes them from the metadata
-// store. The caller pre-warms each returned database.
-func (s *MetadataStore) ResumeOp(cfg Config, now int64) []int {
-	due := s.SelectDue(now, cfg.PrewarmLeadSec, cfg.OpPeriodSec)
-	if cfg.MaxPrewarmsPerOp > 0 && len(due) > cfg.MaxPrewarmsPerOp {
-		due = due[:cfg.MaxPrewarmsPerOp]
-	}
-	for _, db := range due {
-		s.ClearPaused(db)
-	}
-	return due
-}
-
 // Runner is the diagnostics-and-mitigation runner of Section 7: it watches
 // the volume of in-flight resume and pause workflows and mitigates the ones
 // that exceed the stuck threshold. "In rare cases, this automatic
@@ -210,8 +195,6 @@ type Runner struct {
 	// engineer; the workflow is resolved manually (removed from the
 	// queue) but counted separately.
 	Incidents int
-	// peak tracks the largest in-flight queue observed.
-	peak int
 
 	// failureSeq drives the deterministic failure injection.
 	failureSeq uint64
@@ -233,21 +216,12 @@ func NewRunner(stuckThresholdSec int64) *Runner {
 // WorkflowStarted records that a resume or pause workflow began for db.
 func (r *Runner) WorkflowStarted(db int, now int64, kind string) {
 	r.inflight[db] = workflow{startedAt: now, kind: kind}
-	if len(r.inflight) > r.peak {
-		r.peak = len(r.inflight)
-	}
 }
 
 // WorkflowFinished records normal completion.
 func (r *Runner) WorkflowFinished(db int) {
 	delete(r.inflight, db)
 }
-
-// InFlight reports the current workflow queue length.
-func (r *Runner) InFlight() int { return len(r.inflight) }
-
-// PeakInFlight reports the largest queue observed.
-func (r *Runner) PeakInFlight() int { return r.peak }
 
 // Sweep mitigates every workflow in flight longer than the threshold and
 // returns the mitigated database ids (sorted). With a non-zero

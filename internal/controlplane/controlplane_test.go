@@ -7,6 +7,9 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"prorp/internal/policy"
+	"prorp/internal/predictor"
 )
 
 func TestMetadataStoreBasics(t *testing.T) {
@@ -49,56 +52,149 @@ func TestSelectDue(t *testing.T) {
 	}
 }
 
-func TestResumeOpRemovesSelected(t *testing.T) {
-	s := NewMetadataStore()
-	s.SetPaused(1, 500)
-	s.SetPaused(2, 99999)
-	cfg := DefaultConfig()
-	got := s.ResumeOp(cfg, 400)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("ResumeOp = %v, want [1]", got)
+// t0 is 2023-09-01 00:00 UTC; day is one day in seconds.
+const (
+	t0  = int64(1693526400)
+	day = int64(86400)
+)
+
+// partitionCfg predicts quickly: 7-day history (one matching day clears
+// c = 0.1), 1-hour logical pause.
+func partitionCfg(mode policy.Mode) policy.Config {
+	return policy.Config{
+		Mode:            mode,
+		LogicalPauseSec: 3600,
+		Predictor: predictor.Params{
+			HistoryDays:  7,
+			HorizonHours: 24,
+			Confidence:   0.1,
+			WindowSec:    3600,
+			SlideSec:     300,
+			Seasonality:  predictor.Daily,
+		},
 	}
-	if _, ok := s.PredictedStart(1); ok {
+}
+
+// pauseDaily creates database id in p and drives it through two days of
+// activity from hour:00 to 17:00. In proactive mode the second logout
+// physically pauses it under a prediction of the third day's hour:00.
+func pauseDaily(t *testing.T, p *Partition, id int, hour int64) policy.Effects {
+	t.Helper()
+	var eff policy.Effects
+	for _, ev := range []struct {
+		kind Kind
+		at   int64
+	}{
+		{KindCreate, t0 + hour*3600},
+		{KindLogout, t0 + 17*3600},
+		{KindLogin, t0 + day + hour*3600},
+		{KindLogout, t0 + day + 17*3600},
+	} {
+		var err error
+		if eff, err = p.Apply(ev.kind, id, ev.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if eff.Transition != policy.TransPhysicalPause {
+		t.Fatalf("database %d: last logout = %+v, want a physical pause", id, eff)
+	}
+	return eff
+}
+
+// beat is the Algorithm 5 iteration two minutes ahead of the third day's
+// 9:00, the predicted start pauseDaily(…, 9) leaves behind.
+const beat = t0 + 2*day + 9*3600 - 120
+
+func TestResumeOpRemovesSelected(t *testing.T) {
+	p := NewPartition(partitionCfg(policy.Proactive))
+	pauseDaily(t, p, 1, 9)
+	pauseDaily(t, p, 2, 13) // predicted for 13:00: not due at the beat
+	cfg := DefaultConfig()
+	got := p.ResumeOp(cfg, beat)
+	if len(got) != 1 || got[0].ID != 1 || got[0].Effects.Transition != policy.TransPrewarm {
+		t.Fatalf("ResumeOp = %+v, want a pre-warm of database 1", got)
+	}
+	if _, ok := p.meta.PredictedStart(1); ok {
 		t.Fatal("selected entry not removed")
 	}
-	if _, ok := s.PredictedStart(2); !ok {
+	if _, ok := p.meta.PredictedStart(2); !ok {
 		t.Fatal("unselected entry removed")
 	}
 	// A second iteration selects nothing new.
-	if got := s.ResumeOp(cfg, 460); len(got) != 0 {
-		t.Fatalf("second ResumeOp = %v, want empty", got)
+	if got := p.ResumeOp(cfg, beat+60); len(got) != 0 {
+		t.Fatalf("second ResumeOp = %+v, want empty", got)
 	}
 }
 
 func TestResumeOpRespectsCap(t *testing.T) {
-	s := NewMetadataStore()
+	p := NewPartition(partitionCfg(policy.Proactive))
 	for i := 0; i < 250; i++ {
-		s.SetPaused(i, 500)
+		pauseDaily(t, p, i, 9)
 	}
 	cfg := Config{OpPeriodSec: 60, PrewarmLeadSec: 300, MaxPrewarmsPerOp: 100}
-	first := s.ResumeOp(cfg, 400)
-	if len(first) != 100 {
-		t.Fatalf("first op resumed %d, want 100", len(first))
+	first := p.ResumeOp(cfg, beat)
+	if len(first) != 100 || first[0].ID != 0 || first[99].ID != 99 {
+		t.Fatalf("first op pre-warmed %d, want ids 0-99", len(first))
 	}
 	// Overflow remains queued for the next iterations.
-	second := s.ResumeOp(cfg, 460)
-	third := s.ResumeOp(cfg, 520)
+	second := p.ResumeOp(cfg, beat+60)
+	third := p.ResumeOp(cfg, beat+120)
 	if len(second) != 100 || len(third) != 50 {
 		t.Fatalf("drain = %d,%d, want 100,50", len(second), len(third))
 	}
-	if len(s.paused) != 0 {
-		t.Fatalf("%d entries left after drain", len(s.paused))
+	if len(p.meta.paused) != 0 {
+		t.Fatalf("%d entries left after drain", len(p.meta.paused))
 	}
 }
 
 func TestResumeOpUnlimitedCap(t *testing.T) {
-	s := NewMetadataStore()
+	p := NewPartition(partitionCfg(policy.Proactive))
 	for i := 0; i < 250; i++ {
-		s.SetPaused(i, 500)
+		pauseDaily(t, p, i, 9)
 	}
 	cfg := Config{OpPeriodSec: 60, PrewarmLeadSec: 300, MaxPrewarmsPerOp: 0}
-	if got := s.ResumeOp(cfg, 400); len(got) != 250 {
-		t.Fatalf("unlimited op resumed %d, want 250", len(got))
+	if got := p.ResumeOp(cfg, beat); len(got) != 250 {
+		t.Fatalf("unlimited op pre-warmed %d, want 250", len(got))
+	}
+}
+
+// TestPartitionMetadataRule checks the one rule from transitions to the
+// metadata store: a proactive physical pause records its prediction, a
+// cold resume and a delete clear it, and a reactive physical pause records
+// nothing.
+func TestPartitionMetadataRule(t *testing.T) {
+	p := NewPartition(partitionCfg(policy.Proactive))
+	eff := pauseDaily(t, p, 1, 9)
+	if start, ok := p.meta.PredictedStart(1); !ok || start != eff.MetadataStart || start != t0+2*day+9*3600 {
+		t.Fatalf("proactive pause stored %d, %v; want %d", start, ok, eff.MetadataStart)
+	}
+	if eff, err := p.Apply(KindLogin, 1, beat); err != nil || eff.Transition != policy.TransResumeCold {
+		t.Fatalf("login without a beat = %+v, %v; want a cold resume", eff, err)
+	}
+	if _, ok := p.meta.PredictedStart(1); ok {
+		t.Fatal("cold resume left the entry")
+	}
+	pauseDaily(t, p, 2, 9)
+	if _, err := p.Apply(KindDelete, 2, beat); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.meta.paused) != 0 {
+		t.Fatalf("delete left %d entries", len(p.meta.paused))
+	}
+
+	r := NewPartition(partitionCfg(policy.Reactive))
+	if _, err := r.Apply(KindCreate, 1, t0); err != nil {
+		t.Fatal(err)
+	}
+	eff, err := r.Apply(KindLogout, 1, t0+3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eff, err = r.Apply(KindWake, 1, eff.TimerAt); err != nil || eff.Transition != policy.TransPhysicalPause {
+		t.Fatalf("wake = %+v, %v; want a reactive physical pause", eff, err)
+	}
+	if len(r.meta.paused) != 0 {
+		t.Fatalf("reactive physical pause left %d metadata entries", len(r.meta.paused))
 	}
 }
 
@@ -123,11 +219,11 @@ func TestRunnerLifecycle(t *testing.T) {
 	r.WorkflowStarted(1, 100, "resume")
 	r.WorkflowStarted(2, 100, "pause")
 	r.WorkflowStarted(3, 400, "resume")
-	if r.InFlight() != 3 || r.PeakInFlight() != 3 {
-		t.Fatalf("InFlight = %d, Peak = %d", r.InFlight(), r.PeakInFlight())
+	if len(r.inflight) != 3 {
+		t.Fatalf("%d in flight", len(r.inflight))
 	}
 	r.WorkflowFinished(2)
-	if r.InFlight() != 2 {
+	if len(r.inflight) != 2 {
 		t.Fatal("finish not tracked")
 	}
 	// At t=700: workflow 1 is 600s old (stuck), workflow 3 is 300s old.
@@ -138,12 +234,8 @@ func TestRunnerLifecycle(t *testing.T) {
 	if r.Mitigations != 1 {
 		t.Fatalf("Mitigations = %d", r.Mitigations)
 	}
-	if r.InFlight() != 1 {
+	if len(r.inflight) != 1 {
 		t.Fatal("mitigated workflow still in flight")
-	}
-	// Peak is a high-water mark and survives completion.
-	if r.PeakInFlight() != 3 {
-		t.Fatal("peak changed after completions")
 	}
 }
 
@@ -204,8 +296,8 @@ func TestRunnerIncidentEscalation(t *testing.T) {
 		t.Fatalf("returned %d mitigated, counter says %d", len(mitigated), r.Mitigations)
 	}
 	// Every stuck workflow drained, whichever path it took.
-	if r.InFlight() != 0 {
-		t.Fatalf("%d workflows still in flight", r.InFlight())
+	if len(r.inflight) != 0 {
+		t.Fatalf("%d workflows still in flight", len(r.inflight))
 	}
 }
 
@@ -319,7 +411,7 @@ func runStoreOps(t *testing.T, data []byte) {
 			clear(int(a % 64))
 		case 6: // clear an id that was never set
 			clear(1000 + int(a))
-		case 7: // one resume operation
+		case 7: // one resume operation's select → cap → clear
 			cfg := Config{OpPeriodSec: period, PrewarmLeadSec: lead, MaxPrewarmsPerOp: []int{0, 1, 100}[a%3]}
 			now := startOf(b) - lead - period
 			want := selectDueReference(model, now, lead, period)
@@ -329,8 +421,12 @@ func runStoreOps(t *testing.T, data []byte) {
 			for _, id := range want {
 				delete(model, id)
 			}
-			if got := s.ResumeOp(cfg, now); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: ResumeOp(cap %d, now %d) = %v, reference %v", desc, cfg.MaxPrewarmsPerOp, now, got, want)
+			got := cfg.Cap(s.SelectDue(now, lead, period))
+			for _, id := range got {
+				s.ClearPaused(id)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Cap(SelectDue) (cap %d, now %d) = %v, reference %v", desc, cfg.MaxPrewarmsPerOp, now, got, want)
 			}
 		}
 
@@ -365,8 +461,8 @@ func runStoreOps(t *testing.T, data []byte) {
 }
 
 // TestSelectDueMatchesReference drives seeded random operation sequences
-// through runStoreOps: the indexed SelectDue and ResumeOp must agree with
-// the linear scan after every single step.
+// through runStoreOps: the indexed SelectDue and the capped clear must
+// agree with the linear scan after every single step.
 func TestSelectDueMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for seq := 0; seq < 300; seq++ {

@@ -1,8 +1,9 @@
 // Package engine runs the region-scale discrete-event simulation that
-// stands in for production: customer activity traces drive per-database
-// policy machines (Algorithm 1), which drive cluster allocation workflows
-// and the control plane (Algorithm 5), while telemetry and KPI metrics are
-// collected exactly as Section 8 of the ProRP paper defines them.
+// stands in for production: customer activity traces drive one
+// controlplane.Partition (Algorithms 1 and 5, the lifecycle core each shard
+// of the serving fleet runs too), whose effects drive cluster allocation
+// workflows, while telemetry and KPI metrics are collected exactly as
+// Section 8 of the ProRP paper defines them.
 //
 // The engine is deterministic: the same configuration and traces produce
 // the same result, byte for byte.
@@ -110,7 +111,6 @@ type Result struct {
 // dbRuntime is the engine-side state of one database.
 type dbRuntime struct {
 	id      int
-	machine *policy.Machine
 	trace   workload.Trace
 	nextIvl int // index of the next interval to start
 
@@ -124,8 +124,8 @@ type dbRuntime struct {
 type sim struct {
 	cfg    Config
 	clock  simclock.Queue
-	dbs    []*dbRuntime
-	meta   *controlplane.MetadataStore
+	dbs    map[int]*dbRuntime
+	part   *controlplane.Partition
 	runner *controlplane.Runner
 	clus   *cluster.Cluster
 	tel    *telemetry.Log
@@ -159,7 +159,8 @@ func Run(cfg Config, traces []workload.Trace) (*Result, error) {
 	}
 	s := &sim{
 		cfg:    cfg,
-		meta:   controlplane.NewMetadataStore(),
+		dbs:    make(map[int]*dbRuntime, len(traces)),
+		part:   controlplane.NewPartition(cfg.Policy),
 		runner: controlplane.NewRunner(threshold),
 		clus:   clus,
 		tel:    telemetry.New(),
@@ -170,10 +171,12 @@ func Run(cfg Config, traces []workload.Trace) (*Result, error) {
 		if tr.Birth < cfg.From || tr.Birth >= cfg.To {
 			return nil, fmt.Errorf("engine: trace %d born at %d outside horizon", tr.DB, tr.Birth)
 		}
-		rt := &dbRuntime{id: tr.DB, trace: tr}
-		s.dbs = append(s.dbs, rt)
-		birth := tr.Birth
-		s.clock.ScheduleWithPriority(birth, prioActivity, func(now int64) { s.onBirth(rt, now) })
+		if s.dbs[tr.DB] != nil {
+			return nil, fmt.Errorf("engine: two traces for database %d", tr.DB)
+		}
+		rt := &dbRuntime{id: tr.DB, trace: tr, nextIvl: 1}
+		s.dbs[tr.DB] = rt
+		s.clock.ScheduleWithPriority(tr.Birth, prioActivity, func(now int64) { s.onBirth(rt, now) })
 	}
 
 	if cfg.Policy.Mode == policy.Proactive && !cfg.DisablePrewarm {
@@ -184,21 +187,15 @@ func Run(cfg Config, traces []workload.Trace) (*Result, error) {
 	s.clock.RunUntil(cfg.To)
 
 	// Close every open segment at the horizon end.
-	for _, rt := range s.dbs {
-		if rt.machine != nil {
-			coll.Close(&rt.acct, cfg.To)
-		}
-	}
-
-	report := coll.Report()
-	machines := make([]*policy.Machine, 0, len(s.dbs))
-	for _, rt := range s.dbs {
-		if rt.machine != nil {
-			machines = append(machines, rt.machine)
+	machines := make([]*policy.Machine, 0, len(traces))
+	for _, tr := range traces {
+		if m, born := s.part.Machine(tr.DB); born {
+			coll.Close(&s.dbs[tr.DB].acct, cfg.To)
+			machines = append(machines, m)
 		}
 	}
 	return &Result{
-		Report:       report,
+		Report:       coll.Report(),
 		Telemetry:    s.tel,
 		ClusterStats: clus.Stats(),
 		Mitigations:  s.runner.Mitigations,
@@ -217,19 +214,11 @@ func (s *sim) emit(rt *dbRuntime, kind telemetry.Kind, now int64) {
 // onBirth creates the database: machine construction, first allocation,
 // and the end-of-first-activity event.
 func (s *sim) onBirth(rt *dbRuntime, now int64) {
-	m, err := policy.New(s.cfg.Policy, now)
-	if err != nil {
-		// Config was validated up front; a failure here is a bug.
-		panic(err)
-	}
-	rt.machine = m
+	s.deliver(rt, controlplane.KindCreate, now)
 	rt.acct = metrics.NewAccount(now)
 	s.emit(rt, telemetry.ActivityStart, now)
 	s.allocate(rt, now)
-
-	end := rt.trace.Intervals[0].End
-	rt.nextIvl = 1
-	s.clock.ScheduleWithPriority(end, prioActivity, func(t int64) { s.onActivityEnd(rt, t) })
+	s.clock.ScheduleWithPriority(rt.trace.Intervals[0].End, prioActivity, func(t int64) { s.onActivityEnd(rt, t) })
 }
 
 // allocate runs a resource allocation workflow and returns its latency.
@@ -237,33 +226,39 @@ func (s *sim) onBirth(rt *dbRuntime, now int64) {
 // pauses keep resources warm).
 func (s *sim) allocate(rt *dbRuntime, now int64) int64 {
 	res, err := s.clus.Allocate(rt.id)
-	if err != nil {
+	done := func(int64) { s.runner.WorkflowFinished(rt.id) }
+	switch {
+	case err != nil:
 		// Region out of capacity: the workflow queues and retries; the
 		// customer sees an extended delay. Modelled as a fixed penalty
 		// plus forced success after the penalty via a scheduled retry.
-		penalty := 4 * s.cfg.Cluster.ResumeLatencySec
-		s.clock.ScheduleWithPriority(now+penalty, prioWorkflowDone, func(t int64) {
-			if res2, err2 := s.clus.Allocate(rt.id); err2 == nil {
-				_ = res2
+		res.LatencySec = 4 * s.cfg.Cluster.ResumeLatencySec
+		done = func(int64) {
+			if _, err := s.clus.Allocate(rt.id); err == nil {
 				s.runner.WorkflowFinished(rt.id)
 			}
-		})
-		s.runner.WorkflowStarted(rt.id, now, "resume")
-		return penalty
-	}
-	if res.LatencySec == 0 {
+		}
+	case res.LatencySec == 0:
 		return 0 // already allocated
-	}
-	s.emit(rt, telemetry.WorkflowAllocate, now)
-	if res.Moved {
-		s.emit(rt, telemetry.DatabaseMoved, now)
+	default:
+		s.emit(rt, telemetry.WorkflowAllocate, now)
+		if res.Moved {
+			s.emit(rt, telemetry.DatabaseMoved, now)
+		}
 	}
 	s.runner.WorkflowStarted(rt.id, now, "resume")
-	done := now + res.LatencySec
-	s.clock.ScheduleWithPriority(done, prioWorkflowDone, func(t int64) {
-		s.runner.WorkflowFinished(rt.id)
-	})
+	s.clock.ScheduleWithPriority(now+res.LatencySec, prioWorkflowDone, done)
 	return res.LatencySec
+}
+
+// deliver applies one event to rt's database in the partition and
+// performs its effects.
+func (s *sim) deliver(rt *dbRuntime, kind controlplane.Kind, now int64) {
+	eff, err := s.part.Apply(kind, rt.id, now)
+	if err != nil {
+		panic(err) // Run validated the config and the trace ids: a bug
+	}
+	s.applyEffects(rt, eff, now)
 }
 
 // applyEffects emits the records of a policy decision and performs its
@@ -272,9 +267,6 @@ func (s *sim) applyEffects(rt *dbRuntime, eff policy.Effects, now int64) {
 	recs := eff.Records()
 	for _, kind := range recs.Kinds() {
 		s.emit(rt, kind, now)
-	}
-	if eff.Transition == policy.TransResumeCold {
-		s.meta.ClearPaused(rt.id)
 	}
 	if eff.Allocate {
 		lat := s.allocate(rt, now)
@@ -285,34 +277,23 @@ func (s *sim) applyEffects(rt *dbRuntime, eff policy.Effects, now int64) {
 	}
 
 	// Timer reconciliation: Effects carries the complete desired state.
-	if rt.timer != nil {
-		s.clock.Cancel(rt.timer)
-		rt.timer = nil
-	}
+	s.clock.Cancel(rt.timer)
+	rt.timer = nil
 	if eff.TimerAt > 0 {
-		at := eff.TimerAt
-		if at < now {
-			at = now
-		}
-		rt.timer = s.clock.ScheduleWithPriority(at, prioTimer, func(t int64) { s.onTimer(rt, t) })
+		rt.timer = s.clock.ScheduleWithPriority(max(eff.TimerAt, now), prioTimer, func(t int64) {
+			s.deliver(rt, controlplane.KindWake, t)
+		})
 	}
 
 	if eff.Reclaim {
 		s.clus.Release(rt.id)
 		s.emit(rt, telemetry.WorkflowReclaim, now)
 	}
-	if eff.MetadataSet {
-		s.meta.SetPaused(rt.id, eff.MetadataStart)
-	} else if eff.Transition == policy.TransPhysicalPause {
-		// Reactive physical pause: tracked with no prediction.
-		s.meta.SetPaused(rt.id, 0)
-	}
 }
 
 func (s *sim) onActivityStart(rt *dbRuntime, now int64) {
-	eff := rt.machine.OnActivityStart(now)
 	s.emit(rt, telemetry.ActivityStart, now)
-	s.applyEffects(rt, eff, now)
+	s.deliver(rt, controlplane.KindLogin, now)
 
 	// Schedule the end of this activity interval.
 	end := rt.trace.Intervals[rt.nextIvl-1].End
@@ -320,9 +301,8 @@ func (s *sim) onActivityStart(rt *dbRuntime, now int64) {
 }
 
 func (s *sim) onActivityEnd(rt *dbRuntime, now int64) {
-	eff := rt.machine.OnActivityEnd(now)
 	s.emit(rt, telemetry.ActivityEnd, now)
-	s.applyEffects(rt, eff, now)
+	s.deliver(rt, controlplane.KindLogout, now)
 
 	// Schedule the next activity interval, if any.
 	if rt.nextIvl < len(rt.trace.Intervals) {
@@ -332,29 +312,15 @@ func (s *sim) onActivityEnd(rt *dbRuntime, now int64) {
 	}
 }
 
-func (s *sim) onTimer(rt *dbRuntime, now int64) {
-	rt.timer = nil
-	s.applyEffects(rt, rt.machine.OnTimer(now), now)
-}
-
 // onControlPlaneOp is one iteration of the proactive resume operation
 // (Algorithm 5) plus the diagnostics sweep.
 func (s *sim) onControlPlaneOp(now int64) {
-	due := s.meta.ResumeOp(s.cfg.ControlPlane, now)
-	for _, id := range due {
-		rt := s.findDB(id)
-		if rt == nil || rt.machine == nil {
-			continue
-		}
-		eff := rt.machine.OnPrewarm(now)
-		if eff.Transition != policy.TransPrewarm {
-			continue // stale entry; database already moved on
-		}
-		s.applyEffects(rt, eff, now)
+	for _, pw := range s.part.ResumeOp(s.cfg.ControlPlane, now) {
+		s.applyEffects(s.dbs[pw.ID], pw.Effects, now)
 	}
 
 	for _, db := range s.runner.Sweep(now) {
-		s.emit(s.findDB(db), telemetry.Mitigation, now)
+		s.emit(s.dbs[db], telemetry.Mitigation, now)
 	}
 
 	next := now + s.cfg.ControlPlane.OpPeriodSec
@@ -373,17 +339,4 @@ func (s *sim) onOccupancySample(now int64) {
 	if next := now + 300; next < s.cfg.evalTo() {
 		s.clock.ScheduleWithPriority(next, prioControlPlane, s.onOccupancySample)
 	}
-}
-
-func (s *sim) findDB(id int) *dbRuntime {
-	// Database ids are dense indexes assigned by the workload generator.
-	if id >= 0 && id < len(s.dbs) && s.dbs[id].id == id {
-		return s.dbs[id]
-	}
-	for _, rt := range s.dbs {
-		if rt.id == id {
-			return rt
-		}
-	}
-	return nil
 }

@@ -20,6 +20,7 @@ import (
 
 	"prorp"
 	"prorp/internal/admission"
+	"prorp/internal/controlplane"
 	"prorp/internal/faults"
 	"prorp/internal/obs"
 )
@@ -484,9 +485,7 @@ func (s *Server) globalTick(now time.Time) (wakes int, ids []int, partial bool, 
 	due = uniq
 
 	sort.Ints(due)
-	if cap := s.cfg.Options.MaxPrewarmsPerOp; cap > 0 && len(due) > cap {
-		due = due[:cap]
-	}
+	due = controlplane.Config{MaxPrewarmsPerOp: s.cfg.Options.MaxPrewarmsPerOp}.Cap(due)
 	var local []int
 	remote := map[string][]int{}
 	for _, id := range due {

@@ -63,7 +63,6 @@ import (
 	"prorp/internal/faults"
 	"prorp/internal/obs"
 	"prorp/internal/repl"
-	"prorp/internal/shardedfleet"
 	"prorp/internal/wal"
 )
 
@@ -1256,9 +1255,9 @@ func writeErrAfter(w http.ResponseWriter, err error, retryAfter time.Duration) {
 		// when the cutover settles.
 		retryHeader()
 		status = http.StatusServiceUnavailable
-	case errors.Is(err, shardedfleet.ErrUnknownDatabase):
+	case errors.Is(err, prorp.ErrUnknownDatabase):
 		status = http.StatusNotFound
-	case errors.Is(err, shardedfleet.ErrDuplicateDatabase):
+	case errors.Is(err, prorp.ErrDuplicateDatabase):
 		status = http.StatusConflict
 	case errors.Is(err, errQuorumUnreached):
 		// The record is journaled locally and will replicate; the client's

@@ -14,7 +14,6 @@ import (
 	"prorp/internal/admission"
 	"prorp/internal/breaker"
 	"prorp/internal/faults"
-	"prorp/internal/shardedfleet"
 )
 
 // walSegments lists the journal's segment files, oldest first.
@@ -228,9 +227,8 @@ func TestWriteErrStatusMapping(t *testing.T) {
 		err  error
 		want int
 	}{
-		{shardedfleet.ErrUnknownDatabase, http.StatusNotFound},
 		{prorp.ErrUnknownDatabase, http.StatusNotFound},
-		{shardedfleet.ErrDuplicateDatabase, http.StatusConflict},
+		{prorp.ErrDuplicateDatabase, http.StatusConflict},
 		{fmt.Errorf("%w: disk on fire", errJournalUnavailable), http.StatusServiceUnavailable},
 		{&routeError{status: http.StatusTemporaryRedirect, owner: "g2",
 			location: "http://g2/v1/db/7", reason: "owned elsewhere"}, http.StatusTemporaryRedirect},
@@ -280,7 +278,7 @@ func TestWriteErrStatusMapping(t *testing.T) {
 			t.Errorf("writeErr(%v): no Retry-After on a transient rejection", err)
 		}
 	}
-	for _, err := range []error{shardedfleet.ErrUnknownDatabase, shardedfleet.ErrDuplicateDatabase, errors.New("boom")} {
+	for _, err := range []error{prorp.ErrUnknownDatabase, prorp.ErrDuplicateDatabase, errors.New("boom")} {
 		rec := httptest.NewRecorder()
 		writeErr(rec, err)
 		if ra := rec.Header().Get("Retry-After"); ra != "" {

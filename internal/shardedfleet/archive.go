@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 
+	"prorp/internal/controlplane"
 	"prorp/internal/frame"
 	"prorp/internal/policy"
 )
@@ -46,8 +47,8 @@ func WriteArchive(w io.Writer, ids []int, snapshot func(id int, w io.Writer) err
 // and policy body to restore. Undecodable input — truncated, bit-flipped,
 // wrong kind, or a record restore rejects — yields an error wrapping
 // frame.ErrCorrupt, never a panic; a restore error that wraps
-// ErrDuplicateDatabase keeps that sentinel instead, since an id collision
-// is not stream damage.
+// controlplane.ErrDuplicateDatabase keeps that sentinel instead, since an
+// id collision is not stream damage.
 func ReadArchive(r io.Reader, restore func(id int, snap io.Reader) error) error {
 	b, err := frame.Read(frame.KindArchive, r)
 	if err != nil {
@@ -68,7 +69,7 @@ func ReadArchive(r io.Reader, restore func(id int, snap io.Reader) error) error 
 			return fmt.Errorf("%w: database %d body truncated", frame.ErrCorrupt, id)
 		}
 		if err := restore(id, bytes.NewReader(b[:size])); err != nil {
-			if errors.Is(err, ErrDuplicateDatabase) {
+			if errors.Is(err, controlplane.ErrDuplicateDatabase) {
 				return fmt.Errorf("restoring database %d: %w", id, err)
 			}
 			return fmt.Errorf("%w: restoring database %d: %w", frame.ErrCorrupt, id, err)
@@ -96,38 +97,26 @@ func (rt *Runtime) WriteTo(w io.Writer) (int64, error) {
 
 	var ids []int
 	for _, s := range rt.shards {
-		for id := range s.dbs {
-			ids = append(ids, id)
-		}
+		s.part.Range(func(id int, _ *policy.Machine) { ids = append(ids, id) })
 	}
 	sort.Ints(ids)
 	return WriteArchive(w, ids, func(id int, w io.Writer) error {
-		_, err := rt.shardFor(id).dbs[id].WriteTo(w)
+		m, _ := rt.shardFor(id).part.Machine(id)
+		_, err := m.WriteTo(w)
 		return err
 	})
 }
 
 // RestoreDB adds one snapshotted database (policy wire format) to the
-// fleet, re-registering its control-plane metadata. The returned wakeAt is
+// fleet through its shard's Partition.Restore. The returned wakeAt is
 // non-zero when the database was logically paused and the host must deliver
 // a Wake at (or after) that time.
 func (rt *Runtime) RestoreDB(id int, r io.Reader) (wakeAt int64, err error) {
 	s := rt.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.dbs[id]; exists {
-		return 0, fmt.Errorf("%w: %d", ErrDuplicateDatabase, id)
-	}
-	m, err := policy.Restore(rt.cfg.Policy, r)
-	if err != nil {
-		return 0, err
-	}
-	s.dbs[id] = m
-	if m.State() == policy.PhysicallyPaused && rt.cfg.Policy.Mode == policy.Proactive {
-		s.meta.SetPaused(id, m.NextActivity().Start)
-		s.publish()
-	}
-	return m.RestoredTimer(), nil
+	defer s.publish()
+	return s.part.Restore(id, r)
 }
 
 // PendingWake pairs a restored database with the wake-up its host must

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prorp/internal/controlplane"
 	"prorp/internal/obs"
 )
 
@@ -14,7 +15,7 @@ type instrumentation struct {
 	// decision is indexed by Kind: time spent applying one event under the
 	// shard lock — the policy engine's decision latency, including the
 	// Algorithm 1 transition and any prediction recompute it triggers.
-	decision [numKinds]*obs.Histogram
+	decision [controlplane.NumKinds]*obs.Histogram
 	// scan is one full Algorithm 5 RunResumeOp iteration: collecting the
 	// due databases from the shards' start indexes, the fleet-wide cap
 	// merge, and the pre-warm phase.
@@ -40,14 +41,14 @@ func (rt *Runtime) Instrument(reg *obs.Registry) {
 	for k := range inst.decision {
 		inst.decision[k] = reg.Histogram("prorp_decision_duration_seconds",
 			"Policy decision latency under the shard lock, by event kind.",
-			obs.MicroBuckets, obs.L("kind", Kind(k).String()))
+			obs.MicroBuckets, obs.L("kind", controlplane.Kind(k).String()))
 	}
 	rt.inst.Store(inst)
 }
 
 // observeDecision records one applied event's latency when instrumentation
 // is attached. The fast path (no registry) is a single atomic load.
-func (rt *Runtime) observeDecision(kind Kind, start time.Time) {
+func (rt *Runtime) observeDecision(kind controlplane.Kind, start time.Time) {
 	if inst := rt.inst.Load(); inst != nil {
 		if int(kind) < len(inst.decision) {
 			inst.decision[kind].ObserveSince(start)

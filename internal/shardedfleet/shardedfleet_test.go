@@ -64,10 +64,10 @@ func TestRuntimeBasics(t *testing.T) {
 	if err := rt.Create(1, t0); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Create(1, t0); !errors.Is(err, ErrDuplicateDatabase) {
+	if err := rt.Create(1, t0); !errors.Is(err, controlplane.ErrDuplicateDatabase) {
 		t.Fatalf("duplicate Create = %v", err)
 	}
-	if _, err := rt.Login(9, t0); !errors.Is(err, ErrUnknownDatabase) {
+	if _, err := rt.Login(9, t0); !errors.Is(err, controlplane.ErrUnknownDatabase) {
 		t.Fatalf("unknown Login = %v", err)
 	}
 	if rt.Size() != 1 {
@@ -106,8 +106,8 @@ func TestRuntimeBasics(t *testing.T) {
 	}
 
 	kpi := rt.KPI()
-	if kpi.Events[KindCreate] != 1 || kpi.Events[KindLogin] != 1 ||
-		kpi.Events[KindLogout] != 1 || kpi.Events[KindWake] != 1 ||
+	if kpi.Events[controlplane.KindCreate] != 1 || kpi.Events[controlplane.KindLogin] != 1 ||
+		kpi.Events[controlplane.KindLogout] != 1 || kpi.Events[controlplane.KindWake] != 1 ||
 		kpi.Records[telemetry.ResumeCold] != 1 || kpi.Records[telemetry.LogicalPause] != 1 ||
 		kpi.Records[telemetry.PhysicalPause] != 1 {
 		t.Fatalf("KPI = %+v", kpi)
@@ -116,7 +116,7 @@ func TestRuntimeBasics(t *testing.T) {
 	if err := rt.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Delete(1); !errors.Is(err, ErrUnknownDatabase) {
+	if err := rt.Delete(1); !errors.Is(err, controlplane.ErrUnknownDatabase) {
 		t.Fatalf("double Delete = %v", err)
 	}
 	if rt.Size() != 0 {
@@ -246,9 +246,12 @@ func TestPrewarmRechecksDueNotJustPaused(t *testing.T) {
 	if eff, err := rt.Logout(0, beat+2*3600); err != nil || eff.Transition != policy.TransPhysicalPause {
 		t.Fatalf("second idle = %+v, %v; want a physical pause under a new prediction", eff, err)
 	}
-	lead, period := rt.cfg.Control.PrewarmLeadSec, rt.cfg.Control.OpPeriodSec
-	start, _ := rt.shardFor(0).meta.PredictedStart(0)
-	if controlplane.Due(start, beat, lead, period) {
+	lead := rt.cfg.Control.PrewarmLeadSec
+	var start int64
+	if err := rt.View(0, func(m *policy.Machine) { start = m.NextActivity().Start }); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(rt.shardFor(0).part.Due(beat, rt.cfg.Control), 0) {
 		t.Fatalf("the new prediction (%d) is due at the beat (%d): the test stages nothing", start, beat)
 	}
 
@@ -256,12 +259,14 @@ func TestPrewarmRechecksDueNotJustPaused(t *testing.T) {
 	if len(pws) != 1 || pws[0].ID != 1 {
 		t.Fatalf("pre-warm phase warmed %+v, want database 1 only: 0 is paused again but not due", pws)
 	}
-	if got, ok := rt.shardFor(0).meta.PredictedStart(0); !ok || got != start {
-		t.Fatalf("database 0's stored prediction = %d, %v after the beat; want %d untouched", got, ok, start)
+	// Database 0 is now the only one in any store, so its shard's
+	// earliest start is its stored prediction.
+	if got := rt.shardFor(0).part.NextStart(); got != start {
+		t.Fatalf("database 0's stored prediction = %d after the beat; want %d untouched", got, start)
 	}
 	for _, s := range rt.shards {
-		if s.nextStart.Load() != s.meta.NextStart() {
-			t.Fatalf("published next start %d, store says %d", s.nextStart.Load(), s.meta.NextStart())
+		if s.nextStart.Load() != s.part.NextStart() {
+			t.Fatalf("published next start %d, store says %d", s.nextStart.Load(), s.part.NextStart())
 		}
 	}
 	// Tomorrow's beat finds it.
@@ -340,26 +345,28 @@ func TestConcurrentHammer(t *testing.T) {
 // checkPublished verifies, with every writer and beater stopped, that each
 // shard's lock-free hint equals its store's earliest start and that the
 // indexed, hint-skipping DueForResume agrees with a look at every database
-// of every shard. ids is the universe of ids ever used.
+// of every shard: the due ones are those physically paused under a due
+// prediction. ids is the universe of ids ever used.
 func checkPublished(t *testing.T, rt *Runtime, ids int, now int64) {
 	t.Helper()
 	for i, s := range rt.shards {
 		s.mu.Lock()
-		published, next := s.nextStart.Load(), s.meta.NextStart()
+		published, next := s.nextStart.Load(), s.part.NextStart()
 		s.mu.Unlock()
 		if published != next {
 			t.Fatalf("shard %d publishes earliest start %d, its store says %d", i, published, next)
 		}
 	}
-	cutoff := now + rt.cfg.Control.PrewarmLeadSec + rt.cfg.Control.OpPeriodSec
+	ctl := rt.cfg.Control
 	var want []int
 	for id := 0; id < ids; id++ {
-		s := rt.shardFor(id)
-		s.mu.Lock()
-		start, paused := s.meta.PredictedStart(id)
-		s.mu.Unlock()
-		if paused && start > 0 && start <= cutoff {
-			want = append(want, id)
+		err := rt.View(id, func(m *policy.Machine) {
+			if m.State() == policy.PhysicallyPaused && controlplane.Due(m.NextActivity().Start, now, ctl.PrewarmLeadSec, ctl.OpPeriodSec) {
+				want = append(want, id)
+			}
+		})
+		if err != nil && !errors.Is(err, controlplane.ErrUnknownDatabase) {
+			t.Fatal(err)
 		}
 	}
 	if got := rt.DueForResume(now); !slices.Equal(got, want) {
@@ -420,7 +427,7 @@ func TestPublishedNextStartUnderRace(t *testing.T) {
 						}
 					} else if _, err := rt.Login(id, morning); err != nil {
 						// Deleted for good on an earlier day.
-						if !errors.Is(err, ErrUnknownDatabase) || id%8 != 7 {
+						if !errors.Is(err, controlplane.ErrUnknownDatabase) || id%8 != 7 {
 							t.Error(err)
 							return
 						}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"prorp/internal/controlplane"
 	"prorp/internal/historystore"
 	"prorp/internal/maintenance"
 	"prorp/internal/obs"
@@ -360,11 +361,11 @@ func (s *ShardedFleet) KPI() FleetKPI {
 		Resumed:          resumed,
 		LogicallyPaused:  logical,
 		PhysicallyPaused: physical,
-		Creates:          c.Events[shardedfleet.KindCreate],
-		Deletes:          c.Events[shardedfleet.KindDelete],
-		Logins:           c.Events[shardedfleet.KindLogin],
-		Logouts:          c.Events[shardedfleet.KindLogout],
-		Wakes:            c.Events[shardedfleet.KindWake],
+		Creates:          c.Events[controlplane.KindCreate],
+		Deletes:          c.Events[controlplane.KindDelete],
+		Logins:           c.Events[controlplane.KindLogin],
+		Logouts:          c.Events[controlplane.KindLogout],
+		Wakes:            c.Events[controlplane.KindWake],
 		WarmResumes:      c.Records[telemetry.ResumeWarm],
 		ColdResumes:      c.Records[telemetry.ResumeCold],
 		LogicalPauses:    c.Records[telemetry.LogicalPause],
